@@ -37,6 +37,7 @@ from .conjectures import (
 )
 from .errors import (
     ClassificationFailure,
+    DimensionMismatch,
     EmptyVariety,
     NullkitError,
     ParseError,
@@ -231,6 +232,8 @@ def parse_bounds(text):
             kwargs[keys[key]] = int(value)
         except ValueError:
             raise ParseError(f"bounds value in {item!r} is not an integer")
+        if kwargs[keys[key]] < 0:
+            raise ParseError(f"bounds value in {item!r} is negative")
     return SearchBounds(**kwargs)
 
 
@@ -238,7 +241,8 @@ class _Report:
     """Accumulates both the text rendering and the JSON payload."""
 
     def __init__(self, args):
-        self.json = getattr(args, "json", False)
+        self.json = args.json
+        self.problem = None
         self.lines = []
         self.payload = {}
 
@@ -248,7 +252,16 @@ class _Report:
     def set(self, key, value):
         self.payload[key] = value
 
-    def emit(self, command, problem=None):
+    def generators(self, gens):
+        for g in gens:
+            self.line(g)
+        self.set("generators", gens)
+
+    def emit(self, command):
+        """The report for command, or the normalized problem when
+        command is None."""
+        if command is None:
+            return self.problem.emit_normalized()
         if not self.json:
             return "\n".join(self.lines) + ("\n" if self.lines else "")
         doc = {
@@ -257,9 +270,9 @@ class _Report:
             "version": __version__,
             "command": command,
         }
-        if problem is not None:
-            doc["coeff_field"] = problem.cfg.k_spec.literal()
-            doc["point_field"] = problem.cfg.K_spec.literal()
+        if self.problem is not None:
+            doc["coeff_field"] = self.problem.cfg.k_spec.literal()
+            doc["point_field"] = self.problem.cfg.K_spec.literal()
         doc.update(self.payload)
         return json.dumps(doc, indent=2) + "\n"
 
@@ -268,36 +281,29 @@ def _generators(I, order=DEGREVLEX):
     return [g.to_string(order) for g in I.gb(order).gens]
 
 
-def _maybe_emit_normalized(args, problem):
-    if getattr(args, "emit_normalized", False):
-        sys.stdout.write(problem.emit_normalized())
-        return True
-    return False
-
-
-def _cmd_gb(args):
-    problem = parse_problem(args.input)
-    if _maybe_emit_normalized(args, problem):
-        return 0
-    order = _parse_order(args.order, len(problem.cfg.vars))
+def _timed(fn, *args, **kwargs):
+    """fn's result and its wall time in milliseconds."""
     t0 = time.perf_counter()
-    gens = _generators(problem.ideal, order)
-    wall = (time.perf_counter() - t0) * 1000.0
-    rep = _Report(args)
-    for g in gens:
-        rep.line(g)
+    out = fn(*args, **kwargs)
+    return out, (time.perf_counter() - t0) * 1000.0
+
+
+# Each command fills the report and returns (exit code, command echo);
+# main has already parsed --input into rep.problem.
+
+def _cmd_gb(args, rep):
+    problem = rep.problem
+    order = _parse_order(args.order, len(problem.cfg.vars))
+    gens, wall = _timed(_generators, problem.ideal, order)
     rep.set("order", args.order)
-    rep.set("generators", gens)
+    rep.generators(gens)
     rep.set("gb_size", len(gens))
     rep.set("wall_ms", wall)
-    sys.stdout.write(rep.emit(["gb", args.input], problem))
-    return 0
+    return 0, ["gb", args.input]
 
 
-def _cmd_ideal_op(args):
-    problem = parse_problem(args.input)
-    if _maybe_emit_normalized(args, problem):
-        return 0
+def _cmd_ideal_op(args, rep):
+    problem = rep.problem
     op = args.op
     rounds = None
     if op in ("sum", "intersect", "quotient", "saturate"):
@@ -308,122 +314,87 @@ def _cmd_ideal_op(args):
                 or other.ideal.vars != problem.ideal.vars:
             raise ParseError("--other lives in a different ring")
         I, J = problem.ideal, other.ideal
-        t0 = time.perf_counter()
-        if op == "sum":
-            result = reduced(ideal_sum(I, J))
-        elif op == "intersect":
-            result = reduced(ideal_intersect(I, J))
-        elif op == "quotient":
-            result = reduced(ideal_quotient(I, J))
+        if op == "saturate":
+            (result, rounds), wall = _timed(ideal_saturate, I, J)
         else:
-            result, rounds = ideal_saturate(I, J)
+            fn = {"sum": ideal_sum, "intersect": ideal_intersect,
+                  "quotient": ideal_quotient}[op]
+            result, wall = _timed(lambda: reduced(fn(I, J)))
     else:
         if args.k is None:
             raise ParseError("--op eliminate needs --k")
-        t0 = time.perf_counter()
-        result = reduced(eliminate(problem.ideal, args.k))
-    wall = (time.perf_counter() - t0) * 1000.0
-    gens = _generators(result)
-    rep = _Report(args)
-    for g in gens:
-        rep.line(g)
+        nvars = len(problem.cfg.vars)
+        if not 0 <= args.k < nvars:
+            raise ParseError(f"--k must lie in 0..{nvars - 1}, got {args.k}")
+        result, wall = _timed(
+            lambda: reduced(eliminate(problem.ideal, args.k)))
+    rep.set("op", op)
+    rep.generators(_generators(result))
     if rounds is not None:
         rep.line(f"rounds: {rounds}")
-    rep.set("op", op)
-    rep.set("generators", gens)
-    if rounds is not None:
         rep.set("rounds", rounds)
     rep.set("vars", list(result.vars))
     rep.set("wall_ms", wall)
-    sys.stdout.write(rep.emit(["ideal-op", args.input, op], problem))
-    return 0
+    return 0, ["ideal-op", args.input, op]
 
 
-def _cmd_points(args):
-    problem = parse_problem(args.input)
-    if _maybe_emit_normalized(args, problem):
-        return 0
+def _cmd_points(args, rep):
     kind = PROJECTIVE if args.projective else AFFINE
-    V = zero_set(problem.ideal, problem.cfg.K_spec, kind)
-    rep = _Report(args)
+    V = zero_set(rep.problem.ideal, rep.problem.cfg.K_spec, kind)
     for p in V.points:
         rep.line(str(p))
     rep.line(f"count: {len(V)}")
     rep.set("kind", kind)
     rep.set("points", [str(p) for p in V.points])
     rep.set("count", len(V))
-    sys.stdout.write(rep.emit(["points", args.input, kind], problem))
-    return 0
+    return 0, ["points", args.input, kind]
 
 
-def _cmd_vanishing(args):
-    problem = parse_problem(args.input)
-    if _maybe_emit_normalized(args, problem):
-        return 0
-    rep = _Report(args)
+def _cmd_vanishing(args, rep):
+    problem = rep.problem
+    command = ["vanishing", args.input]
     if args.affine:
         if args.method is not None:
             raise ParseError("--method only applies to --projective")
-        t0 = time.perf_counter()
-        result = affine_vanishing(problem.ideal, problem.cfg)
-        wall = (time.perf_counter() - t0) * 1000.0
-        gens = _generators(result)
-        for g in gens:
-            rep.line(g)
+        result, wall = _timed(affine_vanishing, problem.ideal, problem.cfg)
         rep.set("kind", AFFINE)
-        rep.set("generators", gens)
+        rep.generators(_generators(result))
         rep.set("wall_ms", wall)
-    else:
-        method = args.method or "colon"
-        try:
-            t0 = time.perf_counter()
-            result, method_rep = projective_vanishing(
-                problem.ideal, problem.cfg, method)
-            wall = (time.perf_counter() - t0) * 1000.0
-        except EmptyVariety:
-            kind = classify_empty(problem.ideal, problem.cfg)
-            rep.line(f"classification: {kind}")
-            rep.set("kind", PROJECTIVE)
-            rep.set("classification", kind)
-            sys.stdout.write(rep.emit(["vanishing", args.input], problem))
-            return 0
-        gens = _generators(result)
-        for g in gens:
-            rep.line(g)
-        rep.set("kind", PROJECTIVE)
-        rep.set("method", method)
-        rep.set("generators", gens)
-        rep.set("rounds", method_rep.quotient_rounds)
-        rep.set("gb_size", method_rep.gb_size)
-        if method_rep.degree_bound is not None:
-            rep.set("degree_bound", method_rep.degree_bound)
-        rep.set("wall_ms", wall)
-    sys.stdout.write(rep.emit(["vanishing", args.input], problem))
-    return 0
+        return 0, command
+    method = args.method or "colon"
+    rep.set("kind", PROJECTIVE)
+    try:
+        (result, method_rep), wall = _timed(
+            projective_vanishing, problem.ideal, problem.cfg, method)
+    except EmptyVariety:
+        kind = classify_empty(problem.ideal, problem.cfg)
+        rep.line(f"classification: {kind}")
+        rep.set("classification", kind)
+        return 0, command
+    rep.set("method", method)
+    rep.generators(_generators(result))
+    rep.set("rounds", method_rep.quotient_rounds)
+    rep.set("gb_size", method_rep.gb_size)
+    if method_rep.degree_bound is not None:
+        rep.set("degree_bound", method_rep.degree_bound)
+    rep.set("wall_ms", wall)
+    return 0, command
 
 
-def _cmd_compare(args):
-    problem = parse_problem(args.input)
-    if _maybe_emit_normalized(args, problem):
-        return 0
+def _cmd_compare(args, rep):
+    problem = rep.problem
     rows = []
-    results = []
     for method in METHODS:
-        t0 = time.perf_counter()
-        result, method_rep = projective_vanishing(
-            problem.ideal, problem.cfg, method)
-        wall = (time.perf_counter() - t0) * 1000.0
-        gens = _generators(result)
-        results.append(gens)
+        (result, method_rep), wall = _timed(
+            projective_vanishing, problem.ideal, problem.cfg, method)
         rows.append({
             "method": method,
             "wall_ms": wall,
             "rounds": method_rep.quotient_rounds,
             "gb_size": method_rep.gb_size,
-            "generators": gens,
+            "generators": _generators(result),
         })
-    agree = all(r == results[0] for r in results)
-    rep = _Report(args)
+    agree = all(r["generators"] == rows[0]["generators"] for r in rows)
     rep.line(f"{'method':<11} {'wall_ms':>8} {'rounds':>6}  gb")
     for row in rows:
         gb = "{" + ", ".join(row["generators"]) + "}"
@@ -432,22 +403,20 @@ def _cmd_compare(args):
     rep.line(f"agree: {'yes' if agree else 'no'}")
     rep.set("methods", rows)
     rep.set("agree", agree)
-    sys.stdout.write(rep.emit(["compare", args.input], problem))
-    return 0 if agree else 1
+    return (0 if agree else 1), ["compare", args.input]
 
 
-def _cmd_certify(args):
-    problem = parse_problem(args.input)
-    if _maybe_emit_normalized(args, problem):
-        return 0
-    cfg = problem.cfg
-    I = problem.ideal
-    rep = _Report(args)
+def _cmd_certify(args, rep):
+    cfg = rep.problem.cfg
+    I = rep.problem.ideal
     d = degree_bound(I, cfg.q)
     rep.line(f"d: {d}")
     entries = []
     if args.poly is not None:
         f = parse_polynomial(args.poly, cfg.vars, I.spec)
+        if args.j is not None and not 0 <= args.j < len(cfg.vars):
+            raise DimensionMismatch(
+                f"index {args.j} outside 0..{len(cfg.vars) - 1}")
         certs = certify_membership(f, I, cfg)
         if args.j is not None:
             certs = [c for c in certs if c.j == args.j]
@@ -474,18 +443,15 @@ def _cmd_certify(args):
                             "g": str(c.g), "l": str(c.l)})
     rep.set("d", d)
     rep.set("certificates", entries)
-    sys.stdout.write(rep.emit(["certify", args.input], problem))
-    return 0
+    return 0, ["certify", args.input]
 
 
-def _cmd_search(args):
-    rep = _Report(args)
+def _cmd_search(args, rep):
     if args.nonradical:
         if args.q is None or args.n is None or args.maxdeg is None:
             raise ParseError("--nonradical needs --q, --n and --maxdeg")
-        t0 = time.perf_counter()
-        inst = find_nonradical_instance(args.q, args.n, args.maxdeg)
-        wall = (time.perf_counter() - t0) * 1000.0
+        inst, wall = _timed(find_nonradical_instance,
+                            args.q, args.n, args.maxdeg)
         if inst is None:
             rep.line("result: none")
             rep.set("result", "none")
@@ -498,20 +464,17 @@ def _cmd_search(args):
             rep.set("ideal", gens)
             rep.set("witness", str(inst.witness))
         rep.set("wall_ms", wall)
-        sys.stdout.write(rep.emit(["search", "--nonradical"]))
-        return 0
+        return 0, ["search", "--nonradical"]
     if args.family is None or args.target is None or args.ideal is None:
         raise ParseError("search needs --family, --target and --ideal "
                          "(or --nonradical)")
-    problem = parse_problem(args.ideal)
-    if _maybe_emit_normalized(args, problem):
-        return 0
+    rep.problem = problem = parse_problem(args.ideal)
+    if args.emit_normalized:
+        return 0, None
     bounds = parse_bounds(args.bounds) if args.bounds else SearchBounds()
     f = parse_polynomial(args.target, problem.cfg.vars, problem.ideal.spec)
-    t0 = time.perf_counter()
-    out = search_witness(f, problem.ideal, args.family, bounds,
-                         problem.cfg.K_spec)
-    wall = (time.perf_counter() - t0) * 1000.0
+    out, wall = _timed(search_witness, f, problem.ideal, args.family,
+                       bounds, problem.cfg.K_spec)
     if isinstance(out, Exhausted):
         rep.line("result: exhausted")
         rep.line(f"candidates: {out.candidates}")
@@ -531,18 +494,15 @@ def _cmd_search(args):
         rep.set("composition", str(out.composition()))
     rep.set("bounds_used", str(bounds))
     rep.set("wall_ms", wall)
-    sys.stdout.write(rep.emit(["search", args.family, args.target], problem))
-    return 0
+    return 0, ["search", args.family, args.target]
 
 
-def _cmd_suite(args):
+def _cmd_suite(args, rep):
     if args.which != "counterexample":
         raise ParseError(f"unknown suite {args.which!r}")
     bounds = parse_bounds(args.bounds) if args.bounds else None
-    t0 = time.perf_counter()
-    report = counterexample_suite(bounds=bounds, raise_on_failure=False)
-    wall = (time.perf_counter() - t0) * 1000.0
-    rep = _Report(args)
+    report, wall = _timed(counterexample_suite, bounds=bounds,
+                          raise_on_failure=False)
     rep.line(report.format())
     rep.set("steps", [{
         "name": s.name, "group": s.group, "passed": s.passed,
@@ -552,8 +512,7 @@ def _cmd_suite(args):
                        for g, ok in report.groups()])
     rep.set("ok", report.ok)
     rep.set("wall_ms", wall)
-    sys.stdout.write(rep.emit(["suite", args.which]))
-    return 0 if report.ok else 1
+    return (0 if report.ok else 1), ["suite", args.which]
 
 
 def build_parser():
@@ -652,14 +611,22 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    rep = _Report(args)
     try:
-        return args.func(args)
+        if hasattr(args, "input"):
+            rep.problem = parse_problem(args.input)
+        if rep.problem is not None and args.emit_normalized:
+            code, command = 0, None
+        else:
+            code, command = args.func(args, rep)
     except (SuiteFailure, ClassificationFailure) as exc:
         print(f"assertion failure: {exc}", file=sys.stderr)
         return 1
     except NullkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    sys.stdout.write(rep.emit(command))
+    return code
 
 
 if __name__ == "__main__":

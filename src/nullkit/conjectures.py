@@ -34,7 +34,7 @@ import itertools
 from dataclasses import dataclass, field as dc_field
 
 from .errors import NotPrime, RingMismatch, SizeOverflow, SuiteFailure
-from .field import enumerate_field, is_subfield, make_field
+from .field import enumerate_field, is_subfield, make_field, prime_power
 from .groebner import normal_form
 from .ideals import (
     Ideal,
@@ -110,21 +110,27 @@ class RWitness:
     ideal: Ideal
     inner_exp: int | None = None
 
+    def chain(self):
+        """(forms, breakpoints) of the witness as a chain of forms.
+
+        r2 and r3 witnesses already are chains; an r1 witness
+        p(y0^n, y1, ..., ym) is the chain y0^n, then p, with
+        breakpoints (0, m).
+        """
+        if self.family != "r1":
+            return self.forms, self.breakpoints
+        p = self.forms[0]
+        inner = Polynomial.variable(p.spec, ("y0",), "y0") ** self.inner_exp
+        return (inner, p), (0, self.breakpoints[0])
+
     def substituted_form(self):
         """The composed polynomial in the y variables."""
-        K = self.forms[0].spec
-        if self.family == "r1":
-            m = self.breakpoints[0]
-            vars = _yvars(m)
-            ys = [Polynomial.variable(K, vars, v) for v in vars]
-            ys[0] = ys[0] ** self.inner_exp
-            return self.forms[0].compose(ys)
-        total = self.breakpoints[-1]
-        vars = _yvars(total)
-        ys = [Polynomial.variable(K, vars, v) for v in vars]
+        forms, breakpoints = self.chain()
+        vars = _yvars(breakpoints[-1])
+        ys = [Polynomial.variable(forms[0].spec, vars, v) for v in vars]
         h = ys[0]
         prev = 0
-        for p, stop in zip(self.forms, self.breakpoints):
+        for p, stop in zip(forms, breakpoints):
             h = p.compose([h] + ys[prev + 1:stop + 1])
             prev = stop
         return h
@@ -200,22 +206,9 @@ def _anisotropic_forms_of_degree(K, m, d):
     cached = _FORM_CACHE.get(key)
     if cached is not None:
         return cached
-    vars = _yvars(m)
     monos = _degree_monomials(m + 1, d)
-    if K.q ** len(monos) > _ENUM_LIMIT:
-        raise SizeOverflow(
-            f"{K.q}^{len(monos)} candidate forms exceed the search limit")
-    pts = [a.coords for a in enumerate_space(K, m + 1, AFFINE).points
-           if any(c.idx for c in a.coords)]
-    table = [[_eval_mono(mono, coords, K) for coords in pts]
-             for mono in monos]
-    elems = enumerate_field(K)
-    out = []
-    for vec in itertools.product(range(K.q), repeat=len(monos)):
-        lead = next((v for v in vec if v), 0)
-        if lead != 1:
-            continue
-        ok = True
+
+    def anisotropic(vec):
         for pi in range(len(pts)):
             s = K.zero
             for mi, v in enumerate(vec):
@@ -223,12 +216,20 @@ def _anisotropic_forms_of_degree(K, m, d):
                     cell = table[mi][pi]
                     s = s + (cell if v == 1 else elems[v] * cell)
             if not s.idx:
-                ok = False
-                break
-        if ok:
-            out.append(Polynomial(K, vars, {
-                monos[mi]: elems[v] for mi, v in enumerate(vec) if v}))
-    out = tuple(out)
+                return False
+        return True
+
+    # The size check runs at this call, before the point table is built;
+    # anisotropic only runs once the forms are drawn.
+    forms = _vector_polys(
+        K, _yvars(m), monos, "{q}^{n} candidate forms exceed the search limit",
+        monic=True, keep=anisotropic)
+    pts = [a.coords for a in enumerate_space(K, m + 1, AFFINE).points
+           if any(c.idx for c in a.coords)]
+    table = [[_eval_mono(mono, coords, K) for coords in pts]
+             for mono in monos]
+    elems = enumerate_field(K)
+    out = tuple(forms)
     _FORM_CACHE[key] = out
     return out
 
@@ -255,15 +256,28 @@ def argument_pool(spec, vars, max_deg):
     monos = []
     for d in range(max_deg, -1, -1):
         monos.extend(_degree_monomials(len(vars), d))
+    return tuple(_vector_polys(
+        spec, vars, monos, "{q}^{n} argument candidates exceed the limit"))
+
+
+def _vector_polys(spec, vars, monos, too_many, monic=False, keep=None):
+    """Polynomials over the monomial basis monos, one per coefficient
+    vector in lexicographic order, as a lazy iterator.
+
+    The size check runs at the call: too_many is the SizeOverflow
+    message (with {q} and {n} for the field size and basis length)
+    raised when the vectors exceed _ENUM_LIMIT.  monic skips vectors
+    whose first nonzero entry is not 1; keep, when given, is tested on
+    the vector before a polynomial is built.
+    """
     if spec.q ** len(monos) > _ENUM_LIMIT:
-        raise SizeOverflow(
-            f"{spec.q}^{len(monos)} argument candidates exceed the limit")
+        raise SizeOverflow(too_many.format(q=spec.q, n=len(monos)))
     elems = enumerate_field(spec)
-    pool = []
-    for vec in itertools.product(range(spec.q), repeat=len(monos)):
-        pool.append(Polynomial(spec, vars, {
-            monos[mi]: elems[v] for mi, v in enumerate(vec) if v}))
-    return tuple(pool)
+    return (Polynomial(spec, vars, {
+                monos[mi]: elems[v] for mi, v in enumerate(vec) if v})
+            for vec in itertools.product(range(spec.q), repeat=len(monos))
+            if (not monic or next((v for v in vec if v), 0) == 1)
+            and (keep is None or keep(vec)))
 
 
 class _SearchContext:
@@ -336,12 +350,27 @@ class _SearchContext:
         return None
 
 
-def _r1_structures(ctx):
-    b = ctx.bounds
-    for m in range(b.max_m + 1):
-        for p in ctx.forms[m]:
-            for nexp in range(1, b.max_inner_exp + 1):
-                yield (p, nexp, m)
+def _structures(ctx, family):
+    """The family's witnesses without arguments, in canonical order."""
+    f, I, b, forms = ctx.f, ctx.ideal, ctx.bounds, ctx.forms
+    if family == "r1":
+        for m in range(b.max_m + 1):
+            for p in forms[m]:
+                for nexp in range(1, b.max_inner_exp + 1):
+                    yield RWitness("r1", (p,), (m,), (), f, I, inner_exp=nexp)
+    elif family == "r2":
+        for total in range(b.max_m + 1):
+            for n_in in range(total + 1):
+                for s in forms[n_in]:
+                    for p in forms[total - n_in]:
+                        yield RWitness("r2", (s, p), (n_in, total), (), f, I)
+    else:
+        for chain_len in range(1, b.max_chain + 1):
+            for bps in itertools.combinations_with_replacement(
+                    range(b.max_m + 1), chain_len):
+                slots = [stop - start for start, stop in zip((0,) + bps, bps)]
+                for chain in itertools.product(*[forms[s] for s in slots]):
+                    yield RWitness("r3", chain, bps, (), f, I)
 
 
 def search_witness(f, I, family, bounds=None, K=None):
@@ -361,96 +390,27 @@ def search_witness(f, I, family, bounds=None, K=None):
         raise RingMismatch("searches run with coefficients in the point field")
     ctx = _SearchContext(f, I, bounds, K)
     count = 0
-    npool = len(ctx.pool)
-
-    def finish(structure_args):
-        # structure_args: (test_fn, witness_fn, nargs)
-        nonlocal count
-        test, build, nargs = structure_args
-        count += npool ** nargs
+    for w in _structures(ctx, family):
+        forms, breakpoints = w.chain()
+        nargs = breakpoints[-1]
+        count += len(ctx.pool) ** nargs
         if not ctx.f_vanishes:
-            return None
+            continue
         passing = set()
-        for combo in itertools.product(ctx.vanishing_residues,
-                                       repeat=nargs):
-            if test(combo):
+        for combo in itertools.product(ctx.vanishing_residues, repeat=nargs):
+            h = ctx.f_res
+            prev = 0
+            for p, stop in zip(forms, breakpoints):
+                h = ctx.compose_mod(p, (h, *combo[prev:stop]))
+                prev = stop
+            if h.is_zero:
                 passing.add(combo)
         if not passing:
-            return None
-        args = ctx.first_passing_args(nargs, passing)
-        if args is None:
-            return None
-        return build(args)
-
-    if family == "r1":
-        for p, nexp, m in _r1_structures(ctx):
-            subst = _substitute_inner_power(p, nexp)
-
-            def test(combo, subst=subst):
-                return ctx.compose_mod(subst, (ctx.f_res, *combo)).is_zero
-
-            def build(args, p=p, nexp=nexp, m=m):
-                return RWitness("r1", (p,), (m,), args, f, I,
-                                inner_exp=nexp)
-
-            w = finish((test, build, m))
-            if w is not None and verify_kradical_witness(w):
-                return w
-    elif family == "r2":
-        b = ctx.bounds
-        for total in range(b.max_m + 1):
-            for n_in in range(total + 1):
-                m_out = total - n_in
-                for s in ctx.forms[n_in]:
-                    for p in ctx.forms[m_out]:
-
-                        def test(combo, s=s, p=p, n_in=n_in):
-                            inner = ctx.compose_mod(
-                                s, (ctx.f_res, *combo[:n_in]))
-                            return ctx.compose_mod(
-                                p, (inner, *combo[n_in:])).is_zero
-
-                        def build(args, s=s, p=p, n_in=n_in, total=total):
-                            return RWitness("r2", (s, p), (n_in, total),
-                                            args, f, I)
-
-                        w = finish((test, build, total))
-                        if w is not None and verify_kradical_witness(w):
-                            return w
-    else:
-        b = ctx.bounds
-        for chain_len in range(1, b.max_chain + 1):
-            for bps in itertools.combinations_with_replacement(
-                    range(b.max_m + 1), chain_len):
-                slots = [bps[0]] + [bps[i] - bps[i - 1]
-                                    for i in range(1, chain_len)]
-                for forms in itertools.product(
-                        *[ctx.forms[s] for s in slots]):
-
-                    def test(combo, forms=forms, bps=bps):
-                        h = ctx.f_res
-                        prev = 0
-                        for p, stop in zip(forms, bps):
-                            h = ctx.compose_mod(p, (h, *combo[prev:stop]))
-                            prev = stop
-                        return h.is_zero
-
-                    def build(args, forms=forms, bps=bps):
-                        return RWitness("r3", forms, bps, args, f, I)
-
-                    w = finish((test, build, bps[-1]))
-                    if w is not None and verify_kradical_witness(w):
-                        return w
+            continue
+        w.args = ctx.first_passing_args(nargs, passing)
+        if verify_kradical_witness(w):
+            return w
     return Exhausted(family, count, bounds)
-
-
-def _substitute_inner_power(p, nexp):
-    if nexp == 1:
-        return p
-    K = p.spec
-    ys = [Polynomial.variable(K, p.vars, v) for v in p.vars]
-    ys[0] = ys[0] ** nexp
-    return p.compose(ys)
 
 
 def verify_kradical_witness(w):
@@ -470,11 +430,7 @@ def as_r2(w):
     """Embed an r1 witness: the inner power becomes a nested form."""
     if w.family != "r1":
         raise ValueError("expected an r1 witness")
-    K = w.forms[0].spec
-    y0 = ("y0",)
-    inner = Polynomial.variable(K, y0, "y0") ** w.inner_exp
-    return RWitness("r2", (inner, w.forms[0]), (0, w.breakpoints[0]),
-                    w.args, w.target, w.ideal)
+    return RWitness("r2", *w.chain(), w.args, w.target, w.ideal)
 
 
 def as_r3(w):
@@ -550,11 +506,11 @@ def counterexample_suite(K=None, bounds=None, ideal_override=None,
         van = affine_vanishing(I, cfg)
         orc = reduced(oracle_vanishing_ideal(
             zero_set(I, K, AFFINE), spec=K, vars=vars))
-        agree = van.gb().gens == orc.gb().gens
+        agree = van.equals(orc)
         detail = f"I(Z) = {van}"
         if ideal_override is None:
             expected = Ideal.from_strings(K, vars, ["X1", "X2^2 - X2"])
-            agree = agree and van.gb().gens == expected.gb().gens
+            agree = agree and van.equals(expected)
         report.add("affine formula matches oracle", agree, detail,
                    group="formula")
     except Exception as exc:  # noqa: BLE001 - a failing step is reported
@@ -628,19 +584,6 @@ class NonRadicalInstance:
     with_gamma: Ideal
 
 
-def _spec_from_q(q):
-    for e in range(1, max(q, 2).bit_length() + 1):
-        root = round(q ** (1.0 / e))
-        for cand in (root - 1, root, root + 1):
-            if cand < 2 or cand ** e != q:
-                continue
-            try:
-                return make_field(cand, e)
-            except NotPrime:
-                break
-    raise NotPrime(f"{q} is not a prime power")
-
-
 def find_nonradical_instance(q, n, max_gen_degree):
     """Smallest-first search for I with (I + Gamma_q^*) not radical.
 
@@ -650,21 +593,17 @@ def find_nonradical_instance(q, n, max_gen_degree):
     exceeds I + Gamma_q^*, together with a verified witness member of
     the radical that is not in the ideal itself.
     """
-    spec = _spec_from_q(q)
+    pe = prime_power(q)
+    if pe is None:
+        raise NotPrime(f"{q} is not a prime power")
+    spec = make_field(*pe)
     vars = tuple(f"X{i}" for i in range(n + 1))
     cfg = NullConfig(spec, spec, vars)
-    elems = enumerate_field(spec)
     forms = []
     for d in range(1, max_gen_degree + 1):
-        monos = _degree_monomials(n + 1, d)
-        if spec.q ** len(monos) > _ENUM_LIMIT:
-            raise SizeOverflow("generator enumeration exceeds the limit")
-        for vec in itertools.product(range(spec.q), repeat=len(monos)):
-            lead = next((v for v in vec if v), 0)
-            if lead != 1:
-                continue
-            forms.append(Polynomial(spec, vars, {
-                monos[mi]: elems[v] for mi, v in enumerate(vec) if v}))
+        forms.extend(_vector_polys(
+            spec, vars, _degree_monomials(n + 1, d),
+            "generator enumeration exceeds the limit", monic=True))
     candidates = itertools.chain(
         ((g,) for g in forms),
         itertools.combinations(forms, 2))
@@ -676,7 +615,7 @@ def find_nonradical_instance(q, n, max_gen_degree):
         J = ideal_sum(I, gamma)
         d = degree_bound(I, spec.q)
         colon = reduced(ideal_quotient(J, power_ideal(spec, vars, d)))
-        if colon.gb().gens == J.gb().gens:
+        if colon.equals(J):
             continue
         jbasis = J.gb()
         witness = next(g for g in colon.gens

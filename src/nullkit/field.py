@@ -11,6 +11,7 @@ sum(rep[i] * p**i), so GF(4) enumerates as 0, 1, t, t+1.
 """
 
 import re
+import threading
 
 from .errors import (
     DivisionByZero,
@@ -19,10 +20,14 @@ from .errors import (
     NotPrime,
     ParseError,
     ReducibleModulus,
+    SizeOverflow,
 )
 
 # Interned specs keyed by (p, e, modulus); same inputs give the same object.
+# The lock spans lookup and insert so that concurrent first requests for a
+# field cannot each build and return their own spec.
 _SPECS = {}
+_SPECS_LOCK = threading.Lock()
 
 # Moduli used when make_field is not given one, little endian.
 DEFAULT_MODULI = {
@@ -39,15 +44,58 @@ _MAX_EXT_DEGREE = 8
 _TABLE_LIMIT = 4096
 
 
-def _is_prime(p):
-    if p < 2:
+# Miller-Rabin on the first 13 prime bases is exact below _PRIME_LIMIT
+# (Sorenson and Webster, Math. Comp. 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
+def _is_prime(n):
+    if n < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    if n >= _PRIME_LIMIT:
+        raise SizeOverflow(
+            f"{n} is beyond the primality test, which is exact below "
+            f"{_PRIME_LIMIT}")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
+
+
+def _iroot(q, e):
+    """Largest r with r^e <= q, for q >= 0."""
+    lo, hi = 0, 1 << (q.bit_length() // e + 1)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if mid ** e <= q:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def prime_power(q):
+    """(p, e) with p prime and p^e == q, or None when q is no prime power."""
+    for e in range(max(q, 1).bit_length(), 0, -1):
+        p = _iroot(q, e)
+        if p ** e == q and _is_prime(p):
+            return p, e
+    return None
 
 
 def _trim(coeffs):
@@ -204,17 +252,7 @@ class FieldElement:
     def __str__(self):
         if self.spec.e == 1:
             return str(self.idx)
-        parts = []
-        for i in range(len(self.rep) - 1, -1, -1):
-            c = self.rep[i]
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            else:
-                head = "t" if i == 1 else f"t^{i}"
-                parts.append(head if c == 1 else f"{c}*{head}")
-        return "+".join(parts) if parts else "0"
+        return _format_t_poly(self.rep)
 
     def __repr__(self):
         return f"{self} in {self.spec}"
@@ -224,14 +262,13 @@ class FieldSpec:
     """Description of GF(p^e); construct through make_field only."""
 
     __slots__ = ("p", "e", "q", "modulus", "elements",
-                 "_add", "_mul", "_neg", "_inv", "_cache")
+                 "_add", "_mul", "_neg", "_inv")
 
     def __init__(self, p, e, modulus):
         self.p = p
         self.e = e
         self.q = p ** e
         self.modulus = modulus
-        self._cache = {}
         if self.q <= _TABLE_LIMIT:
             self._build_tables()
         else:
@@ -375,9 +412,10 @@ def make_field(p, e=1, modulus=None):
         if not _is_irreducible(m, p):
             raise ReducibleModulus(f"{_format_t_poly(m)} is reducible mod {p}")
         key = (p, e, tuple(m))
-    if key not in _SPECS:
-        _SPECS[key] = FieldSpec(key[0], key[1], key[2])
-    return _SPECS[key]
+    with _SPECS_LOCK:
+        if key not in _SPECS:
+            _SPECS[key] = FieldSpec(key[0], key[1], key[2])
+        return _SPECS[key]
 
 
 def enumerate_field(spec):
@@ -498,11 +536,9 @@ def parse_field_literal(text):
         raise ParseError(f"bad field literal {text!r}", 0)
     p = int(m.group(1))
     e = int(m.group(2)) if m.group(2) else 1
-    if e == 1 and not _is_prime(p):
+    if e == 1:
         # GF(4) means GF(2^2); factor composite sizes written flat
-        base, ee = _factor_prime_power(p)
-        if base is not None:
-            p, e = base, ee
+        p, e = prime_power(p) or (p, 1)
     modulus = None
     if m.group(3) is not None:
         if not _is_prime(p):
@@ -510,20 +546,3 @@ def parse_field_literal(text):
         modulus = parse_t_poly(m.group(3), p, offset=text.index(m.group(3)))
     return make_field(p, e, modulus)
 
-
-def _factor_prime_power(q):
-    for p in range(2, q + 1):
-        if p * p > q and p != q:
-            break
-        if not _is_prime(p):
-            continue
-        e = 0
-        rest = q
-        while rest % p == 0:
-            rest //= p
-            e += 1
-        if rest == 1:
-            return p, e
-        if e:
-            return None, None
-    return None, None

@@ -193,22 +193,6 @@ def buchberger(gens, order=DEGREVLEX):
     return GroebnerBasis(order, polys)
 
 
-def ideal_membership(f, gens, order=DEGREVLEX):
-    """True when f lies in the ideal the generators span."""
-    if isinstance(gens, GroebnerBasis):
-        return normal_form(f, gens).is_zero
-    return normal_form(f, buchberger(list(gens), order)).is_zero
-
-
-def ideal_equal(gens_a, gens_b, order=DEGREVLEX):
-    """Ideal equality through reduced-basis identity."""
-    ga = gens_a if isinstance(gens_a, GroebnerBasis) else buchberger(
-        list(gens_a), order)
-    gb = gens_b if isinstance(gens_b, GroebnerBasis) else buchberger(
-        list(gens_b), order)
-    return ga.gens == gb.gens
-
-
 def divide_exact(f, g, order=DEGREVLEX):
     """Quotient of f by a single divisor g, which must divide exactly."""
     if g.is_zero:

@@ -14,7 +14,6 @@ from .groebner import (
     GroebnerBasis,
     buchberger,
     divide_exact,
-    ideal_equal,
     normal_form,
 )
 from .poly import Polynomial, block_order, drop_variable, insert_variable
@@ -168,7 +167,7 @@ def ideal_saturate(I, J):
     while True:
         nxt = ideal_quotient(prev, J)
         rounds += 1
-        if nxt.gb().gens == prev.gb().gens:
+        if nxt.equals(prev):
             return reduced(nxt), rounds
         prev = nxt
 
@@ -199,5 +198,5 @@ def radical_membership(f, I):
 __all__ = [
     "Ideal", "reduced", "fresh_var", "ideal_sum", "ideal_intersect",
     "eliminate", "ideal_quotient", "ideal_saturate",
-    "is_homogeneous_ideal", "radical_membership", "ideal_equal",
+    "is_homogeneous_ideal", "radical_membership",
 ]

@@ -233,7 +233,7 @@ def classify_empty(I, cfg):
         return EMPTY_UNIT
     with_gamma = ideal_sum(I, gamma_q(cfg))
     m = irrelevant_ideal(cfg.k_spec, cfg.vars)
-    if with_gamma.gb().gens == m.gb().gens:
+    if with_gamma.equals(m):
         return EMPTY_IRRELEVANT
     raise ClassificationFailure(
         f"{I} has an empty zero set but fits neither branch")

@@ -126,7 +126,7 @@ class TestBounds:
         assert parse_bounds("") == parse_bounds(",")
 
     def test_rejects_unknown_keys_and_junk(self):
-        for text in ("m<=1", "depth=3", "m=two"):
+        for text in ("m<=1", "depth=3", "m=two", "m=-1", "degp=2,exp=-3"):
             with pytest.raises(ParseError):
                 parse_bounds(text)
 
@@ -200,6 +200,14 @@ class TestCommands:
         assert code == 2
         assert "error: X2 is not in <X1>" in err
 
+    def test_certify_rejects_index_out_of_range(self, capsys):
+        for j in ("7", "-1"):
+            code, out, err = run("certify", "--input",
+                                 str(EXAMPLES / "counterexample.null"),
+                                 "--poly", "X1", "--j", j, capsys=capsys)
+            assert code == 2 and out == ""
+            assert err == f"error: index {j} outside 0..1\n"
+
     def test_missing_input_file(self, capsys):
         code, out, err = run("gb", "--input", "/does/not/exist.null",
                              capsys=capsys)
@@ -245,6 +253,14 @@ class TestIdealOps:
         code, _, err = run("ideal-op", "--op", "eliminate", "--input",
                            path, capsys=capsys)
         assert code == 2 and "needs --k" in err
+
+    def test_eliminate_rejects_k_out_of_range(self, capsys):
+        path = str(EXAMPLES / "p1.null")
+        for k in ("5", "-1", "2"):
+            code, out, err = run("ideal-op", "--op", "eliminate", "--input",
+                                 path, "--k", k, capsys=capsys)
+            assert code == 2 and out == ""
+            assert err == f"error: --k must lie in 0..1, got {k}\n"
 
 
 class TestSearchCommand:

@@ -173,6 +173,7 @@ class TestWitnessConversion:
     def test_r1_embeds_into_the_chain_families(self):
         w1 = search_witness(poly("X1"), ideal(["X1^2"]), "r1")
         w2 = as_r2(w1)
+        assert w1.chain() == w2.chain() == (w2.forms, w2.breakpoints)
         assert w2.family == "r2"
         assert [str(p) for p in w2.forms] == ["y0^2", "y0"]
         assert w2.breakpoints == (0, 0)

@@ -1,6 +1,16 @@
 """Field construction, arithmetic axioms and literals, exhaustively small."""
 
+import os
+import random
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
+
 import pytest
+
+import nullkit
 
 from nullkit.errors import (
     DivisionByZero,
@@ -11,6 +21,7 @@ from nullkit.errors import (
     ReducibleModulus,
 )
 from nullkit.field import (
+    _is_prime,
     common_spec,
     embed,
     enumerate_field,
@@ -19,6 +30,7 @@ from nullkit.field import (
     make_field,
     parse_field_literal,
 )
+from nullkit.ideals import Ideal
 
 SMALL = [(2, 1), (3, 1), (5, 1), (2, 2), (2, 3), (3, 2)]
 
@@ -154,3 +166,107 @@ def test_bad_field_literals():
         parse_field_literal("GF(6)")
     with pytest.raises(ReducibleModulus):
         parse_field_literal("GF(2^2; m=t^2+1)")
+
+
+def test_interning_is_thread_safe():
+    """Concurrent first requests for one field all get the same spec."""
+    specs = []
+
+    def build():
+        specs.append(make_field(241))  # a field no other test makes
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build) for _ in range(8)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    assert len(specs) == 8
+    assert all(s is specs[0] for s in specs)
+
+
+def test_primality_is_exact():
+    limit = 20000
+    sieve = [False, False] + [True] * (limit - 2)
+    for i in range(2, limit):
+        if sieve[i]:
+            for j in range(i * i, limit, i):
+                sieve[j] = False
+    assert [_is_prime(n) for n in range(limit)] == sieve
+    # strong pseudoprimes to the first 4, 7 and 9 prime bases
+    for n in (3215031751, 341550071728321, 3825123056546413051):
+        with pytest.raises(NotPrime):
+            make_field(n)
+
+
+@pytest.mark.parametrize("field, argv, code, message", [
+    ("GF(2305843009213693951)", ["gb"], 0, ""),
+    ("GF(1000036000099)", ["gb"], 2, "error: 1000036000099 is not prime"),
+    # the Miller-Rabin bases stop being exact here
+    ("GF(3317044064679887385961981)", ["gb"], 2,
+     "error: 3317044064679887385961981 is beyond the primality test"),
+    (None, ["search", "--nonradical", "--q", "2305843009213693951",
+            "--n", "1", "--maxdeg", "1"],
+     2, "error: generator enumeration exceeds the limit"),
+])
+def test_large_field_sizes_answer_fast(tmp_path, field, argv, code, message):
+    if field is not None:
+        path = tmp_path / "big.null"
+        path.write_text(f"field {field}\nvars X0 X1\nideal:\nX0 + 3*X1\n")
+        argv = argv + ["--input", str(path)]
+    src = str(Path(nullkit.__file__).parents[1])
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "nullkit.cli", *argv], capture_output=True,
+        text=True, timeout=10, env={**os.environ, "PYTHONPATH": src})
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr.startswith(message)
+    assert elapsed < 1.0
+
+
+def test_untabled_prime_field_matches_integers():
+    """q > 4096 runs on the untabled arithmetic path."""
+    p = 4099
+    spec = make_field(p)
+    assert spec.elements is None
+    rng = random.Random(7)
+    values = [0, 1, 2, p - 1] + [rng.randrange(p) for _ in range(60)]
+    for x in values:
+        a = spec.element(x)
+        assert str(a) == str(x) and (-a).idx == (-x) % p
+        if x:
+            assert a.inv().idx == pow(x, p - 2, p)
+        for y in values[:20]:
+            b = spec.element(y)
+            assert (a + b).idx == (x + y) % p
+            assert (a - b).idx == (x - y) % p
+            assert (a * b).idx == (x * y) % p
+            if y:
+                assert (a / b).idx == x * pow(y, p - 2, p) % p
+    assert spec.element(-1).idx == p - 1
+
+
+def test_untabled_extension_field():
+    spec = parse_field_literal("GF(67^2; m=t^2+1)")
+    assert spec.q == 4489 and spec.elements is None
+    rng = random.Random(11)
+    elems = [spec.element(rng.randrange(spec.q)) for _ in range(25)]
+    for a in elems:
+        assert a ** spec.q == a
+        if a:
+            assert a * a.inv() == spec.one
+        for b in elems[:8]:
+            for c in elems[:5]:
+                assert a * (b + c) == a * b + a * c
+    t = spec.element([0, 1])
+    assert str(t * t) == "66" and str(t.inv()) == "66*t"
+    # Y * (X^2 + t*Y) - X * (X*Y - 1) = t*Y^2 + X, and 1/t = -t
+    I = Ideal.from_strings(spec, ("X", "Y"), ["X^2 + (t)*Y", "X*Y - 1"])
+    assert [str(g) for g in I.gb()] == [
+        "Y^2 + (66*t)*X", "X*Y + (66)", "X^2 + (t)*Y"]

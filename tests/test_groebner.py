@@ -11,11 +11,10 @@ from nullkit.groebner import (
     GroebnerBasis,
     buchberger,
     divide_exact,
-    ideal_equal,
-    ideal_membership,
     normal_form,
     s_polynomial,
 )
+from nullkit.ideals import Ideal
 from nullkit.poly import DEGREVLEX, LEX, Polynomial, parse_polynomial
 
 F2 = make_field(2)
@@ -101,18 +100,18 @@ def test_normal_form_is_linear():
 
 
 def test_membership():
-    basis = gb(["X^2", "X*Y"])
-    assert ideal_membership(parse_polynomial("X^2*Y + X*Y", XY, F2), basis)
-    assert not ideal_membership(parse_polynomial("X", XY, F2), basis)
-    assert not ideal_membership(parse_polynomial("Y", XY, F2), basis)
+    I = Ideal.from_strings(F2, XY, ["X^2", "X*Y"])
+    assert I.contains(parse_polynomial("X^2*Y + X*Y", XY, F2))
+    assert not I.contains(parse_polynomial("X", XY, F2))
+    assert not I.contains(parse_polynomial("Y", XY, F2))
 
 
 def test_ideal_equal():
-    a = gb(["X + Y", "Y^2"])
-    b = gb(["Y^2", "X + Y + Y^2"])
-    c = gb(["X", "Y"])
-    assert ideal_equal(a, b)
-    assert not ideal_equal(a, c)
+    a = Ideal.from_strings(F2, XY, ["X + Y", "Y^2"])
+    b = Ideal.from_strings(F2, XY, ["Y^2", "X + Y + Y^2"])
+    c = Ideal.from_strings(F2, XY, ["X", "Y"])
+    assert a.equals(b)
+    assert not a.equals(c)
 
 
 def test_lex_elimination_classic():
