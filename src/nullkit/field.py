@@ -37,7 +37,8 @@ DEFAULT_MODULI = {
     (2, 4): (1, 1, 0, 0, 1),  # t^4 + t + 1
 }
 
-# Beyond this degree the brute-force irreducibility check is refused.
+# Extension degrees above this are refused, which bounds the exponent
+# p^e in Rabin's irreducibility test.
 _MAX_EXT_DEGREE = 8
 
 # Fields at most this large get interned elements and operation tables.
@@ -129,34 +130,46 @@ def _upoly_mod(a, m, p):
     return a
 
 
-def _upoly_divides(d, a, p):
-    """True when the monic d divides a over GF(p)."""
-    return not _upoly_mod(a, d, p)
+def _upoly_powmod(a, k, m, p):
+    """a^k modulo the monic polynomial m over GF(p), by square-and-multiply."""
+    out = [1]
+    while k:
+        if k & 1:
+            out = _upoly_mod(_upoly_mul(out, a, p), m, p)
+        a = _upoly_mod(_upoly_mul(a, a, p), m, p)
+        k >>= 1
+    return out
 
 
-def _monic_polys(p, deg):
-    """All monic univariate polynomials of the given degree over GF(p)."""
-    if deg == 0:
-        yield [1]
-        return
-    lower = [[]]
-    for _ in range(deg):
-        lower = [poly + [c] for poly in lower for c in range(p)]
-    for tail in lower:
-        yield tail + [1]
+def _upoly_gcd_is_one(a, b, p):
+    """True when a and b are coprime over GF(p)."""
+    while b:
+        inv = pow(b[-1], p - 2, p)
+        a, b = b, _upoly_mod(a, [c * inv % p for c in b], p)
+    return len(a) == 1
 
 
 def _is_irreducible(m, p):
-    deg = len(m) - 1
-    if deg < 1:
+    """Rabin's test for the monic m over GF(p).
+
+    m of degree e is irreducible exactly when t^(p^e) = t mod m and
+    t^(p^(e/r)) - t is coprime to m for every prime r dividing e.
+    """
+    e = len(m) - 1
+    if e < 1:
         return False
-    if deg == 1:
+    if e == 1:
         return True
-    for d in range(1, deg // 2 + 1):
-        for cand in _monic_polys(p, d):
-            if _upoly_divides(cand, m, p):
-                return False
-    return True
+
+    def frobenius_minus_t(k):
+        f = _upoly_powmod([0, 1], p ** k, m, p) + [0, 0]
+        f[1] -= 1
+        return _trim([c % p for c in f])
+
+    primes = [r for r in range(2, e + 1) if e % r == 0 and _is_prime(r)]
+    return (not frobenius_minus_t(e)
+            and all(_upoly_gcd_is_one(m, frobenius_minus_t(e // r), p)
+                    for r in primes))
 
 
 class FieldElement:
@@ -525,6 +538,10 @@ def parse_t_poly(text, p, offset=0):
     return _trim(coeffs)
 
 
+# No supported field has a size with more digits than p^e at the largest
+# prime and degree make_field accepts.
+_MAX_LITERAL_DIGITS = len(str(_PRIME_LIMIT ** _MAX_EXT_DEGREE))
+
 _FIELD_RE = re.compile(
     r"^\s*GF\(\s*(\d+)\s*(?:\^\s*(\d+)\s*)?(?:;\s*m\s*=\s*([^)]+?)\s*)?\)\s*$")
 
@@ -534,8 +551,14 @@ def parse_field_literal(text):
     m = _FIELD_RE.match(text)
     if not m:
         raise ParseError(f"bad field literal {text!r}", 0)
+    for g in (1, 2):
+        if m.group(g) and len(m.group(g)) > _MAX_LITERAL_DIGITS:
+            raise ParseError(f"field literal number has more than "
+                             f"{_MAX_LITERAL_DIGITS} digits", m.start(g))
     p = int(m.group(1))
     e = int(m.group(2)) if m.group(2) else 1
+    if e < 1:
+        raise ParseError("extension degree must be >= 1", m.start(2))
     if e == 1:
         # GF(4) means GF(2^2); factor composite sizes written flat
         p, e = prime_power(p) or (p, 1)

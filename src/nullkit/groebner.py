@@ -4,7 +4,12 @@ The basis returned is always the reduced monic Groebner basis, sorted
 ascending by leading monomial, so equal ideals give byte-identical
 bases.  Pair selection uses the normal strategy (smallest lcm degree
 first, ties broken by the monomial order on the lcm, then by pair
-index); pairs with coprime leading monomials are discarded.  The
+index); pairs with coprime leading monomials are discarded.  A popped
+pair (i, j) is also discarded by Buchberger's chain criterion when some
+other element k has LM(g_k) dividing lcm(LM(g_i), LM(g_j)) and neither
+(i, k) nor (j, k) is still pending: the S-polynomial of (i, j) is then
+a combination of those of (i, k) and (j, k), which are already treated.
+The reduced basis is unique, so neither rule changes the output.  The
 computation aborts once any intermediate polynomial passes total degree
 64 or the working basis passes 4096 elements.
 """
@@ -136,6 +141,7 @@ def buchberger(gens, order=DEGREVLEX):
     G = []
     leads = []
     heap = []
+    pending = set()
 
     def push_pairs(j):
         lmj = leads[j][0]
@@ -144,7 +150,18 @@ def buchberger(gens, order=DEGREVLEX):
             if mono_coprime(lmi, lmj):
                 continue
             l = mono_lcm(lmi, lmj)
-            heapq.heappush(heap, (mono_deg(l), order.key(l), i, j))
+            heapq.heappush(heap, (mono_deg(l), order.key(l), i, j, l))
+            pending.add((i, j))
+
+    def chain_redundant(i, j, l):
+        # Buchberger's chain criterion (see the module docstring); coprime
+        # pairs are never pending, so they count as treated.
+        for k, (lmk, _) in enumerate(leads):
+            if (k != i and k != j and mono_divides(lmk, l)
+                    and (min(i, k), max(i, k)) not in pending
+                    and (min(j, k), max(j, k)) not in pending):
+                return True
+        return False
 
     def add(g):
         if g.total_degree() > MAX_DEGREE:
@@ -163,7 +180,10 @@ def buchberger(gens, order=DEGREVLEX):
         add(g)
 
     while heap:
-        _, _, i, j = heapq.heappop(heap)
+        _, _, i, j, l = heapq.heappop(heap)
+        pending.remove((i, j))
+        if chain_redundant(i, j, l):
+            continue
         s = s_polynomial(G[i], G[j], order)
         if s.is_zero:
             continue

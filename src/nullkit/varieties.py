@@ -82,15 +82,16 @@ class Variety:
 def enumerate_space(spec, n, kind):
     """Every point of A^n (q^n points) or P^n ((q^(n+1)-1)/(q-1))."""
     q = spec.q
-    elems = enumerate_field(spec)
     if kind == AFFINE:
         if q ** n > SIZE_LIMIT:
             raise SizeOverflow(f"A^{n}({spec}) has more than {SIZE_LIMIT} points")
+        elems = enumerate_field(spec)
         pts = [AffinePoint(c) for c in itertools.product(elems, repeat=n)]
     elif kind == PROJECTIVE:
         total = (q ** (n + 1) - 1) // (q - 1)
         if total > SIZE_LIMIT:
             raise SizeOverflow(f"P^{n}({spec}) has more than {SIZE_LIMIT} points")
+        elems = enumerate_field(spec)
         pts = []
         zero, one = elems[0], elems[1]
         for lead in range(n + 1):

@@ -208,6 +208,19 @@ class TestCommands:
             assert code == 2 and out == ""
             assert err == f"error: index {j} outside 0..1\n"
 
+    @pytest.mark.parametrize("literal, message", [
+        ("GF(2^0)", "extension degree must be >= 1"),
+        # beyond Python's default limit on int() of a digit string
+        ("GF(" + "7" * 4301 + ")", "field literal number has more than"),
+    ], ids=["exponent-0", "4301-digits"])
+    def test_field_literal_out_of_range(self, tmp_path, capsys, literal,
+                                        message):
+        path = write_problem(
+            tmp_path, f"field {literal}\nvars X0 X1\nideal:\nX0\n")
+        code, out, err = run("gb", "--input", path, capsys=capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and message in err
+
     def test_missing_input_file(self, capsys):
         code, out, err = run("gb", "--input", "/does/not/exist.null",
                              capsys=capsys)

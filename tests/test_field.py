@@ -1,5 +1,6 @@
 """Field construction, arithmetic axioms and literals, exhaustively small."""
 
+import itertools
 import os
 import random
 import subprocess
@@ -21,6 +22,7 @@ from nullkit.errors import (
     ReducibleModulus,
 )
 from nullkit.field import (
+    _is_irreducible,
     _is_prime,
     common_spec,
     embed,
@@ -204,6 +206,29 @@ def test_primality_is_exact():
             make_field(n)
 
 
+def test_irreducible_moduli_match_gauss_count():
+    """Rabin's test accepts (1/d) sum_{k|d} mu(d/k) p^k monic moduli."""
+    def mobius(n):
+        out, r = 1, 2
+        while n > 1:
+            if n % r == 0:
+                n //= r
+                if n % r == 0:
+                    return 0
+                out = -out
+            r += 1
+        return out
+
+    for p in (2, 3, 5):
+        for d in range(1, 5):
+            accepted = sum(
+                _is_irreducible(list(tail) + [1], p)
+                for tail in itertools.product(range(p), repeat=d))
+            expected = sum(mobius(d // k) * p ** k
+                           for k in range(1, d + 1) if d % k == 0) // d
+            assert accepted == expected, (p, d)
+
+
 @pytest.mark.parametrize("field, argv, code, message", [
     ("GF(2305843009213693951)", ["gb"], 0, ""),
     ("GF(1000036000099)", ["gb"], 2, "error: 1000036000099 is not prime"),
@@ -213,6 +238,12 @@ def test_primality_is_exact():
     (None, ["search", "--nonradical", "--q", "2305843009213693951",
             "--n", "1", "--maxdeg", "1"],
      2, "error: generator enumeration exceeds the limit"),
+    ("GF(2305843009213693951)", ["points", "--affine"], 2,
+     "error: A^2(GF(2305843009213693951)) has more than 1000000 points"),
+    # moduli of a large characteristic go through Rabin's test
+    ("GF(10007^4; m=t^4+3)", ["gb"], 2,
+     "error: t^4+3 is reducible mod 10007"),
+    ("GF(1000003^2; m=t^2+1)", ["gb"], 0, ""),
 ])
 def test_large_field_sizes_answer_fast(tmp_path, field, argv, code, message):
     if field is not None:

@@ -140,3 +140,91 @@ def test_basis_equality_and_iteration():
     b = gb(["X*Y", "X^2"])
     assert a == b and len(a) == len(list(a))
     assert isinstance(a, GroebnerBasis)
+
+
+def _random_form(rng, spec, vars, deg, n_terms):
+    """Random homogeneous polynomial; forms rarely span the unit ideal."""
+    terms = {}
+    for _ in range(n_terms):
+        exps = [0] * len(vars)
+        for _ in range(deg):
+            exps[rng.randrange(len(vars))] += 1
+        terms[tuple(exps)] = spec.element(rng.randrange(spec.p))
+    return Polynomial(spec, vars, terms)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_reduced_basis_matches_sympy(p):
+    """Differential check against sympy's grevlex basis mod p."""
+    sympy = pytest.importorskip("sympy")
+    spec = make_field(p)
+    vars = ("X0", "X1", "X2")
+    syms = sympy.symbols(vars)
+    rng = random.Random(1000 + p)
+    for _ in range(12):
+        gens = [_random_form(rng, spec, vars, rng.randint(2, 3),
+                             rng.randint(2, 4))
+                for _ in range(rng.randint(2, 3))]
+        gens = [g for g in gens if not g.is_zero]
+        if not gens:
+            continue
+        ours = {frozenset((e, c.idx) for e, c in g.terms.items())
+                for g in buchberger(gens)}
+        exprs = [sum(c.idx * sympy.prod(s ** k for s, k in zip(syms, e))
+                     for e, c in g.terms.items()) for g in gens]
+        theirs = set()
+        for q in sympy.groebner(exprs, *syms, modulus=p, order="grevlex"):
+            terms = {e: int(c) % p for e, c in
+                     sympy.Poly(q, *syms, modulus=p).terms()}
+            lead = max(terms, key=lambda e: DEGREVLEX.key(e))
+            inv = pow(terms[lead], p - 2, p)
+            theirs.add(frozenset((e, c * inv % p)
+                                 for e, c in terms.items() if c))
+        assert ours == theirs, [str(g) for g in gens]
+
+
+def test_reduced_basis_properties_hold_on_random_inputs():
+    """Order and scaling invariance, and S-polynomials close, by hypothesis."""
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.randoms(use_true_random=False), st.integers(1, 4))
+    def check(rng, n):
+        gens = [_random_form(rng, F3, XYZ, rng.randint(1, 3),
+                             rng.randint(1, 4))
+                for _ in range(n)]
+        basis = buchberger(gens)
+        for g, h in itertools.combinations(list(basis), 2):
+            assert normal_form(s_polynomial(g, h, DEGREVLEX), basis).is_zero
+        shuffled = gens[:]
+        rng.shuffle(shuffled)
+        scaled = [f.scale(F3.element(rng.choice((1, 2)))) for f in shuffled]
+        assert buchberger(scaled).gens == basis.gens
+
+    check()
+
+
+def test_chain_criterion_bounds_the_s_pairs(monkeypatch):
+    """Saturation of <X0*X1 + X2^2> over GF(2) forms at most 373 S-pairs.
+
+    That is half of what the coprime rule alone forms (746).
+    """
+    from nullkit import groebner
+    from nullkit.nullstellensatz import NullConfig, projective_vanishing
+
+    formed = []
+    real = groebner.s_polynomial
+
+    def counting(f, g, order):
+        formed.append(1)
+        return real(f, g, order)
+
+    monkeypatch.setattr(groebner, "s_polynomial", counting)
+    vars = ("X0", "X1", "X2")
+    I = Ideal.from_strings(F2, vars, ["X0*X1 + X2^2"])
+    result, _ = projective_vanishing(
+        I, NullConfig(F2, vars=vars, K_spec=F2), method="saturation")
+    assert [str(g) for g in result.gens] == [
+        "X1*X2 + X2^2", "X0*X2 + X2^2", "X0*X1 + X2^2"]
+    assert len(formed) <= 373
