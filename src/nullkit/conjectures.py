@@ -31,6 +31,7 @@ witnessed immediately.
 """
 
 import itertools
+import threading
 from dataclasses import dataclass, field as dc_field
 
 from .errors import NotPrime, RingMismatch, SizeOverflow, SuiteFailure
@@ -196,16 +197,22 @@ def check_form_class(p, kind, K):
 
 
 _FORM_CACHE = {}
+_FORM_CACHE_LOCK = threading.Lock()
 
 
 def _anisotropic_forms_of_degree(K, m, d):
     """Monic forms in y0..ym of degree d with only the trivial zero,
     in canonical order (coefficient vectors over the descending
-    monomial basis, lexicographically)."""
+    monomial basis, lexicographically).  Cached per (K, m, d); the lock
+    spans lookup and insert, so concurrent callers share one tuple."""
     key = (K, m, d)
-    cached = _FORM_CACHE.get(key)
-    if cached is not None:
-        return cached
+    with _FORM_CACHE_LOCK:
+        if key not in _FORM_CACHE:
+            _FORM_CACHE[key] = _build_anisotropic_forms(K, m, d)
+        return _FORM_CACHE[key]
+
+
+def _build_anisotropic_forms(K, m, d):
     monos = _degree_monomials(m + 1, d)
 
     def anisotropic(vec):
@@ -229,9 +236,7 @@ def _anisotropic_forms_of_degree(K, m, d):
     table = [[_eval_mono(mono, coords, K) for coords in pts]
              for mono in monos]
     elems = enumerate_field(K)
-    out = tuple(forms)
-    _FORM_CACHE[key] = out
-    return out
+    return tuple(forms)
 
 
 def _eval_mono(exps, coords, K):

@@ -3,9 +3,12 @@
 An Ideal keeps its generator list exactly as given (several results
 depend on the presentation) plus a per-order cache of reduced Groebner
 bases.  Intersection adjoins a fresh scaling variable at position 0 of a
-block order and eliminates it; quotient divides the intersection with
-each principal divisor; saturation iterates quotients to the fixed
-point and reports how many rounds ran.
+block order and eliminates it.  Quotient intersects one part per
+divisor: for homogeneous generators and a divisor c*X_j^k the part is
+read off a degrevlex basis with X_j last (Bayer-Stillman 1987;
+Eisenbud, Commutative Algebra, Prop. 15.12), and any other part divides
+the intersection with the principal divisor exactly.  Saturation
+iterates quotients to the fixed point and reports how many rounds ran.
 """
 
 from .errors import RingMismatch, ZeroDivisorIdeal
@@ -16,7 +19,13 @@ from .groebner import (
     divide_exact,
     normal_form,
 )
-from .poly import Polynomial, block_order, drop_variable, insert_variable
+from .poly import (
+    Polynomial,
+    block_order,
+    drop_variable,
+    insert_variable,
+    permute_variables,
+)
 
 
 class Ideal:
@@ -138,17 +147,60 @@ def eliminate(I, k):
     return _from_basis(I.spec, I.vars[k:], GroebnerBasis(DEGREVLEX, kept))
 
 
+def _variable_power(g):
+    """(j, k) when g is a single term c*X_j^k with k >= 1, else None."""
+    if len(g.terms) != 1:
+        return None
+    (e,) = g.terms
+    support = [i for i, x in enumerate(e) if x]
+    return (support[0], e[support[0]]) if len(support) == 1 else None
+
+
+def _quotient_by_variable_power(I, j, k):
+    """I : X_j^k for an ideal with homogeneous generators (Bayer-Stillman).
+
+    With X_j last in degrevlex, X_j^a divides a homogeneous f exactly
+    when it divides LM(f), so dividing each element of the reduced basis
+    by X_j^min(k, v), v the exponent of X_j dividing it, gives a basis of
+    the quotient.
+    """
+    n = len(I.vars)
+    perm = tuple(i for i in range(n) if i != j) + (j,)
+    back = tuple(perm.index(i) for i in range(n))
+    basis = I.gb() if j == n - 1 else buchberger(
+        [permute_variables(g, perm) for g in I.gens])
+    parts = []
+    for g in basis:
+        v = min(k, min(e[-1] for e in g.terms))
+        parts.append(permute_variables(Polynomial(g.spec, g.vars, {
+            e[:-1] + (e[-1] - v,): c for e, c in g.terms.items()}), back))
+    return Ideal(I.spec, I.vars, tuple(parts))
+
+
 def ideal_quotient(I, J):
-    """The colon ideal I : J, folded over J's generators."""
+    """The colon ideal I : J, intersected over J's generators.
+
+    Each part I : g has one of two routes.  When every stored generator
+    of I is homogeneous and g is a single term c*X_j^k, the part comes
+    from one reduced degrevlex basis of I with X_j moved last (the
+    cached I.gb() when X_j already is last), each element divided by
+    the power of X_j it shares with X_j^k.  Any other part intersects I
+    with <g> and divides the result exactly by g.
+    """
     I._check_ring(J)
     divisors = [g for g in J.gens if not g.is_zero]
     if not divisors:
         raise ZeroDivisorIdeal("quotient by the zero ideal")
+    homogeneous = all(g.is_homogeneous for g in I.gens)
     result = None
     for g in divisors:
-        meet = ideal_intersect(I, Ideal(I.spec, I.vars, (g,)))
-        part = Ideal(I.spec, I.vars,
-                     tuple(divide_exact(w, g) for w in meet.gens))
+        power = _variable_power(g) if homogeneous else None
+        if power is not None:
+            part = _quotient_by_variable_power(I, *power)
+        else:
+            meet = ideal_intersect(I, Ideal(I.spec, I.vars, (g,)))
+            part = Ideal(I.spec, I.vars,
+                         tuple(divide_exact(w, g) for w in meet.gens))
         result = part if result is None else ideal_intersect(result, part)
     return result
 

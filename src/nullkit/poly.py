@@ -358,6 +358,13 @@ def drop_variable(f, position):
     return Polynomial(f.spec, vars, terms)
 
 
+def permute_variables(f, perm):
+    """The same polynomial with variable perm[i] moved to position i."""
+    vars = tuple(f.vars[i] for i in perm)
+    terms = {tuple(e[i] for i in perm): c for e, c in f.terms.items()}
+    return Polynomial(f.spec, vars, terms)
+
+
 def homogenize(f, position=0, name=None):
     """Homogenize with a fresh variable inserted at position."""
     if name is None:

@@ -7,6 +7,7 @@ text renderings is checked by running twice.
 
 import json
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -220,6 +221,20 @@ class TestCommands:
         code, out, err = run("gb", "--input", path, capsys=capsys)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and message in err
+
+    def test_colon_passes_the_degree_limit(self, tmp_path, capsys):
+        """d = 83 here; the colon never builds a basis holding X_j^d."""
+        path = write_problem(
+            tmp_path, "field GF(3)\nvars X0 X1 X2\nideal:\n"
+            "X0^40*X1 + X2^41\n")
+        start = time.perf_counter()
+        code, out, err = run("vanishing", "--projective", "--method",
+                             "colon", "--input", path, capsys=capsys)
+        assert time.perf_counter() - start < 10
+        assert code == 0, err
+        assert out == "X1*X2 + X2^2\nX0*X1 + X0*X2\nX0^2*X2 + 2*X2^3\n"
+        assert run("vanishing", "--projective", "--method", "oracle",
+                   "--input", path, capsys=capsys) == (0, out, "")
 
     def test_missing_input_file(self, capsys):
         code, out, err = run("gb", "--input", "/does/not/exist.null",

@@ -6,6 +6,9 @@ the argument count), so a silent change in enumeration order or pool
 construction shows up as a count mismatch before anything subtler.
 """
 
+import sys
+import threading
+
 import pytest
 
 from nullkit.conjectures import (
@@ -275,3 +278,29 @@ class TestNonRadicalInstances:
         # Gamma* is GL-invariant over the prime field, so ideals with
         # only linear generators stay radical at this size
         assert find_nonradical_instance(2, 2, 1) is None
+
+
+def test_form_cache_is_thread_safe(monkeypatch):
+    """Concurrent first requests for one (K, m, d) all get one tuple."""
+    from nullkit import conjectures
+
+    monkeypatch.setattr(conjectures, "_FORM_CACHE", {})
+    K = make_field(3)
+    results = []
+
+    def build():
+        results.append(conjectures._anisotropic_forms_of_degree(K, 1, 2))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build) for _ in range(8)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    assert len(results) == 8
+    assert all(r is results[0] for r in results)

@@ -7,6 +7,7 @@ import pytest
 
 from nullkit.errors import RingMismatch, ZeroDivisorIdeal
 from nullkit.field import enumerate_field, make_field
+from nullkit.groebner import divide_exact, normal_form
 from nullkit.ideals import (
     Ideal,
     eliminate,
@@ -22,6 +23,7 @@ from nullkit.poly import Polynomial, parse_polynomial
 
 F2 = make_field(2)
 F3 = make_field(3)
+F4 = make_field(2, 2)
 XY = ("X", "Y")
 
 
@@ -114,12 +116,20 @@ def test_quotient_monomials():
 
 
 def test_quotient_definition_sampled():
-    I = ideal(["X^2", "X*Y"])
-    J = ideal(["X", "Y"])
-    Q = ideal_quotient(I, J)
-    for f in small_polys(F2, XY, 2):
-        in_q = all(I.contains(f * g) for g in J.gens)
-        assert Q.contains(f) == in_q
+    cases = [
+        (["X^2", "X*Y"], ["X", "Y"]),
+        # a non-homogeneous I or a divisor with two terms takes the
+        # intersect-and-divide route
+        (["X^3 + Y", "X*Y^2"], ["X"]),
+        (["X^2*Y + X*Y^2", "Y^3"], ["X + Y"]),
+    ]
+    for I_gens, J_gens in cases:
+        I = ideal(I_gens)
+        J = ideal(J_gens)
+        Q = ideal_quotient(I, J)
+        for f in small_polys(F2, XY, 2):
+            in_q = all(I.contains(f * g) for g in J.gens)
+            assert Q.contains(f) == in_q
 
 
 def test_quotient_by_zero_rejected():
@@ -200,3 +210,100 @@ def test_gb_cache_seeding_consistency():
     seeded = M.gb().gens
     fresh = Ideal(F3, XY, M.gens).gb().gens
     assert seeded == fresh
+
+
+def reference_quotient(I, J):
+    """I : J as the fold of (I cap <g>) / g over J's generators: the
+    intersect-and-divide route, kept here as the reference."""
+    result = None
+    for g in J.gens:
+        if g.is_zero:
+            continue
+        meet = ideal_intersect(I, Ideal(I.spec, I.vars, (g,)))
+        part = Ideal(I.spec, I.vars,
+                     tuple(divide_exact(w, g) for w in meet.gens))
+        result = part if result is None else ideal_intersect(result, part)
+    return result
+
+
+def reference_saturate(I, J):
+    prev, rounds = I, 0
+    while True:
+        nxt = reference_quotient(prev, J)
+        rounds += 1
+        if nxt.equals(prev):
+            return nxt.gb().gens, rounds
+        prev = nxt
+
+
+def random_poly(rng, spec, vars, deg, n_terms, homogeneous=True):
+    elements = enumerate_field(spec)
+    terms = {}
+    for _ in range(n_terms):
+        exps = [0] * len(vars)
+        for _ in range(deg if homogeneous else rng.randint(0, deg)):
+            exps[rng.randrange(len(vars))] += 1
+        terms[tuple(exps)] = rng.choice(elements)
+    return Polynomial(spec, vars, terms)
+
+
+def test_quotient_by_variable_power_matches_reference():
+    """Random homogeneous I and divisor c*X_j^k: ideal_quotient and
+    ideal_saturate agree with the intersect-and-divide fold, the
+    quotient satisfies (I : J) J in I and I in I : J, and normal forms
+    are idempotent."""
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.randoms(use_true_random=False), st.sampled_from([F2, F3, F4]),
+           st.integers(2, 4), st.integers(1, 4))
+    def check(rng, spec, n, k):
+        vars = tuple(f"X{i}" for i in range(n))
+        I = Ideal(spec, vars, [
+            random_poly(rng, spec, vars, rng.randint(1, 3), rng.randint(1, 3))
+            for _ in range(rng.randint(1, 3))])
+        j = rng.randrange(n)
+        exps = tuple(k if i == j else 0 for i in range(n))
+        coef = rng.choice(enumerate_field(spec)[1:])
+        J = Ideal(spec, vars, [Polynomial(spec, vars, {exps: coef})])
+
+        Q = ideal_quotient(I, J)
+        assert Q.gb().gens == reference_quotient(I, J).gb().gens
+        assert all(I.contains(q * g) for q in Q.gens for g in J.gens)
+        assert all(Q.contains(f) for f in I.gens)
+
+        m = Ideal(spec, vars, [Polynomial.variable(spec, vars, v)
+                               for v in vars])
+        S, rounds = ideal_saturate(I, m)
+        assert (S.gb().gens, rounds) == reference_saturate(I, m)
+
+        f = random_poly(rng, spec, vars, 4, 6, homogeneous=False)
+        r = normal_form(f, I.gb())
+        assert normal_form(r, I.gb()) == r
+        assert I.contains(f - r)
+
+    check()
+
+
+def test_colon_intersection_budget(monkeypatch):
+    """The colon of <X0*X1 + X2^2> over P^2(GF(2)) intersects only to
+    fold its three parts; no part needs an intersection of its own."""
+    from nullkit import ideals
+    from nullkit.nullstellensatz import NullConfig, projective_vanishing
+
+    calls = []
+    real = ideals.ideal_intersect
+
+    def counting(I, J):
+        calls.append(1)
+        return real(I, J)
+
+    monkeypatch.setattr(ideals, "ideal_intersect", counting)
+    vars = ("X0", "X1", "X2")
+    I = Ideal.from_strings(F2, vars, ["X0*X1 + X2^2"])
+    result, _ = projective_vanishing(
+        I, NullConfig(F2, F2, vars), method="colon")
+    assert [str(g) for g in result.gens] == [
+        "X1*X2 + X2^2", "X0*X2 + X2^2", "X0*X1 + X2^2"]
+    assert len(calls) <= 2

@@ -23,6 +23,7 @@ from nullkit.poly import (
     insert_variable,
     lift,
     parse_polynomial,
+    permute_variables,
 )
 
 F2 = make_field(2)
@@ -177,6 +178,15 @@ def test_drop_variable_guard():
         drop_variable(f, 1)
     g = drop_variable(parse_polynomial("X^2 + 1", XY, F2), 1)
     assert g.vars == ("X",)
+
+
+def test_permute_variables_round_trip():
+    vars = ("X0", "X1", "X2")
+    f = parse_polynomial("X0^2*X1 + 2*X1*X2^3 + 1", vars, F3)
+    g = permute_variables(f, (1, 2, 0))
+    assert g.vars == ("X1", "X2", "X0")
+    assert g == parse_polynomial("X0^2*X1 + 2*X1*X2^3 + 1", g.vars, F3)
+    assert permute_variables(g, (2, 0, 1)) == f
 
 
 def test_lift_preserves_evaluation():
