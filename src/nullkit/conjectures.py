@@ -83,15 +83,6 @@ class SearchBounds:
                 f"exp<={self.max_inner_exp}")
 
 
-@dataclass(frozen=True)
-class FormClass:
-    """A form p in y0..ym tagged with its class: P_K or P_K0."""
-
-    kind: str
-    m: int
-    p: Polynomial
-
-
 @dataclass
 class RWitness:
     """A verified composed-form membership witness.

@@ -73,12 +73,9 @@ class NullConfig:
     k_spec: object
     K_spec: object
     vars: tuple
-    method: str = "colon"
 
     def __post_init__(self):
         self.vars = tuple(self.vars)
-        if self.method not in METHODS:
-            raise ValueError(f"method must be one of {METHODS}")
         if not (is_subfield(self.k_spec, self.K_spec)
                 or is_subfield(self.K_spec, self.k_spec)):
             raise InconsistentTower(
@@ -87,10 +84,6 @@ class NullConfig:
     @property
     def q(self):
         return self.K_spec.q
-
-    @property
-    def n_vars(self):
-        return len(self.vars)
 
 
 @dataclass
@@ -184,12 +177,11 @@ def degree_bound(I, q):
     return total * (q - 1) + 1
 
 
-def projective_vanishing(I, cfg, method=None):
+def projective_vanishing(I, cfg, method="colon"):
     """I(V_K(I)) for a nonempty projective zero set, plus a run report."""
     _check_ring(I, cfg)
     _check_coefficients(I, cfg)
     _check_homogeneous_gens(I)
-    method = cfg.method if method is None else method
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
     V = zero_set(I, cfg.K_spec, PROJECTIVE)

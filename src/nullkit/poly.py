@@ -18,14 +18,10 @@ from .errors import (
     RingMismatch,
     UnknownVariable,
 )
-from .field import FieldElement, common_spec, embed, parse_t_poly
+from .field import FieldElement, common_spec, embed
 
 
 # ---------------------------------------------------------------- monomials
-
-def mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
 
 def mono_divides(a, b):
     """True when the monomial a divides b."""
@@ -402,140 +398,126 @@ def dehomogenize(f, position, value=1):
 
 # ------------------------------------------------------------------ parser
 
+# Parenthesized groups recurse; this bound keeps the recursion far from
+# Python's stack limit.
+_MAX_NESTING = 100
+
 _TOKEN_RE = re.compile(
     r"(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*^()])")
 
 
-def _tokenize(text):
+def _tokenize(text, start, end):
+    """(kind, value, position) triples for text[start:end]; ints converted."""
     tokens = []
-    pos = 0
-    n = len(text)
-    while pos < n:
+    pos = start
+    while pos < end:
         if text[pos].isspace():
             pos += 1
             continue
-        m = _TOKEN_RE.match(text, pos)
+        m = _TOKEN_RE.match(text, pos, end)
         if not m:
             raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        kind = m.lastgroup
-        tokens.append((kind, m.group(), pos))
+        value = m.group()
+        if m.lastgroup == "int":
+            try:
+                value = int(value)
+            except ValueError:  # beyond the int-string conversion limit
+                raise ParseError(f"number with {len(value)} digits is too "
+                                 f"long", pos) from None
+        tokens.append((m.lastgroup, value, pos))
         pos = m.end()
-    tokens.append(("end", "", n))
+    tokens.append(("end", "", end))
     return tokens
 
 
 def parse_polynomial(text, vars, spec):
     """Parse the canonical surface syntax into a Polynomial.
 
-    Terms are joined by + or -; a term is an optional coefficient
-    (an integer, or for extension fields a parenthesized polynomial in
-    t) and monomial factors like X0^2 joined by *.
+    A polynomial is a sum of terms joined by + or -, with an optional
+    leading sign, and a term is a product of factors joined by *.  A
+    factor is an integer, a ring variable with an optional ^exponent,
+    the generator t of an extension field (also with an ^exponent), or
+    a parenthesized coefficient: a sum of terms in integers, t and
+    nested parentheses, without ring variables, evaluated in spec.
+    Inside parentheses t always means the generator.  Error positions
+    index into text.
     """
-    tokens = _tokenize(text)
-    i = 0
-    nvars = len(vars)
+    return parse_span(text, 0, len(text), vars, spec)
+
+
+def parse_span(text, start, end, vars, spec):
+    """parse_polynomial on text[start:end], with positions into text.
+
+    field.parse_field_literal reads a modulus through this, as a
+    polynomial in the variable t over GF(p).
+    """
+    tokens = _tokenize(text, start, end)
     index = {name: k for k, name in enumerate(vars)}
-    result = {}
+    gen = spec.element((0, 1)) if spec.e > 1 else None
+    i = 0
 
-    def peek():
-        return tokens[i]
-
-    def advance():
+    def take():
         nonlocal i
-        tok = tokens[i]
         i += 1
-        return tok
+        return tokens[i - 1]
 
-    def add_term(exps, coef):
-        prev = result.get(exps)
-        if prev is None:
-            if coef.idx:
-                result[exps] = coef
-        elif (s := prev + coef).idx:
-            result[exps] = s
-        else:
-            del result[exps]
+    def at(*ops):
+        return tokens[i][0] == "op" and tokens[i][1] in ops
 
-    def parse_coef_parens(pos):
-        depth_start = pos
-        j = i
-        while tokens[j][0] != "end" and tokens[j][1] != ")":
-            j += 1
-        if tokens[j][0] == "end":
-            raise ParseError("unclosed parenthesis", depth_start)
-        start = tokens[i][2] if j > i else tokens[j][2]
-        end = tokens[j][2]
-        content = text[start:end]
-        rep = parse_t_poly(content, spec.p, offset=start)
-        if len(rep) > 1 and spec.e == 1:
-            raise ParseError("t is undefined over a prime field", start)
-        return rep, j + 1
+    def factor(exps, depth):
+        """Coefficient of one factor; ring-variable powers go into exps."""
+        kind, value, pos = take()
+        if kind == "int":
+            return spec.element((value % spec.p,))
+        if (kind, value) == ("op", "("):
+            if depth == _MAX_NESTING:
+                raise ParseError("parentheses nested too deeply", pos)
+            return terms(pos, depth + 1).get((0,) * len(vars), spec.zero)
+        if kind != "name":
+            raise ParseError("expected a coefficient or variable", pos)
+        power = 1
+        if at("^"):
+            take()
+            kind, power, power_pos = take()
+            if kind != "int":
+                raise ParseError("expected an exponent", power_pos)
+        if value in index and not depth:
+            exps[index[value]] += power
+            return spec.one
+        if value == "t" and gen is not None:
+            return gen ** power
+        if value == "t":
+            raise ParseError("t is undefined over a prime field", pos)
+        if value in index:
+            raise ParseError(f"ring variable {value} inside parentheses",
+                             pos)
+        raise UnknownVariable(f"unknown variable {value!r}", pos)
 
-    def parse_term():
-        nonlocal i
-        coef = spec.one
-        exps = [0] * nvars
-        saw_factor = False
+    def terms(opened, depth):
+        """Sum of terms up to the end, or inside depth parentheses up to
+        the ) closing the one at position opened."""
+        sign = 1
+        if at("+", "-"):
+            sign = 1 if take()[1] == "+" else -1
+        if tokens[i][0] == "end" and not depth:
+            raise ParseError("empty polynomial", tokens[i][2])
+        out = {}
         while True:
-            kind, value, pos = peek()
-            if kind == "int":
-                advance()
-                coef = coef * spec.element((int(value) % spec.p,))
-                saw_factor = True
-            elif kind == "op" and value == "(":
-                advance()
-                rep, nxt = parse_coef_parens(pos)
-                i = nxt
-                coef = coef * spec.element(rep)
-                saw_factor = True
-            elif kind == "name":
-                advance()
-                if value not in index and not (value == "t" and spec.e > 1):
-                    raise UnknownVariable(
-                        f"unknown variable {value!r}", pos)
-                power = 1
-                if peek()[0] == "op" and peek()[1] == "^":
-                    advance()
-                    k2, v2, p2 = peek()
-                    if k2 != "int":
-                        raise ParseError("expected an exponent", p2)
-                    advance()
-                    power = int(v2)
-                if value in index:
-                    exps[index[value]] += power
-                else:
-                    # bare generator of the extension field as coefficient
-                    coef = coef * spec.element((0, 1)) ** power
-                saw_factor = True
+            exps = [0] * len(vars)
+            coef = factor(exps, depth)
+            while at("*"):
+                take()
+                coef = coef * factor(exps, depth)
+            key = tuple(exps)
+            out[key] = out.get(key, spec.zero) + (coef if sign > 0 else -coef)
+            kind, value, pos = take()
+            if value in ("+", "-"):
+                sign = 1 if value == "+" else -1
+            elif value == (")" if depth else ""):
+                return out
+            elif kind == "end":
+                raise ParseError("unclosed parenthesis", opened)
             else:
-                raise ParseError("expected a coefficient or variable", pos)
-            kind, value, pos = peek()
-            if kind == "op" and value == "*":
-                advance()
-                continue
-            break
-        if not saw_factor:
-            raise ParseError("empty term", peek()[2])
-        return tuple(exps), coef
+                raise ParseError(f"expected + or - before {value!r}", pos)
 
-    kind, value, pos = peek()
-    sign = 1
-    if kind == "op" and value in "+-":
-        advance()
-        sign = 1 if value == "+" else -1
-    if peek()[0] == "end":
-        raise ParseError("empty polynomial", peek()[2])
-    while True:
-        exps, coef = parse_term()
-        if sign < 0:
-            coef = -coef
-        add_term(exps, coef)
-        kind, value, pos = peek()
-        if kind == "end":
-            break
-        if kind == "op" and value in "+-":
-            advance()
-            sign = 1 if value == "+" else -1
-            continue
-        raise ParseError(f"expected + or - before {value!r}", pos)
-    return Polynomial(spec, vars, result)
+    return Polynomial(spec, vars, terms(None, 0))

@@ -222,6 +222,23 @@ class TestCommands:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and message in err
 
+    @pytest.mark.parametrize("field, generator", [
+        ("GF(2)", "X0 + " + "7" * 5000 + "*X1"),
+        ("GF(2)", "X0^" + "7" * 5000),
+        ("GF(4)", "(t^" + "7" * 5000 + ")*X0"),
+        ("GF(2^2; m=t^2+t+" + "7" * 5000 + ")", "X0"),
+    ], ids=["coefficient", "exponent", "t-exponent", "modulus"])
+    def test_long_integer_literals_exit_2(self, tmp_path, capsys, field,
+                                          generator):
+        """5,000 digits pass Python's int() limit of 4,300."""
+        path = write_problem(
+            tmp_path, f"field {field}\nvars X0 X1\nideal:\n{generator}\n")
+        code, out, err = run("gb", "--input", path, capsys=capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {path}:")
+        assert "number with 5000 digits is too long" in err
+        assert "Traceback" not in err
+
     def test_colon_passes_the_degree_limit(self, tmp_path, capsys):
         """d = 83 here; the colon never builds a basis holding X_j^d."""
         path = write_problem(

@@ -168,6 +168,23 @@ def test_bad_field_literals():
         parse_field_literal("GF(6)")
     with pytest.raises(ReducibleModulus):
         parse_field_literal("GF(2^2; m=t^2+1)")
+    with pytest.raises(ParseError):
+        parse_field_literal("GF(5; m=t+1)")
+
+
+def test_moduli_use_the_polynomial_grammar():
+    spec = parse_field_literal("GF(3^2; m=t^2+2*t+2)")
+    assert parse_field_literal("GF(3^2; m=t*t + (1+1)*t - 1)") is spec
+    assert parse_field_literal("GF(3^2; m = t ^ 2 + 2*t + 2)") is spec
+    # digit-t juxtaposition is refused; positions index the whole literal
+    for text in ("GF(3^2; m=t^2+2t+2)", "GF(3^2; m=t^2+2 t+2)"):
+        with pytest.raises(ParseError) as err:
+            parse_field_literal(text)
+        assert err.value.position == text.rindex("t")
+    # inside parentheses t is the generator, which GF(p) lacks
+    with pytest.raises(ParseError) as err:
+        parse_field_literal("GF(3^2; m=(t)^2+1)")
+    assert "prime field" in str(err.value)
 
 
 def test_interning_is_thread_safe():
@@ -244,6 +261,12 @@ def test_irreducible_moduli_match_gauss_count():
     ("GF(10007^4; m=t^4+3)", ["gb"], 2,
      "error: t^4+3 is reducible mod 10007"),
     ("GF(1000003^2; m=t^2+1)", ["gb"], 0, ""),
+    # above the table limit: no O(q^2) tables, also not for the modulus
+    ("GF(4093)", ["gb"], 0, ""),
+    ("GF(1009^2; m=t^2+11)", ["gb"], 0, ""),
+    # the modulus degree is read off the sparse polynomial
+    ("GF(2^2; m=t^1000000+t+1)", ["gb"], 2,
+     "error: modulus must have degree 2, got degree 1000000"),
 ])
 def test_large_field_sizes_answer_fast(tmp_path, field, argv, code, message):
     if field is not None:
@@ -262,7 +285,7 @@ def test_large_field_sizes_answer_fast(tmp_path, field, argv, code, message):
 
 
 def test_untabled_prime_field_matches_integers():
-    """q > 4096 runs on the untabled arithmetic path."""
+    """q > 256 runs on the untabled arithmetic path."""
     p = 4099
     spec = make_field(p)
     assert spec.elements is None

@@ -1,6 +1,7 @@
 """Polynomial arithmetic, orders, substitution and the parser."""
 
 import itertools
+import time
 
 import pytest
 
@@ -247,6 +248,39 @@ def test_parse_errors_carry_position():
     with pytest.raises(ParseError):
         # t-coefficients need an extension field
         parse_polynomial("(t)*X", XY, F2)
+
+
+def test_t_powers_take_logarithmic_time():
+    start = time.perf_counter()
+    f = parse_polynomial("(t^10000000)*X", XY, F4)
+    assert time.perf_counter() - start < 1.0
+    assert f == parse_polynomial("t*X", XY, F4)
+
+
+def test_t_power_is_reduced_in_the_field():
+    # t has order 3 in GF(4)*; a dense t-polynomial would need 10^12 slots
+    f = parse_polynomial("(t^1000000000000)*X", XY, F4)
+    assert f.to_string() == "(t)*X"
+
+
+def test_coefficients_share_the_term_grammar():
+    want = parse_polynomial("(t+1)*X", XY, F4)
+    for text in ("(t*t)*X", "(t ^ 2)*X", "((t) + (1))*X", "t*t*X",
+                 "(" * 100 + "t*t" + ")" * 100 + "*X"):
+        assert parse_polynomial(text, XY, F4) == want
+    assert parse_polynomial("t*X", XY, F4) == \
+        parse_polynomial("(t)*X", XY, F4)
+    # a library ring may name a variable t; in parentheses t stays the
+    # generator
+    f = parse_polynomial("(t)*t", ("t",), F4)
+    assert f.terms == {(1,): F4.element((0, 1))}
+    for text, spec in [("(2t)*X", F4), ("(2 t)*X", F4), ("2t*X", F4),
+                       ("(2*t + 1)*X", F2), ("(X)*Y", F4),
+                       ("(t + 1*X", F4),
+                       # recursion stays far from the interpreter's limit
+                       ("(" * 101 + "t" + ")" * 101 + "*X", F4)]:
+        with pytest.raises(ParseError):
+            parse_polynomial(text, XY, spec)
 
 
 def test_parse_accepts_spaces_and_signs():
