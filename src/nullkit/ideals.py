@@ -7,8 +7,14 @@ block order and eliminates it.  Quotient intersects one part per
 divisor: for homogeneous generators and a divisor c*X_j^k the part is
 read off a degrevlex basis with X_j last (Bayer-Stillman 1987;
 Eisenbud, Commutative Algebra, Prop. 15.12), and any other part divides
-the intersection with the principal divisor exactly.  Saturation
-iterates quotients to the fixed point and reports how many rounds ran.
+the intersection with the principal divisor exactly.
+
+Saturation I : J^infinity reports the rounds a loop of quotients by J
+runs until the ideal stops growing: r* + 1, r* the least r with
+J^r * I^sat inside I.  For homogeneous generators and a J of single
+terms c*X_j^k it intersects I : X_j^infinity over the distinct j, each
+read off the same permuted basis as the colon, and finds r* from
+normal forms modulo I's basis; any other input runs the loop itself.
 """
 
 from .errors import RingMismatch, ZeroDivisorIdeal
@@ -156,13 +162,13 @@ def _variable_power(g):
     return (support[0], e[support[0]]) if len(support) == 1 else None
 
 
-def _quotient_by_variable_power(I, j, k):
+def _quotient_by_variable_power(I, j, k=None):
     """I : X_j^k for an ideal with homogeneous generators (Bayer-Stillman).
 
     With X_j last in degrevlex, X_j^a divides a homogeneous f exactly
     when it divides LM(f), so dividing each element of the reduced basis
     by X_j^min(k, v), v the exponent of X_j dividing it, gives a basis of
-    the quotient.
+    the quotient.  k=None divides by X_j^v and gives I : X_j^infinity.
     """
     n = len(I.vars)
     perm = tuple(i for i in range(n) if i != j) + (j,)
@@ -171,7 +177,9 @@ def _quotient_by_variable_power(I, j, k):
         [permute_variables(g, perm) for g in I.gens])
     parts = []
     for g in basis:
-        v = min(k, min(e[-1] for e in g.terms))
+        v = min(e[-1] for e in g.terms)
+        if k is not None:
+            v = min(k, v)
         parts.append(permute_variables(Polynomial(g.spec, g.vars, {
             e[:-1] + (e[-1] - v,): c for e, c in g.terms.items()}), back))
     return Ideal(I.spec, I.vars, tuple(parts))
@@ -205,15 +213,59 @@ def ideal_quotient(I, J):
     return result
 
 
-def ideal_saturate(I, J):
-    """Fixed point of repeated quotients by J, with the round count.
+def _echelon(polys):
+    """Rows with distinct leading monomials spanning the same space.
 
-    Rounds count executed quotients, so an already saturated ideal
-    reports 1 and an ideal that grows once before stabilizing reports 2.
+    Eliminates only between equal leading monomials, never by monomial
+    division, so it is linear algebra on coefficient vectors.
+    """
+    rows = {}
+    for f in polys:
+        while f:
+            lm, c = f.leading()
+            row = rows.get(lm)
+            if row is None:
+                rows[lm] = f.scale(c.inv())
+                break
+            f = f - row.scale(c)
+    return list(rows.values())
+
+
+def ideal_saturate(I, J):
+    """I : J^infinity as a reduced ideal, with the round count.
+
+    Rounds count the quotients by J that a loop runs until one returns
+    its input, so an already saturated ideal reports 1 and an ideal that
+    grows once before stabilizing reports 2.  Since I : J^r grows with r
+    and stops exactly when it reaches I^sat, that is r* + 1 for r* the
+    least r with J^r * I^sat inside I.
+
+    When every stored generator of I is homogeneous and every divisor
+    is a single term c*X_j^k, I^sat is the intersection of I : X_j^infinity
+    over the distinct j, and r* is the number of times the span of the
+    normal forms of I^sat's generators modulo I.gb() must be multiplied
+    by the divisors, and reduced again, to vanish; NF(g*NF(f)) = NF(g*f)
+    makes this exact.  Any other input iterates ideal_quotient.
     """
     divisors = [g for g in J.gens if not g.is_zero]
     if not divisors:
         raise ZeroDivisorIdeal("saturation by the zero ideal")
+    homogeneous = all(g.is_homogeneous for g in I.gens)
+    powers = [_variable_power(g) if homogeneous else None for g in divisors]
+    if None not in powers:
+        sat = None
+        for j in dict.fromkeys(j for j, _ in powers):
+            part = _quotient_by_variable_power(I, j)
+            sat = part if sat is None else ideal_intersect(sat, part)
+        sat = reduced(sat)
+        basis = I.gb()
+        span = _echelon(normal_form(f, basis) for f in sat.gens)
+        rounds = 1
+        while span:
+            span = _echelon(normal_form(g * v, basis)
+                            for g in divisors for v in span)
+            rounds += 1
+        return sat, rounds
     prev = I
     rounds = 0
     while True:

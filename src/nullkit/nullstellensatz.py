@@ -7,7 +7,8 @@ X_i^q - X_i.  The projective one comes in three interchangeable ways:
 
   colon       (I + Gamma_q^*) : <X_0^d, ..., X_n^d> with
               d = (sum of generator degrees)(q - 1) + 1, one quotient;
-  saturation  (I + Gamma_q^*) : <X_0, ..., X_n>^infinity, iterated;
+  saturation  (I + Gamma_q^*) : <X_0, ..., X_n>^infinity, with the
+              number of quotient rounds that reach it;
   oracle      intersection of point ideals over the enumerated zero set.
 
 An empty projective zero set is never answered with a unit ideal

@@ -504,10 +504,16 @@ def parse_span(text, start, end, vars, spec):
         out = {}
         while True:
             exps = [0] * len(vars)
+            term_pos = tokens[i][2]
             coef = factor(exps, depth)
             while at("*"):
                 take()
                 coef = coef * factor(exps, depth)
+            try:  # degrees are printed, as in DegreeOverflow messages
+                str(sum(exps))
+            except ValueError:  # beyond the int-string conversion limit
+                raise ParseError("term degree has too many digits",
+                                 term_pos) from None
             key = tuple(exps)
             out[key] = out.get(key, spec.zero) + (coef if sign > 0 else -coef)
             kind, value, pos = take()

@@ -239,6 +239,31 @@ class TestCommands:
         assert "number with 5000 digits is too long" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", [
+        ("gb",), ("gb", "--emit-normalized"), ("vanishing", "--affine"),
+        ("vanishing", "--projective"), ("certify",)],
+        ids=["gb", "emit-normalized", "affine", "projective", "certify"])
+    def test_huge_term_degree_exits_2(self, tmp_path, capsys, command):
+        """Each exponent is a legal literal, but twelve of them sum past
+        4,300 digits, which no degree message could print."""
+        term = "*".join(["X0^" + "9" * 4299] * 12)
+        path = write_problem(
+            tmp_path, f"field GF(2)\nvars X0 X1\nideal:\nX1; {term}\n")
+        start = time.perf_counter()
+        code, out, err = run(*command, "--input", path, capsys=capsys)
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert err == f"error: {path}:4:5: term degree has too many digits\n"
+
+    def test_long_exponents_still_count_points(self, tmp_path, capsys):
+        n = "1" + "0" * 39
+        path = write_problem(
+            tmp_path, f"field GF(2)\nvars X0 X1\nideal:\nX0^{n} + X1^{n}\n")
+        code, out, err = run("points", "--projective", "--input", path,
+                             capsys=capsys)
+        assert code == 0, err
+        assert out.endswith("count: 1\n")
+
     def test_colon_passes_the_degree_limit(self, tmp_path, capsys):
         """d = 83 here; the colon never builds a basis holding X_j^d."""
         path = write_problem(

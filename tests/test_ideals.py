@@ -286,20 +286,98 @@ def test_quotient_by_variable_power_matches_reference():
     check()
 
 
-def test_colon_intersection_budget(monkeypatch):
-    """The colon of <X0*X1 + X2^2> over P^2(GF(2)) intersects only to
-    fold its three parts; no part needs an intersection of its own."""
+def test_saturation_by_variable_powers_matches_reference():
+    """Random homogeneous I, with and without Gamma_q^*, saturated by the
+    irrelevant ideal, by a proper subset of the variables and by mixed
+    powers c*X_j^k: basis and round count agree with the loop of
+    intersect-and-divide quotients."""
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+    from nullkit.nullstellensatz import NullConfig, gamma_q_star
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.randoms(use_true_random=False), st.sampled_from([F2, F3, F4]),
+           st.integers(2, 4), st.booleans(),
+           st.sampled_from(["irrelevant", "subset", "mixed"]))
+    def check(rng, spec, n, gamma, shape):
+        vars = tuple(f"X{i}" for i in range(n))
+        I = Ideal(spec, vars, [
+            random_poly(rng, spec, vars, rng.randint(1, 4), rng.randint(1, 3))
+            for _ in range(rng.randint(1, 3))])
+        if gamma:
+            I = ideal_sum(I, gamma_q_star(NullConfig(spec, spec, vars)))
+        if shape == "irrelevant":
+            powers = [(j, 1) for j in range(n)]
+        elif shape == "subset":
+            powers = [(j, 1) for j in rng.sample(range(n), n - 1)]
+        else:
+            powers = [(rng.randrange(n), rng.randint(1, 3))
+                      for _ in range(rng.randint(1, n + 1))]
+        units = enumerate_field(spec)[1:]
+        J = Ideal(spec, vars, [Polynomial(spec, vars, {
+            tuple(k if i == j else 0 for i in range(n)): rng.choice(units)})
+            for j, k in powers])
+
+        S, rounds = ideal_saturate(I, J)
+        assert S.gens == S.gb().gens
+        assert (S.gb().gens, rounds) == reference_saturate(I, J)
+
+    check()
+
+
+def count_calls(monkeypatch, name):
+    """Patch nullkit.ideals.<name> to record its calls; returns the record."""
     from nullkit import ideals
-    from nullkit.nullstellensatz import NullConfig, projective_vanishing
 
     calls = []
-    real = ideals.ideal_intersect
+    real = getattr(ideals, name)
 
     def counting(I, J):
         calls.append(1)
         return real(I, J)
 
-    monkeypatch.setattr(ideals, "ideal_intersect", counting)
+    monkeypatch.setattr(ideals, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("I_gens, J_gens", [
+    (["X0*X1^2", "X1^3 + X0^2*X1"], ["X0 + X1"]),
+    (["X0^2*X1 + X1^2", "X0*X1^2"], ["X0", "X1"]),
+], ids=["binomial-divisor", "inhomogeneous"])
+def test_saturation_keeps_the_loop(monkeypatch, I_gens, J_gens):
+    """Inputs outside the variable-power route run one quotient per
+    round and match the reference."""
+    calls = count_calls(monkeypatch, "ideal_quotient")
+    vars = ("X0", "X1")
+    I = Ideal.from_strings(F3, vars, I_gens)
+    J = Ideal.from_strings(F3, vars, J_gens)
+    S, rounds = ideal_saturate(I, J)
+    assert (S.gb().gens, rounds) == reference_saturate(I, J)
+    assert len(calls) == rounds >= 2
+
+
+def test_degree_83_saturation_runs_no_quotient(monkeypatch):
+    """X0^40*X1 + X2^41 over P^2(GF(3)) needs 43 saturation rounds; the
+    variable-power route counts them without running a quotient."""
+    from nullkit.nullstellensatz import NullConfig, projective_vanishing
+
+    vars = ("X0", "X1", "X2")
+    I = Ideal.from_strings(F3, vars, ["X0^40*X1 + X2^41"])
+    cfg = NullConfig(F3, F3, vars)
+    colon, _ = projective_vanishing(I, cfg, method="colon")
+    calls = count_calls(monkeypatch, "ideal_quotient")
+    result, report = projective_vanishing(I, cfg, method="saturation")
+    assert report.quotient_rounds == 43
+    assert result.gens == colon.gens
+    assert calls == []
+
+
+def test_colon_intersection_budget(monkeypatch):
+    """The colon of <X0*X1 + X2^2> over P^2(GF(2)) intersects only to
+    fold its three parts; no part needs an intersection of its own."""
+    from nullkit.nullstellensatz import NullConfig, projective_vanishing
+
+    calls = count_calls(monkeypatch, "ideal_intersect")
     vars = ("X0", "X1", "X2")
     I = Ideal.from_strings(F2, vars, ["X0*X1 + X2^2"])
     result, _ = projective_vanishing(
