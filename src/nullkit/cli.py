@@ -57,9 +57,9 @@ from .nullstellensatz import (
     METHODS,
     NullConfig,
     affine_vanishing,
+    certificate_degree,
     certify_membership,
     classify_empty,
-    degree_bound,
     make_certificate,
     projective_vanishing,
 )
@@ -409,7 +409,7 @@ def _cmd_compare(args, rep):
 def _cmd_certify(args, rep):
     cfg = rep.problem.cfg
     I = rep.problem.ideal
-    d = degree_bound(I, cfg.q)
+    d = certificate_degree(I, cfg)
     rep.line(f"d: {d}")
     entries = []
     if args.poly is not None:

@@ -56,8 +56,9 @@ from .poly import DEGREVLEX, Polynomial, parse_polynomial
 from .varieties import (
     AFFINE,
     PROJECTIVE,
-    enumerate_space,
+    PointTable,
     oracle_vanishing_ideal,
+    space_table,
     zero_set,
 )
 
@@ -176,15 +177,12 @@ def check_form_class(p, kind, K):
         raise RingMismatch(f"{p.spec} does not embed into {K}")
     if not p.is_homogeneous:
         return False
-    space = enumerate_space(K, len(p.vars), AFFINE)
+    space = space_table(K, len(p.vars), AFFINE)
+    values, = space.evaluate(p)
     if kind == "P_K":
-        return all(a.coords[0].idx == 0 or p.evaluate(a.coords)
-                   for a in space.points)
-    for a in space.points:
-        trivial = all(c.idx == 0 for c in a.coords)
-        if bool(p.evaluate(a.coords)) == trivial:
-            return False
-    return True
+        return all(y0 == 0 or v for y0, v in zip(space.cols[0], values))
+    # the origin comes first in the enumeration
+    return not values[0] and all(values[1:])
 
 
 _FORM_CACHE = {}
@@ -205,15 +203,15 @@ def _anisotropic_forms_of_degree(K, m, d):
 
 def _build_anisotropic_forms(K, m, d):
     monos = _degree_monomials(m + 1, d)
+    add, mul, _, _ = K.encoded_ops()
 
     def anisotropic(vec):
-        for pi in range(len(pts)):
-            s = K.zero
-            for mi, v in enumerate(vec):
+        for row in rows:
+            s = 0
+            for v, cell in zip(vec, row):
                 if v:
-                    cell = table[mi][pi]
-                    s = s + (cell if v == 1 else elems[v] * cell)
-            if not s.idx:
+                    s = add[s][mul[v][cell]]
+            if not s:
                 return False
         return True
 
@@ -222,20 +220,10 @@ def _build_anisotropic_forms(K, m, d):
     forms = _vector_polys(
         K, _yvars(m), monos, "{q}^{n} candidate forms exceed the search limit",
         monic=True, keep=anisotropic)
-    pts = [a.coords for a in enumerate_space(K, m + 1, AFFINE).points
-           if any(c.idx for c in a.coords)]
-    table = [[_eval_mono(mono, coords, K) for coords in pts]
-             for mono in monos]
-    elems = enumerate_field(K)
+    space = space_table(K, m + 1, AFFINE)
+    space = space.take(range(1, space.size))  # the origin comes first
+    rows = list(zip(*(space.monomial(mono) for mono in monos)))
     return tuple(forms)
-
-
-def _eval_mono(exps, coords, K):
-    v = K.one
-    for c, e in zip(coords, exps):
-        if e:
-            v = v * c ** e
-    return v
 
 
 def enumerate_forms(K, m, max_deg):
@@ -287,9 +275,9 @@ class _SearchContext:
         self.bounds = bounds
         self.K = K
         self.basis = I.gb()
-        self.zero_pts = [p.coords
-                         for p in zero_set(I, K, AFFINE).points]
-        self.f_vanishes = all(not f.evaluate(c) for c in self.zero_pts)
+        zeros = zero_set(I, K, AFFINE)
+        self.zero_pts = PointTable.of_points(K, zeros.points, zeros.n)
+        self.f_vanishes = not any(self.zero_pts.evaluate(f)[0])
         self.f_res = normal_form(f, self.basis)
         self.pool = argument_pool(I.spec, I.vars, bounds.max_deg_args)
         self.residue_of = {}
@@ -298,7 +286,7 @@ class _SearchContext:
             r = normal_form(g, self.basis)
             self.residue_of[g] = r
             if r not in residues:
-                residues[r] = all(not r.evaluate(c) for c in self.zero_pts)
+                residues[r] = not any(self.zero_pts.evaluate(r)[0])
         # Only residues vanishing on the zero set can take part in a
         # membership: the composed form kills nonzero argument values.
         self.vanishing_residues = tuple(

@@ -6,7 +6,9 @@ generator t, stored little endian and reduced modulo the modulus.  For
 fields of at most _TABLE_LIMIT elements the spec precomputes full
 operation tables and interns all elements, so coefficient arithmetic
 inside polynomial code is cheap; the tables cost O(q^2), so larger
-fields compute on the coefficient vectors instead.
+fields compute on the coefficient vectors instead.  encoded_ops offers
+the same arithmetic on bare integer encodings, in the shape of the
+tables for every field, which is what point evaluation runs on.
 
 A field literal spells a modulus in the polynomial syntax of
 poly.parse_polynomial, read as a polynomial in the variable t over
@@ -278,17 +280,31 @@ class FieldElement:
         return f"{self} in {self.spec}"
 
 
+class _Computed:
+    """Stand-in for an operation table of an untabled field: entry [a]
+    is fn(a), computed when read."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __getitem__(self, a):
+        return self.fn(a)
+
+
 class FieldSpec:
     """Description of GF(p^e); construct through make_field only."""
 
     __slots__ = ("p", "e", "q", "modulus", "elements",
-                 "_add", "_mul", "_neg", "_inv")
+                 "_add", "_mul", "_neg", "_inv", "_ops")
 
     def __init__(self, p, e, modulus):
         self.p = p
         self.e = e
         self.q = p ** e
         self.modulus = modulus
+        self._ops = None
         if self.q <= _TABLE_LIMIT:
             self._build_tables()
         else:
@@ -328,6 +344,48 @@ class FieldSpec:
         if self.elements is not None:
             return self.elements[idx]
         return FieldElement(self, rep, idx)
+
+    def encoded_ops(self):
+        """Tables (add, mul, neg, inv) on integer encodings, read as
+        add[a][b], mul[a][b], neg[a] and inv[a] (inv[0] is undefined).
+
+        Tabled fields return their operation tables.  Larger fields
+        return stand-ins of the same shape whose entries are computed
+        when read: modulo p in a prime field, through the untabled
+        element arithmetic otherwise.
+        """
+        if self._add is not None:
+            return self._add, self._mul, self._neg, self._inv
+        if self._ops is None:
+            p, E = self.p, self.element
+            if self.e == 1:
+                ops = (lambda a, b: (a + b) % p, lambda a, b: a * b % p,
+                       lambda a: -a % p, lambda a: pow(a, p - 2, p))
+            else:
+                ops = (lambda a, b: (E(a) + E(b)).idx,
+                       lambda a, b: (E(a) * E(b)).idx,
+                       lambda a: (-E(a)).idx, lambda a: E(a).inv().idx)
+            add, mul, neg, inv = ops
+            self._ops = (_Computed(lambda a: _Computed(lambda b: add(a, b))),
+                         _Computed(lambda a: _Computed(lambda b: mul(a, b))),
+                         _Computed(neg), _Computed(inv))
+        return self._ops
+
+    def encoded_pow(self, a, k):
+        """Encoding of a^k for an encoding a and an integer k >= 0."""
+        if k == 0:
+            return 1
+        if a == 0:
+            return 0
+        k = (k - 1) % (self.q - 1) + 1  # the unit group has order q - 1
+        mul = self.encoded_ops()[1]
+        out = 1
+        while k:
+            if k & 1:
+                out = mul[out][a]
+            a = mul[a][a]
+            k >>= 1
+        return out
 
     def _build_tables(self):
         q = self.q

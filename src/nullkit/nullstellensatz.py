@@ -9,7 +9,8 @@ X_i^q - X_i.  The projective one comes in three interchangeable ways:
               d = (sum of generator degrees)(q - 1) + 1, one quotient;
   saturation  (I + Gamma_q^*) : <X_0, ..., X_n>^infinity, with the
               number of quotient rounds that reach it;
-  oracle      intersection of point ideals over the enumerated zero set.
+  oracle      Buchberger-Moller interpolation of the enumerated zero
+              set (varieties.oracle_vanishing_ideal), no closed formula.
 
 An empty projective zero set is never answered with a unit ideal
 silently; classify_empty names which branch of the dichotomy holds.
@@ -17,9 +18,13 @@ Certificates make the colon result constructive: for each j the pair
 g_j, l_j splits X_j^d into a part inside I and a part vanishing off the
 zero set, and for a member f the products give an explicit identity
 X_j^d * f = g_j * f + l_j * f with g_j * f in I and l_j * f in
-Gamma_q^*.
+Gamma_q^*.  A certificate of degree d has up to C(d+n, n) terms, so
+inputs whose bound passes CERTIFICATE_LIMIT are refused before any is
+built; its check evaluates the expanded g_j and l_j at every point of
+P^n through the point tables of varieties.
 """
 
+import math
 import time
 from dataclasses import dataclass, field as dc_field
 
@@ -33,6 +38,7 @@ from .errors import (
     NotInVanishingIdeal,
     NullkitError,
     RingMismatch,
+    SizeOverflow,
     ZeroGeneratorCount,
 )
 from .field import in_subfield_image, is_subfield
@@ -49,12 +55,18 @@ from .poly import Polynomial
 from .varieties import (
     AFFINE,
     PROJECTIVE,
-    enumerate_space,
+    ProjectivePoint,
     oracle_vanishing_ideal,
+    space_table,
     zero_set,
 )
 
 METHODS = ("colon", "saturation", "oracle")
+
+# Certificates whose bound C(d+n, n) on the number of terms (or, in P^0,
+# whose degree d) passes this are refused; the largest the tests and
+# benchmarks build has 171 terms.
+CERTIFICATE_LIMIT = 10_000
 
 NONEMPTY = "nonempty"
 EMPTY_UNIT = "empty_unit"
@@ -178,6 +190,26 @@ def degree_bound(I, q):
     return total * (q - 1) + 1
 
 
+def certificate_degree(I, cfg):
+    """degree_bound(I, q), refused with SizeOverflow when the
+    certificates it gives would pass CERTIFICATE_LIMIT."""
+    d = degree_bound(I, cfg.q)
+    n = len(cfg.vars) - 1
+    if d > CERTIFICATE_LIMIT or math.comb(d + n, n) > CERTIFICATE_LIMIT:
+        raise SizeOverflow(
+            f"certificate too large: C(d+{n}, {n}) or d passes the limit "
+            f"{CERTIFICATE_LIMIT}")
+    return d
+
+
+def _nonempty_zero_set(I, cfg):
+    V = zero_set(I, cfg.K_spec, PROJECTIVE)
+    if not V.points:
+        raise EmptyVariety(
+            "the projective zero set is empty; use classify_empty")
+    return V
+
+
 def projective_vanishing(I, cfg, method="colon"):
     """I(V_K(I)) for a nonempty projective zero set, plus a run report."""
     _check_ring(I, cfg)
@@ -185,10 +217,11 @@ def projective_vanishing(I, cfg, method="colon"):
     _check_homogeneous_gens(I)
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
-    V = zero_set(I, cfg.K_spec, PROJECTIVE)
-    if not V.points:
-        raise EmptyVariety(
-            "the projective zero set is empty; use classify_empty")
+    return _vanishing(I, cfg, method, _nonempty_zero_set(I, cfg))
+
+
+def _vanishing(I, cfg, method, V):
+    """projective_vanishing on checked input with its zero set V."""
     start = time.perf_counter()
     d = None
     if method == "colon":
@@ -275,10 +308,10 @@ def make_certificate(I, j, cfg):
     if not live or len(live) != len(I.gens):
         raise ZeroGeneratorCount(
             "certificates need at least one generator and no zero ones")
+    d = certificate_degree(I, cfg)
     V = zero_set(I, cfg.K_spec, PROJECTIVE)
     if not V.points:
         raise EmptyVariety("certificates need a nonempty zero set")
-    d = degree_bound(I, cfg.q)
     g, l = _certificate_parts(I, j, d, cfg)
     _verify_certificate(I, j, d, g, l, V, cfg)
     return Certificate(j, d, g, l)
@@ -292,14 +325,13 @@ def _verify_certificate(I, j, d, g, l, V, cfg):
         raise NullkitError(f"g_{j} is not homogeneous of degree {d}")
     if not I.contains(g):
         raise NullkitError(f"g_{j} fell outside the input ideal")
-    in_v = set(V.points)
-    space = enumerate_space(cfg.K_spec, len(cfg.vars) - 1, PROJECTIVE)
-    for p in space.points:
-        if p in in_v:
-            if g.evaluate(p.coords):
-                raise NullkitError(f"g_{j} does not vanish at {p}")
-        elif l.evaluate(p.coords):
-            raise NullkitError(f"l_{j} does not vanish at {p}")
+    on_v = {p.key for p in V.points}
+    space = space_table(cfg.K_spec, len(cfg.vars) - 1, PROJECTIVE)
+    for key, at_g, at_l in zip(space.keys(), *space.evaluate(g, l)):
+        name, value = ("g", at_g) if key in on_v else ("l", at_l)
+        if value:
+            p = ProjectivePoint(tuple(map(cfg.K_spec.element, key)))
+            raise NullkitError(f"{name}_{j} does not vanish at {p}")
 
 
 def certify_membership(f, I, cfg):
@@ -317,11 +349,11 @@ def certify_membership(f, I, cfg):
         raise NonHomogeneousGenerator(f"{f} is not homogeneous")
     if any(h.is_zero for h in I.gens):
         raise ZeroGeneratorCount("stored generators must be nonzero")
-    vanishing, _ = projective_vanishing(I, cfg, method="colon")
+    d = certificate_degree(I, cfg)
+    V = _nonempty_zero_set(I, cfg)
+    vanishing, _ = _vanishing(I, cfg, "colon", V)
     if not vanishing.contains(f):
         raise NotInVanishingIdeal(f"{f} is not in {vanishing}")
-    V = zero_set(I, cfg.K_spec, PROJECTIVE)
-    d = degree_bound(I, cfg.q)
     gamma_star_basis = ideal_sum(
         Ideal(cfg.k_spec, cfg.vars, ()), gamma_q_star(cfg)).gb()
     certs = []

@@ -278,6 +278,23 @@ class TestCommands:
         assert run("vanishing", "--projective", "--method", "oracle",
                    "--input", path, capsys=capsys) == (0, out, "")
 
+    @pytest.mark.parametrize("extra", [(), ("--poly", "X0*X1")],
+                             ids=["certificates", "membership"])
+    def test_oversized_certificate_exits_2(self, tmp_path, capsys, extra):
+        """Both exponents are legal literals, but d = 4N + 1 here has
+        4,301 digits: the certificate bound refuses it before d is
+        printed."""
+        n = "9" * 4300
+        path = write_problem(
+            tmp_path, f"field GF(3)\nvars X0 X1\nideal:\nX0^{n}; X1^{n}\n")
+        start = time.perf_counter()
+        code, out, err = run("certify", "--input", path, *extra,
+                             capsys=capsys)
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert err == ("error: certificate too large: C(d+1, 1) or d passes "
+                       "the limit 10000\n")
+
     def test_missing_input_file(self, capsys):
         code, out, err = run("gb", "--input", "/does/not/exist.null",
                              capsys=capsys)

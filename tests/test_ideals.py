@@ -21,6 +21,8 @@ from nullkit.ideals import (
 )
 from nullkit.poly import Polynomial, parse_polynomial
 
+from helpers import count_calls
+
 F2 = make_field(2)
 F3 = make_field(3)
 F4 = make_field(2, 2)
@@ -323,21 +325,6 @@ def test_saturation_by_variable_powers_matches_reference():
         assert (S.gb().gens, rounds) == reference_saturate(I, J)
 
     check()
-
-
-def count_calls(monkeypatch, name):
-    """Patch nullkit.ideals.<name> to record its calls; returns the record."""
-    from nullkit import ideals
-
-    calls = []
-    real = getattr(ideals, name)
-
-    def counting(I, J):
-        calls.append(1)
-        return real(I, J)
-
-    monkeypatch.setattr(ideals, name, counting)
-    return calls
 
 
 @pytest.mark.parametrize("I_gens, J_gens", [

@@ -13,18 +13,24 @@ from nullkit.errors import (
     FieldMismatch,
     NonHomogeneousGenerator,
     NotInVanishingIdeal,
+    NullkitError,
+    SizeOverflow,
     ZeroGeneratorCount,
 )
 from nullkit.field import enumerate_field, make_field
 from nullkit.groebner import normal_form
 from nullkit.ideals import Ideal, ideal_saturate, reduced
 from nullkit.nullstellensatz import (
+    CERTIFICATE_LIMIT,
     EMPTY_IRRELEVANT,
     EMPTY_UNIT,
     METHODS,
     NONEMPTY,
     NullConfig,
+    _certificate_parts,
+    _verify_certificate,
     affine_vanishing,
+    certificate_degree,
     certify_membership,
     classify_empty,
     degree_bound,
@@ -322,3 +328,53 @@ def test_certify_degenerate_zero_generators():
         assert c.l == Polynomial.variable(F2, P1, P1[c.j])
     with pytest.raises(ZeroGeneratorCount):
         certify_membership(f, Ideal.from_strings(F2, P1, ["0"]), cfg)
+
+
+def test_altered_certificate_is_refused():
+    """One changed coefficient breaks the split; moving a multiple of
+    the generator from l to g keeps the split and g inside I, and only
+    the evaluation at the points off V catches it."""
+    cfg = NullConfig(F3, F3, P2)
+    I = Ideal.from_strings(F3, P2, ["X0*X1 + X2^2"])
+    V = zero_set(I, F3, PROJECTIVE)
+    d = degree_bound(I, 3)
+    g, l = _certificate_parts(I, 1, d, cfg)
+    _verify_certificate(I, 1, d, g, l, V, cfg)
+    e, c = l.sorted_terms()[0]
+    bumped = Polynomial(F3, P2, {**l.terms, e: c + F3.one})
+    with pytest.raises(NullkitError, match="does not sum"):
+        _verify_certificate(I, 1, d, g, bumped, V, cfg)
+    shift = I.gens[0] * parse_polynomial("X1^3", P2, F3)
+    with pytest.raises(NullkitError, match="l_1 does not vanish at"):
+        _verify_certificate(I, 1, d, g + shift, l - shift, V, cfg)
+
+
+def test_certify_membership_enumerates_once(monkeypatch):
+    """The colon inside certify_membership reuses the one zero set."""
+    from helpers import count_calls
+    from nullkit import nullstellensatz
+
+    calls = count_calls(monkeypatch, "zero_set", module=nullstellensatz)
+    cfg = NullConfig(F3, F3, P2)
+    I = Ideal.from_strings(F3, P2, ["X0*X1 + X2^2"])
+    f = parse_polynomial("X0*X2 + X1*X2", P2, F3)
+    assert [c.j for c in certify_membership(f, I, cfg)] == [0, 1, 2]
+    assert len(calls) == 1
+
+
+def test_certificate_size_limit():
+    """C(d+n, n) past the limit is refused before anything is built, by
+    make_certificate and certify_membership alike; in P^0 d itself is
+    bounded."""
+    cfg = NullConfig(F3, F3, P2)
+    I = Ideal.from_strings(F3, P2, ["X0^50"])  # d = 101: 5,253 terms
+    assert certificate_degree(I, cfg) == 101
+    I = Ideal.from_strings(F3, P2, ["X0^100"])  # d = 201: 20,503 terms
+    with pytest.raises(SizeOverflow):
+        make_certificate(I, 0, cfg)
+    with pytest.raises(SizeOverflow):
+        certify_membership(parse_polynomial("X0", P2, F3), I, cfg)
+    P0 = ("X0",)
+    big = Ideal.from_strings(F3, P0, [f"X0^{CERTIFICATE_LIMIT}"])
+    with pytest.raises(SizeOverflow):
+        certificate_degree(big, NullConfig(F3, F3, P0))
