@@ -203,7 +203,7 @@ def _anisotropic_forms_of_degree(K, m, d):
 
 def _build_anisotropic_forms(K, m, d):
     monos = _degree_monomials(m + 1, d)
-    add, mul, _, _ = K.encoded_ops()
+    add, mul = K.add, K.mul
 
     def anisotropic(vec):
         for row in rows:
@@ -316,7 +316,7 @@ class _SearchContext:
             spec, vars = args[0].spec, args[0].vars
             total = Polynomial.zero(spec, vars)
             for exps, c in p.terms.items():
-                v = Polynomial.constant(spec, vars, 1).scale(c)
+                v = Polynomial.constant(spec, vars, c)
                 for i, e in enumerate(exps):
                     if e:
                         v = normal_form(v * self._pow_mod(args[i], e),

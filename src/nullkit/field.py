@@ -1,21 +1,22 @@
 """Exact arithmetic in small finite fields GF(p^e).
 
 A field is described by an interned FieldSpec (characteristic, extension
-degree, modulus).  Elements are coefficient vectors over GF(p) in the
-generator t, stored little endian and reduced modulo the modulus.  For
-fields of at most _TABLE_LIMIT elements the spec precomputes full
-operation tables and interns all elements, so coefficient arithmetic
-inside polynomial code is cheap; the tables cost O(q^2), so larger
-fields compute on the coefficient vectors instead.  encoded_ops offers
-the same arithmetic on bare integer encodings, in the shape of the
-tables for every field, which is what point evaluation runs on.
+degree, modulus).  An element is held as its integer encoding
+sum(rep[i] * p**i), rep its coefficient vector over GF(p) in the
+generator t, little endian and reduced modulo the modulus; prime-field
+encodings are the same in every extension.  All arithmetic runs on
+encodings, through the spec's add, mul, neg and inv, read as tables.
+Fields of at most _TABLE_LIMIT elements fill them and intern their
+elements; larger fields read them from stand-ins that compute each entry
+from the same functions.  Polynomial code and point evaluation both run
+on them.
 
 A field literal spells a modulus in the polynomial syntax of
 poly.parse_polynomial, read as a polynomial in the variable t over
 GF(p): GF(3^2; m=t^2+1).
 
-The canonical enumeration order of GF(p^e) is by the integer encoding
-sum(rep[i] * p**i), so GF(4) enumerates as 0, 1, t, t+1.
+The canonical enumeration order of GF(p^e) is by the integer encoding,
+so GF(4) enumerates as 0, 1, t, t+1.
 """
 
 import re
@@ -50,7 +51,7 @@ DEFAULT_MODULI = {
 _MAX_EXT_DEGREE = 8
 
 # Fields at most this large get interned elements and O(q^2) operation
-# tables; GF(251) builds in about 0.2 s, GF(1009) would take 4 s and 80 MB.
+# tables; GF(251) builds in about 0.01 s, GF(1009) would take 80 MB.
 _TABLE_LIMIT = 256
 
 
@@ -181,15 +182,75 @@ def _is_irreducible(m, p):
                     for r in primes))
 
 
+def _digits(a, p, e):
+    """The e coefficients over GF(p) of the encoding a, little endian."""
+    rep = []
+    for _ in range(e):
+        a, c = divmod(a, p)
+        rep.append(c)
+    return rep
+
+
+def _encode(rep, p):
+    """The integer encoding sum(rep[i] * p**i)."""
+    idx = 0
+    for c in reversed(rep):
+        idx = idx * p + c
+    return idx
+
+
+def _arithmetic(p, e, modulus):
+    """(add, mul, neg, inv) of GF(p^e) as functions on integer encodings.
+
+    A prime field works modulo p.  An extension works on the digit
+    vectors modulo the modulus and inverts by raising to the power q - 2.
+    """
+    if e == 1:
+        return (lambda a, b: (a + b) % p, lambda a, b: a * b % p,
+                lambda a: -a % p, lambda a: pow(a, p - 2, p))
+
+    def add(a, b):
+        return _encode([(x + y) % p for x, y in
+                        zip(_digits(a, p, e), _digits(b, p, e))], p)
+
+    def mul(a, b):
+        return _encode(_upoly_mod(_upoly_mul(
+            _digits(a, p, e), _digits(b, p, e), p), modulus, p), p)
+
+    def neg(a):
+        return _encode([-x % p for x in _digits(a, p, e)], p)
+
+    def inv(a):
+        return _encode(
+            _upoly_powmod(_digits(a, p, e), p ** e - 2, modulus, p), p)
+
+    return add, mul, neg, inv
+
+
+def _table(fn, q):
+    """The q x q table of the commutative fn, each pair computed once."""
+    rows = [[0] * q for _ in range(q)]
+    for a in range(q):
+        row = rows[a]
+        for b in range(a, q):
+            row[b] = rows[b][a] = fn(a, b)
+    return rows
+
+
 class FieldElement:
-    """One element of a FieldSpec; immutable and hashable."""
+    """One element of a FieldSpec, held as its integer encoding;
+    immutable and hashable."""
 
-    __slots__ = ("spec", "rep", "idx")
+    __slots__ = ("spec", "idx")
 
-    def __init__(self, spec, rep, idx):
+    def __init__(self, spec, idx):
         self.spec = spec
-        self.rep = rep
         self.idx = idx
+
+    @property
+    def rep(self):
+        """Coefficients over GF(p) in the generator t, little endian."""
+        return tuple(_digits(self.idx, self.spec.p, self.spec.e))
 
     def _same(self, other):
         if not isinstance(other, FieldElement):
@@ -213,33 +274,25 @@ class FieldElement:
             return NotImplemented
         self._same(other)
         s = self.spec
-        if s._add is not None:
-            return s.elements[s._add[self.idx][other.idx]]
-        return s._from_rep(s._rep_add(self.rep, other.rep))
+        return s._at[s.add[self.idx][other.idx]]
 
     def __sub__(self, other):
         if not isinstance(other, FieldElement):
             return NotImplemented
         self._same(other)
         s = self.spec
-        if s._add is not None:
-            return s.elements[s._add[self.idx][s._neg[other.idx]]]
-        return s._from_rep(s._rep_add(self.rep, s._rep_neg(other.rep)))
+        return s._at[s.add[self.idx][s.neg[other.idx]]]
 
     def __neg__(self):
         s = self.spec
-        if s._neg is not None:
-            return s.elements[s._neg[self.idx]]
-        return s._from_rep(s._rep_neg(self.rep))
+        return s._at[s.neg[self.idx]]
 
     def __mul__(self, other):
         if not isinstance(other, FieldElement):
             return NotImplemented
         self._same(other)
         s = self.spec
-        if s._mul is not None:
-            return s.elements[s._mul[self.idx][other.idx]]
-        return s._from_rep(s._rep_mul(self.rep, other.rep))
+        return s._at[s.mul[self.idx][other.idx]]
 
     def __truediv__(self, other):
         if not isinstance(other, FieldElement):
@@ -250,26 +303,13 @@ class FieldElement:
         s = self.spec
         if self.idx == 0:
             raise DivisionByZero(f"inverse of 0 in {s}")
-        if s._inv is not None:
-            return s.elements[s._inv[self.idx]]
-        if s.e == 1:
-            return s.element(pow(self.idx, s.p - 2, s.p))
-        return self ** (s.q - 2)
+        return s._at[s.inv[self.idx]]
 
     def __pow__(self, k):
         if not isinstance(k, int):
             raise TypeError("exponent must be an integer")
-        base = self
-        if k < 0:
-            base = self.inv()
-            k = -k
-        out = self.spec.one
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        base = self.inv() if k < 0 else self
+        return self.spec._at[self.spec.encoded_pow(base.idx, abs(k))]
 
     def __str__(self):
         if self.spec.e == 1:
@@ -281,8 +321,8 @@ class FieldElement:
 
 
 class _Computed:
-    """Stand-in for an operation table of an untabled field: entry [a]
-    is fn(a), computed when read."""
+    """Stand-in for a table of an untabled field: entry [a] is fn(a),
+    computed when read."""
 
     __slots__ = ("fn",)
 
@@ -294,82 +334,40 @@ class _Computed:
 
 
 class FieldSpec:
-    """Description of GF(p^e); construct through make_field only."""
+    """Description of GF(p^e); construct through make_field only.
+
+    add, mul, neg and inv are the operation tables on integer encodings,
+    read as add[a][b], mul[a][b], neg[a] and inv[a] (inv[0] is
+    undefined).  Fields of at most _TABLE_LIMIT elements fill them, and
+    intern their elements in elements; larger fields get stand-ins of
+    the same shape whose entries are computed when read, and elements is
+    None.  Both come from the same functions of _arithmetic.  _at[a] is
+    the element of encoding a.
+    """
 
     __slots__ = ("p", "e", "q", "modulus", "elements",
-                 "_add", "_mul", "_neg", "_inv", "_ops")
+                 "add", "mul", "neg", "inv", "_at")
 
     def __init__(self, p, e, modulus):
         self.p = p
         self.e = e
         self.q = p ** e
         self.modulus = modulus
-        self._ops = None
+        add, mul, neg, inv = _arithmetic(p, e, modulus)
         if self.q <= _TABLE_LIMIT:
-            self._build_tables()
+            r = range(self.q)
+            self.add, self.mul = _table(add, self.q), _table(mul, self.q)
+            self.neg = [neg(a) for a in r]
+            self.inv = [None] + [inv(a) for a in r[1:]]
+            self.elements = tuple(FieldElement(self, a) for a in r)
+            self._at = self.elements
         else:
+            self.add = _Computed(lambda a: _Computed(lambda b: add(a, b)))
+            self.mul = _Computed(lambda a: _Computed(lambda b: mul(a, b)))
+            self.neg = _Computed(neg)
+            self.inv = _Computed(inv)
             self.elements = None
-            self._add = self._mul = self._neg = self._inv = None
-
-    # Representation helpers used on the untabled path.
-
-    def _rep_add(self, a, b):
-        return tuple((x + y) % self.p for x, y in zip(a, b))
-
-    def _rep_neg(self, a):
-        return tuple((-x) % self.p for x in a)
-
-    def _rep_mul(self, a, b):
-        prod = _upoly_mul(list(a), list(b), self.p)
-        if self.e > 1:
-            prod = _upoly_mod(prod, list(self.modulus), self.p)
-        prod = prod + [0] * (self.e - len(prod))
-        return tuple(prod)
-
-    def _rep_to_idx(self, rep):
-        idx = 0
-        for c in reversed(rep):
-            idx = idx * self.p + c
-        return idx
-
-    def _idx_to_rep(self, idx):
-        rep = []
-        for _ in range(self.e):
-            rep.append(idx % self.p)
-            idx //= self.p
-        return tuple(rep)
-
-    def _from_rep(self, rep):
-        idx = self._rep_to_idx(rep)
-        if self.elements is not None:
-            return self.elements[idx]
-        return FieldElement(self, rep, idx)
-
-    def encoded_ops(self):
-        """Tables (add, mul, neg, inv) on integer encodings, read as
-        add[a][b], mul[a][b], neg[a] and inv[a] (inv[0] is undefined).
-
-        Tabled fields return their operation tables.  Larger fields
-        return stand-ins of the same shape whose entries are computed
-        when read: modulo p in a prime field, through the untabled
-        element arithmetic otherwise.
-        """
-        if self._add is not None:
-            return self._add, self._mul, self._neg, self._inv
-        if self._ops is None:
-            p, E = self.p, self.element
-            if self.e == 1:
-                ops = (lambda a, b: (a + b) % p, lambda a, b: a * b % p,
-                       lambda a: -a % p, lambda a: pow(a, p - 2, p))
-            else:
-                ops = (lambda a, b: (E(a) + E(b)).idx,
-                       lambda a, b: (E(a) * E(b)).idx,
-                       lambda a: (-E(a)).idx, lambda a: E(a).inv().idx)
-            add, mul, neg, inv = ops
-            self._ops = (_Computed(lambda a: _Computed(lambda b: add(a, b))),
-                         _Computed(lambda a: _Computed(lambda b: mul(a, b))),
-                         _Computed(neg), _Computed(inv))
-        return self._ops
+            self._at = _Computed(lambda a: FieldElement(self, a))
 
     def encoded_pow(self, a, k):
         """Encoding of a^k for an encoding a and an integer k >= 0."""
@@ -378,7 +376,7 @@ class FieldSpec:
         if a == 0:
             return 0
         k = (k - 1) % (self.q - 1) + 1  # the unit group has order q - 1
-        mul = self.encoded_ops()[1]
+        mul = self.mul
         out = 1
         while k:
             if k & 1:
@@ -387,31 +385,13 @@ class FieldSpec:
             k >>= 1
         return out
 
-    def _build_tables(self):
-        q = self.q
-        elems = tuple(FieldElement(self, self._idx_to_rep(i), i)
-                      for i in range(q))
-        self.elements = elems
-        self._neg = [self._rep_to_idx(self._rep_neg(x.rep)) for x in elems]
-        self._add = [[self._rep_to_idx(self._rep_add(x.rep, y.rep))
-                      for y in elems] for x in elems]
-        self._mul = [[self._rep_to_idx(self._rep_mul(x.rep, y.rep))
-                      for y in elems] for x in elems]
-        inv = [None] * q
-        for i in range(1, q):
-            for j in range(1, q):
-                if self._mul[i][j] == 1:
-                    inv[i] = j
-                    break
-        self._inv = inv
-
     @property
     def zero(self):
-        return self.element(0)
+        return self._at[0]
 
     @property
     def one(self):
-        return self.element(1)
+        return self._at[1]
 
     def element(self, value):
         """Element from an integer encoding or a coefficient sequence."""
@@ -423,14 +403,11 @@ class FieldSpec:
             idx = value % self.q if self.e == 1 else value
             if not 0 <= idx < self.q:
                 raise ValueError(f"encoding {value} out of range for {self}")
-            if self.elements is not None:
-                return self.elements[idx]
-            return FieldElement(self, self._idx_to_rep(idx), idx)
+            return self._at[idx]
         rep = [c % self.p for c in value]
         if len(rep) > self.e:
-            rep = _upoly_mod(rep, list(self.modulus), self.p)
-        rep = tuple(rep + [0] * (self.e - len(rep)))
-        return self._from_rep(rep)
+            rep = _upoly_mod(rep, self.modulus, self.p)
+        return self._at[_encode(rep, self.p)]
 
     def __str__(self):
         return f"GF({self.p})" if self.e == 1 else f"GF({self.p}^{self.e})"
@@ -516,7 +493,7 @@ def embed(a, target):
         return a
     if not is_subfield(a.spec, target):
         raise FieldMismatch(f"no embedding of {a.spec} into {target}")
-    return target.element((a.idx,) + (0,) * (target.e - 1))
+    return target.element(a.idx)
 
 
 def in_subfield_image(a, small):
@@ -525,7 +502,7 @@ def in_subfield_image(a, small):
         return True
     if not is_subfield(small, a.spec):
         raise FieldMismatch(f"{small} is not a subfield of {a.spec}")
-    return all(c == 0 for c in a.rep[1:]) and a.rep[0] < small.p
+    return a.idx < small.p
 
 
 def common_spec(s1, s2):

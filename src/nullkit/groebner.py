@@ -101,18 +101,11 @@ def _reduce_full(terms, leads, order, spec, vars):
     return Polynomial(spec, vars, done)
 
 
-def normal_form(f, basis, order=None):
-    """Deterministic remainder of f modulo a basis."""
-    if isinstance(basis, GroebnerBasis):
-        order = basis.order if order is None else order
-        leads = basis.leads()
-    else:
-        order = DEGREVLEX if order is None else order
-        gens = [g for g in basis if not g.is_zero]
-        leads = [(g.leading(order)[0], g) for g in gens]
+def normal_form(f, basis):
+    """Deterministic remainder of f modulo a GroebnerBasis."""
     if f.is_zero:
         return f
-    return _reduce_full(f.terms, leads, order, f.spec, f.vars)
+    return _reduce_full(f.terms, basis.leads(), basis.order, f.spec, f.vars)
 
 
 def s_polynomial(f, g, order):

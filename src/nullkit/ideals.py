@@ -127,12 +127,7 @@ def ideal_intersect(I, J):
     one = Polynomial.constant(I.spec, tvars, 1)
     gens = [tpoly * insert_variable(g, 0, t) for g in I.gens if g]
     gens += [(one - tpoly) * insert_variable(g, 0, t) for g in J.gens if g]
-    basis = buchberger(gens, block_order(1))
-    kept = [drop_variable(g, 0) for g in basis if not any(
-        e[0] for e in g.terms)]
-    # A reduced block-order basis restricts to a reduced degrevlex basis
-    # of the elimination ideal, so the cache can be seeded directly.
-    return _from_basis(I.spec, I.vars, GroebnerBasis(DEGREVLEX, kept))
+    return eliminate(Ideal(I.spec, tvars, gens), 1)
 
 
 def eliminate(I, k):
@@ -142,6 +137,8 @@ def eliminate(I, k):
     if not 0 < k < len(I.vars):
         raise ValueError(f"cannot eliminate {k} of {len(I.vars)} variables")
     basis = I.gb(block_order(k))
+    # A reduced block-order basis restricts to a reduced degrevlex basis
+    # of the elimination ideal, so the cache can be seeded directly.
     kept = []
     for g in basis:
         if any(any(e[:k]) for e in g.terms):

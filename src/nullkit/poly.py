@@ -103,7 +103,7 @@ class Polynomial:
     @classmethod
     def constant(cls, spec, vars, value):
         c = value if isinstance(value, FieldElement) else spec.element(
-            (value % spec.p,))
+            value % spec.p)
         n = len(vars)
         return cls(spec, vars, {(0,) * n: c})
 
@@ -194,7 +194,7 @@ class Polynomial:
 
     def scale(self, c):
         if not isinstance(c, FieldElement):
-            c = self.spec.element((c % self.spec.p,))
+            c = self.spec.element(c % self.spec.p)
         if c.spec is not self.spec:
             c = embed(c, self.spec)
         if c.idx == 0:
@@ -380,7 +380,7 @@ def homogenize(f, position=0, name=None):
 def dehomogenize(f, position, value=1):
     """Substitute a constant for one variable and remove it."""
     c = value if isinstance(value, FieldElement) else f.spec.element(
-        (value % f.spec.p,))
+        value % f.spec.p)
     out = {}
     for e, v in f.terms.items():
         w = v * c ** e[position]
@@ -468,7 +468,7 @@ def parse_span(text, start, end, vars, spec):
         """Coefficient of one factor; ring-variable powers go into exps."""
         kind, value, pos = take()
         if kind == "int":
-            return spec.element((value % spec.p,))
+            return spec.element(value % spec.p)
         if (kind, value) == ("op", "("):
             if depth == _MAX_NESTING:
                 raise ParseError("parentheses nested too deeply", pos)

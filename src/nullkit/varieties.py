@@ -6,8 +6,8 @@ variety has exactly one representation.
 
 Points are evaluated on integer encodings.  A PointTable holds one
 column of coordinate encodings per variable and gives a polynomial's
-values at all of its points at once, through the operation tables of
-FieldSpec.encoded_ops, with no FieldElement per point.  Spaces are
+values at all of its points at once, through the spec's operation
+tables add and mul, with no FieldElement per point.  Spaces are
 enumerated straight into such columns, already in sorted order, and
 only the points a zero set keeps become point objects.  Prime-field
 encodings are the same in every extension, so one table serves
@@ -143,7 +143,7 @@ class PointTable:
 
     def monomial(self, exps):
         """Encodings of the monomial's values at the points."""
-        mul = self.spec.encoded_ops()[1]
+        mul = self.spec.mul
         v = None
         for i, e in enumerate(exps):
             if e:
@@ -155,14 +155,14 @@ class PointTable:
         """For each polynomial, the encodings of its values at the
         points, in the smaller field holding both its coefficients and
         the points.  A monomial shared by several is evaluated once."""
-        ops = [common_spec(f.spec, self.spec).encoded_ops() for f in polys]
+        specs = [common_spec(f.spec, self.spec) for f in polys]
         totals = [[0] * self.size for _ in polys]
         for exps in dict.fromkeys(e for f in polys for e in f.terms):
             v = self.monomial(exps)
             for k, f in enumerate(polys):
                 if exps in f.terms:
-                    add, mul = ops[k][:2]
-                    row = mul[f.terms[exps].idx]
+                    add = specs[k].add
+                    row = specs[k].mul[f.terms[exps].idx]
                     totals[k] = [add[t][row[a]] for t, a in zip(totals[k], v)]
         return totals
 
@@ -264,7 +264,8 @@ class _Echelon:
     combination of monomials it is the vector of."""
 
     def __init__(self, spec):
-        self.add, self.mul, self.neg, self.inv = spec.encoded_ops()
+        self.add, self.mul = spec.add, spec.mul
+        self.neg, self.inv = spec.neg, spec.inv
         self.rows = []  # (pivot, vector with 1 at pivot, {monomial: coef})
 
     def insert(self, mono, v):

@@ -34,7 +34,13 @@ from nullkit.field import (
 )
 from nullkit.ideals import Ideal
 
+from helpers import RefField
+
 SMALL = [(2, 1), (3, 1), (5, 1), (2, 2), (2, 3), (3, 2)]
+# Fields above the table limit, with a schoolbook reference for each.
+UNTABLED = [("GF(4099)", RefField(4099)),
+            ("GF(67^2; m=t^2+1)", RefField(67, (1, 0, 1))),
+            ("GF(1009^2; m=t^2+11)", RefField(1009, (11, 0, 1)))]
 
 
 def test_construction_errors():
@@ -124,6 +130,14 @@ def test_element_decode_roundtrip():
         spec = make_field(p, e)
         for a in enumerate_field(spec):
             assert spec.element(a.idx) == a
+            assert spec.element(list(a.rep)) == a
+    rng = random.Random(5)
+    for literal, ref in UNTABLED:
+        spec = parse_field_literal(literal)
+        for idx in [0, 1, spec.p % spec.q, spec.q - 1] + [
+                rng.randrange(spec.q) for _ in range(50)]:
+            a = spec.element(idx)
+            assert list(a.rep) == ref.digits(idx)
             assert spec.element(list(a.rep)) == a
 
 
@@ -324,3 +338,90 @@ def test_untabled_extension_field():
     I = Ideal.from_strings(spec, ("X", "Y"), ["X^2 + (t)*Y", "X*Y - 1"])
     assert [str(g) for g in I.gb()] == [
         "Y^2 + (66*t)*X", "X*Y + (66)", "X^2 + (t)*Y"]
+
+
+# Tabled fields with their moduli spelled out, for the schoolbook reference.
+TABLED_MODULI = [("GF(2)", (0, 1)), ("GF(3)", (0, 1)),
+                 ("GF(4)", (1, 1, 1)), ("GF(8)", (1, 1, 0, 1)),
+                 ("GF(9)", (1, 0, 1)), ("GF(16)", (1, 1, 0, 0, 1)),
+                 ("GF(3^3; m=t^3+2*t+1)", (1, 2, 0, 1)),
+                 ("GF(5^2; m=t^2+2)", (2, 0, 1))]
+
+
+@pytest.mark.parametrize("literal, m", TABLED_MODULI)
+def test_tables_match_schoolbook_reference(literal, m):
+    spec = parse_field_literal(literal)
+    ref = RefField(spec.p, m)
+    assert spec.q == ref.q and len(spec.elements) == ref.q
+    for a in range(ref.q):
+        assert spec.neg[a] == ref.neg(a)
+        assert list(spec.elements[a].rep) == ref.digits(a)
+        if a:
+            assert ref.mul(a, spec.inv[a]) == 1
+        for b in range(ref.q):
+            assert spec.add[a][b] == ref.add(a, b)
+            assert spec.mul[a][b] == ref.mul(a, b)
+
+
+def test_gf251_tables_match_reference_sampled():
+    spec, ref, rng = make_field(251), RefField(251), random.Random(3)
+    for _ in range(2000):
+        a, b = rng.randrange(251), rng.randrange(251)
+        assert spec.add[a][b] == ref.add(a, b)
+        assert spec.mul[a][b] == ref.mul(a, b)
+        assert spec.neg[a] == ref.neg(a)
+        if a:
+            assert spec.inv[a] == ref.inv(a)
+
+
+@pytest.mark.parametrize("literal, ref", UNTABLED)
+def test_untabled_arithmetic_matches_reference(literal, ref):
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    spec = parse_field_literal(literal)
+    assert spec.elements is None
+    E = spec.element
+    assert (spec.zero ** 0).idx == 1
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(0, ref.q - 1), st.integers(0, ref.q - 1),
+           st.one_of(st.integers(0, 8), st.integers(ref.q, 3 * ref.q),
+                     st.integers(-3 * ref.q, -1)))
+    def check(a, b, k):
+        x, y = E(a), E(b)
+        assert (x + y).idx == ref.add(a, b)
+        assert (x - y).idx == ref.add(a, ref.neg(b))
+        assert (-x).idx == ref.neg(a)
+        assert (x * y).idx == ref.mul(a, b)
+        if k >= 0:
+            assert (x ** k).idx == ref.pow(a, k)
+        if b:
+            assert ref.mul(b, y.inv().idx) == 1
+            assert (x / y).idx == ref.mul(a, ref.inv(b))
+            assert (y ** k).idx == (ref.pow(b, k) if k >= 0
+                                    else ref.pow(ref.inv(b), -k))
+        else:
+            with pytest.raises(DivisionByZero):
+                y.inv()
+
+    check()
+
+
+@pytest.mark.parametrize("small, big", [("GF(3)", "GF(9)"),
+                                        ("GF(67)", "GF(67^2; m=t^2+1)")])
+def test_prime_subfield_embedding(small, big):
+    small, big = parse_field_literal(small), parse_field_literal(big)
+    rng = random.Random(9)
+    values = [0, 1, small.p - 1] + [rng.randrange(small.p) for _ in range(20)]
+    for x in values:
+        a = small.element(x)
+        image = embed(a, big)
+        assert image.rep == (x,) + (0,) * (big.e - 1)
+        assert in_subfield_image(image, small)
+        for y in values[:6]:
+            b = small.element(y)
+            assert embed(a + b, big) == image + embed(b, big)
+            assert embed(a * b, big) == image * embed(b, big)
+    others = [big.element(i) for i in range(small.p, big.q, 7)][:200]
+    assert not any(in_subfield_image(c, small) for c in others)
