@@ -20,6 +20,15 @@ trivial zero forces every argument to vanish on the zero set of I, and
 membership only depends on argument residues modulo I, so distinct
 arguments with equal residues share one composition test.
 
+Residues are composed from memos.  The residue of an argument monomial
+prod args[i]^e[i] is built from the one with a single exponent lowered,
+by one product and one normal form, and a composition p(args) is the
+sum of c times the monomial residue over the terms c*y^e of p; normal
+form is linear, so the sum is already reduced.  Both memos depend only
+on the reduced basis of I, so they are kept on the Ideal: every search
+over the same Ideal object (the suite's six, or a caller's repeats)
+shares them, and a freshly built Ideal starts empty.
+
 The fourth family from the same source is stated over an infinite
 product and has no finite candidate enumeration at these bounds, so it
 is not searched.
@@ -265,7 +274,14 @@ def _vector_polys(spec, vars, monos, too_many, monic=False, keep=None):
 
 
 class _SearchContext:
-    """Shared state for one bounded search over one target and ideal."""
+    """Shared state for one bounded search over one target and ideal.
+
+    The residue memos live on the ideal (Ideal._residues), not here:
+    _monomials maps the nonzero (argument, exponent) pairs of an argument
+    monomial to its residue, and _compose maps (p, args) to the residue
+    of p(args).  Both hold pure values, so concurrent searches on one
+    ideal at worst compute an entry twice.
+    """
 
     def __init__(self, f, I, bounds, K):
         if f.spec is not I.spec or f.vars != I.vars:
@@ -293,19 +309,22 @@ class _SearchContext:
             r for r, ok in residues.items() if ok)
         self.forms = {m: enumerate_forms(K, m, bounds.max_deg_p)
                       for m in range(bounds.max_m + 1)}
-        self._pow = {}
-        self._compose = {}
+        self._monomials = I._residues.setdefault("monomials", {})
+        self._compose = I._residues.setdefault("compose", {})
 
-    def _pow_mod(self, a, e):
-        if e == 0:
-            return Polynomial.constant(a.spec, a.vars, 1)
-        if e == 1:
-            return a
-        key = (a, e)
-        out = self._pow.get(key)
+    def _monomial_mod(self, key):
+        """Residue of the product of a^e over the pairs (a, e) of key,
+        from the residue with the last exponent lowered by one."""
+        out = self._monomials.get(key)
         if out is None:
-            out = normal_form(self._pow_mod(a, e - 1) * a, self.basis)
-            self._pow[key] = out
+            if key:
+                a, e = key[-1]
+                rest = key[:-1] + ((a, e - 1),) if e > 1 else key[:-1]
+                out = self._monomial_mod(rest) * a
+            else:
+                out = Polynomial.constant(self.ideal.spec, self.ideal.vars, 1)
+            out = normal_form(out, self.basis)
+            self._monomials[key] = out
         return out
 
     def compose_mod(self, p, args):
@@ -313,16 +332,12 @@ class _SearchContext:
         key = (p, args)
         out = self._compose.get(key)
         if out is None:
-            spec, vars = args[0].spec, args[0].vars
-            total = Polynomial.zero(spec, vars)
+            terms = {}
             for exps, c in p.terms.items():
-                v = Polynomial.constant(spec, vars, c)
-                for i, e in enumerate(exps):
-                    if e:
-                        v = normal_form(v * self._pow_mod(args[i], e),
-                                        self.basis)
-                total = total + v
-            out = total
+                mono = tuple((a, e) for a, e in zip(args, exps) if e)
+                for m, v in self._monomial_mod(mono).terms.items():
+                    terms[m] = terms[m] + c * v if m in terms else c * v
+            out = Polynomial(self.ideal.spec, self.ideal.vars, terms)
             self._compose[key] = out
         return out
 

@@ -406,6 +406,9 @@ class FieldSpec:
             return self._at[idx]
         rep = [c % self.p for c in value]
         if len(rep) > self.e:
+            if self.modulus is None:
+                raise ValueError(f"{self} takes one coefficient, "
+                                 f"got {len(rep)}")
             rep = _upoly_mod(rep, self.modulus, self.p)
         return self._at[_encode(rep, self.p)]
 

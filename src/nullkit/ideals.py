@@ -2,12 +2,14 @@
 
 An Ideal keeps its generator list exactly as given (several results
 depend on the presentation) plus a per-order cache of reduced Groebner
-bases.  Intersection adjoins a fresh scaling variable at position 0 of a
-block order and eliminates it.  Quotient intersects one part per
-divisor: for homogeneous generators and a divisor c*X_j^k the part is
-read off a degrevlex basis with X_j last (Bayer-Stillman 1987;
-Eisenbud, Commutative Algebra, Prop. 15.12), and any other part divides
-the intersection with the principal divisor exactly.
+bases and the witness search's residue memos, which depend only on the
+reduced degrevlex basis and so live as long as the ideal.  Intersection
+adjoins a fresh scaling variable at position 0 of a block order and
+eliminates it.  Quotient intersects one part per divisor: for
+homogeneous generators and a divisor c*X_j^k the part is read off a
+degrevlex basis with X_j last (Bayer-Stillman 1987; Eisenbud,
+Commutative Algebra, Prop. 15.12), and any other part divides the
+intersection with the principal divisor exactly.
 
 Saturation I : J^infinity reports the rounds a loop of quotients by J
 runs until the ideal stops growing: r* + 1, r* the least r with
@@ -37,7 +39,7 @@ from .poly import (
 class Ideal:
     """Finitely generated ideal of spec[vars]."""
 
-    __slots__ = ("spec", "vars", "gens", "_gb")
+    __slots__ = ("spec", "vars", "gens", "_gb", "_residues")
 
     def __init__(self, spec, vars, gens):
         self.spec = spec
@@ -50,6 +52,8 @@ class Ideal:
                     f"{spec}[{','.join(self.vars)}]")
         self.gens = gens
         self._gb = {}
+        # conjectures._SearchContext keeps its memos here, by name
+        self._residues = {}
 
     @classmethod
     def from_strings(cls, spec, vars, texts):

@@ -1,7 +1,10 @@
-"""Shared test helpers: a call counter, the reference point fold and a
-schoolbook reference for finite-field arithmetic."""
+"""Shared test helpers: a call counter, random polynomials, the
+reference point fold and a schoolbook reference for finite-field
+arithmetic."""
 
+from nullkit.field import enumerate_field
 from nullkit.ideals import ideal_intersect
+from nullkit.poly import Polynomial
 from nullkit.varieties import point_ideal
 
 
@@ -20,6 +23,19 @@ def count_calls(monkeypatch, name, module=None):
 
     monkeypatch.setattr(module, name, counting)
     return calls
+
+
+def random_poly(rng, spec, vars, deg, n_terms, homogeneous=True):
+    """n_terms random terms of degree deg (at most deg when not
+    homogeneous); equal monomials merge and zero coefficients drop."""
+    elements = enumerate_field(spec)
+    terms = {}
+    for _ in range(n_terms):
+        exps = [0] * len(vars)
+        for _ in range(deg if homogeneous else rng.randint(0, deg)):
+            exps[rng.randrange(len(vars))] += 1
+        terms[tuple(exps)] = rng.choice(elements)
+    return Polynomial(spec, vars, terms)
 
 
 def fold_vanishing_ideal(V, spec=None, vars=None):

@@ -6,17 +6,20 @@ the argument count), so a silent change in enumeration order or pool
 construction shows up as a count mismatch before anything subtler.
 """
 
+import random
 import sys
 import threading
 
 import pytest
 
+from nullkit import conjectures
 from nullkit.conjectures import (
     FAMILIES,
     Exhausted,
     RWitness,
     SearchBounds,
     SuiteFailure,
+    _SearchContext,
     argument_pool,
     as_r2,
     as_r3,
@@ -28,9 +31,12 @@ from nullkit.conjectures import (
     verify_kradical_witness,
 )
 from nullkit.field import make_field
+from nullkit.groebner import normal_form
 from nullkit.ideals import Ideal, radical_membership
 from nullkit.poly import parse_polynomial
 from nullkit.varieties import AFFINE, zero_set
+
+from helpers import count_calls, random_poly
 
 F2 = make_field(2)
 VARS = ("X1", "X2")
@@ -282,8 +288,6 @@ class TestNonRadicalInstances:
 
 def test_form_cache_is_thread_safe(monkeypatch):
     """Concurrent first requests for one (K, m, d) all get one tuple."""
-    from nullkit import conjectures
-
     monkeypatch.setattr(conjectures, "_FORM_CACHE", {})
     K = make_field(3)
     results = []
@@ -304,3 +308,129 @@ def test_form_cache_is_thread_safe(monkeypatch):
     assert not any(th.is_alive() for th in threads)
     assert len(results) == 8
     assert all(r is results[0] for r in results)
+
+
+def test_compose_mod_is_the_normal_form_of_the_composition():
+    """Second route: compose_mod(p, args) equals the normal form of the
+    expanded p(args), for forms p and vanishing argument residues over
+    random homogeneous ideals.  Each ideal serves every example drawn
+    for it, so later calls read entries that earlier ones memoized."""
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    rng = random.Random(10)
+    cases = []
+    for spec, max_m in ((F2, 2), (make_field(3), 1), (make_field(2, 2), 1)):
+        for _ in range(3):
+            gens = [random_poly(rng, spec, VARS, rng.randint(1, 2),
+                                rng.randint(1, 3)) ** 2,
+                    random_poly(rng, spec, VARS, rng.randint(1, 3),
+                                rng.randint(1, 3))]
+            cases.append((Ideal(spec, VARS, gens),
+                          SearchBounds(max_m=max_m, max_deg_p=3,
+                                       max_deg_args=1)))
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.sampled_from(cases), st.data())
+    def check(case, data):
+        I, bounds = case
+        ctx = _SearchContext(I.gens[0], I, bounds, I.spec)
+        m = data.draw(st.integers(0, bounds.max_m))
+        p = data.draw(st.sampled_from(ctx.forms[m]))
+        args = tuple(data.draw(st.sampled_from(ctx.vanishing_residues))
+                     for _ in range(m + 1))
+        expected = normal_form(p.compose(list(args)), I.gb())
+        assert ctx.compose_mod(p, args) == expected
+        # a second context on the same ideal reads the memo
+        again = _SearchContext(I.gens[0], I, bounds, I.spec)
+        assert again.compose_mod(p, args) == expected
+
+    check()
+    assert any(len(_SearchContext(I.gens[0], I, b, I.spec)
+                   .vanishing_residues) > 2 for I, b in cases)
+
+
+def _count_compose_normal_forms(monkeypatch):
+    """Record every normal form of the search, and the normal forms
+    each compose_mod call computes."""
+    calls = count_calls(monkeypatch, "normal_form", conjectures)
+    inside = []
+    real = _SearchContext.compose_mod
+
+    def counting(self, p, args):
+        before = len(calls)
+        out = real(self, p, args)
+        inside.append(len(calls) - before)
+        return out
+
+    monkeypatch.setattr(_SearchContext, "compose_mod", counting)
+    return calls, inside
+
+
+def test_suite_fills_its_own_residue_memo(monkeypatch):
+    """One suite makes 535 normal forms: 390 to set up its six searches
+    (64 pool residues and the target's, each) and 145 to fill the
+    residue memos.  A second suite builds its ideal afresh and makes
+    the same number again, so nothing is cached across calls."""
+    calls, inside = _count_compose_normal_forms(monkeypatch)
+    for _ in range(2):
+        before, before_inside = len(calls), sum(inside)
+        assert counterexample_suite().ok
+        assert len(calls) - before == 535
+        assert sum(inside) - before_inside == 145
+
+
+def test_family_searches_share_the_residue_memo(monkeypatch):
+    """r3 asks for the compositions r2 already memoized on the same
+    ideal, and r1 for a subset: neither computes a new normal form in
+    compose_mod.  A fresh ideal starts empty."""
+    calls, inside = _count_compose_normal_forms(monkeypatch)
+    f = poly("X2^2 - X2")
+    I = ideal(["X1"])
+    assert search_witness(f, I, "r2").candidates == 8855056
+    filled, asked = sum(inside), len(inside)
+    assert filled > 0
+    assert search_witness(f, I, "r3").candidates == 9936852
+    assert search_witness(f, I, "r1").candidates == 3245388
+    assert sum(inside) == filled
+    assert len(inside) > asked
+    assert search_witness(f, ideal(["X1"]), "r3").candidates == 9936852
+    assert sum(inside) == 2 * filled
+
+
+def test_threads_share_one_ideal():
+    """r1, r2 and r3 run at once on one Ideal give the sequential
+    results: the memos hold pure values, so a race only recomputes."""
+    targets = [poly("X2^2 - X2"), poly("X1")]
+
+    def results(I, family):
+        out = []
+        for f in targets:
+            w = search_witness(f, I, family)
+            out.append((w.family, w.candidates) if isinstance(w, Exhausted)
+                       else w.describe())
+        return out
+
+    expected = {family: results(ideal(["X1"]), family)
+                for family in FAMILIES}
+    shared = ideal(["X1"])
+    got = {}
+
+    def run(family):
+        got[family] = results(shared, family)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(family,))
+                   for family in FAMILIES]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    assert got == expected
+    assert [got[family][0][1] for family in FAMILIES] == \
+        [3245388, 8855056, 9936852]

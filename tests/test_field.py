@@ -141,6 +141,16 @@ def test_element_decode_roundtrip():
             assert spec.element(list(a.rep)) == a
 
 
+def test_coefficient_sequences_fit_the_field():
+    """Over GF(p) a coefficient sequence holds one coefficient; over an
+    extension a longer one is reduced modulo the modulus."""
+    with pytest.raises(ValueError, match=r"GF\(3\) takes one coefficient"):
+        make_field(3).element([1, 1])
+    assert make_field(3).element([5]).idx == 2
+    # t^2 = -1 = 2 in GF(9) = GF(3)[t]/(t^2 + 1)
+    assert make_field(3, 2).element([0, 0, 1]).idx == 2
+
+
 def test_subfield_relations():
     f2, f4, f3 = make_field(2), make_field(2, 2), make_field(3)
     assert is_subfield(f2, f4) and not is_subfield(f4, f2)

@@ -21,7 +21,7 @@ from nullkit.ideals import (
 )
 from nullkit.poly import Polynomial, parse_polynomial
 
-from helpers import count_calls
+from helpers import count_calls, random_poly
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -236,17 +236,6 @@ def reference_saturate(I, J):
         if nxt.equals(prev):
             return nxt.gb().gens, rounds
         prev = nxt
-
-
-def random_poly(rng, spec, vars, deg, n_terms, homogeneous=True):
-    elements = enumerate_field(spec)
-    terms = {}
-    for _ in range(n_terms):
-        exps = [0] * len(vars)
-        for _ in range(deg if homogeneous else rng.randint(0, deg)):
-            exps[rng.randrange(len(vars))] += 1
-        terms[tuple(exps)] = rng.choice(elements)
-    return Polynomial(spec, vars, terms)
 
 
 def test_quotient_by_variable_power_matches_reference():

@@ -61,6 +61,48 @@ def test_ring_axioms_exhaustive_deg1_gf2():
                 assert f * (g + h) == f * g + f * h
 
 
+# GF(4099) is above the table limit, so its coefficients are computed.
+RING_FIELDS = [F2, make_field(3, 2), make_field(4099)]
+
+
+def test_ring_axioms_on_random_polynomials():
+    """Associativity, commutativity, distributivity, additive inverses
+    and __pow__ against repeated multiplication, on random polynomials
+    in three variables over GF(2), GF(9) and GF(4099)."""
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    vars = ("X", "Y", "Z")
+
+    def polys(spec):
+        terms = st.dictionaries(st.tuples(*[st.integers(0, 3)] * 3),
+                                st.integers(0, spec.q - 1), max_size=5)
+        return terms.map(lambda t: Polynomial(spec, vars, {
+            e: spec.element(c) for e, c in t.items()}))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.sampled_from(RING_FIELDS).flatmap(
+               lambda spec: st.tuples(polys(spec), polys(spec), polys(spec))),
+           st.integers(0, 6))
+    def check(abc, k):
+        a, b, c = abc
+        zero = Polynomial.zero(a.spec, vars)
+        one = Polynomial.constant(a.spec, vars, 1)
+        assert (a + b) + c == a + (b + c)
+        assert (a * b) * c == a * (b * c)
+        assert a + b == b + a and a * b == b * a
+        assert a * (b + c) == a * b + a * c
+        assert (a + b) * c == a * c + b * c
+        assert a + zero == a and a * one == a and a * zero == zero
+        assert a + (-a) == zero and a - b == a + (-b) and -(-a) == a
+        power = one
+        for _ in range(k):
+            power = power * a
+        assert a ** k == power
+
+    check()
+
+
 def test_product_degrees():
     for f in all_polys(F3, ("X",), 2):
         for g in all_polys(F3, ("X",), 2):
