@@ -41,6 +41,7 @@ from .errors import (
     EmptyVariety,
     NullkitError,
     ParseError,
+    RingMismatch,
     SuiteFailure,
 )
 from .field import parse_field_literal
@@ -473,8 +474,9 @@ def _cmd_search(args, rep):
         return 0, None
     bounds = parse_bounds(args.bounds) if args.bounds else SearchBounds()
     f = parse_polynomial(args.target, problem.cfg.vars, problem.ideal.spec)
-    out, wall = _timed(search_witness, f, problem.ideal, args.family,
-                       bounds, problem.cfg.K_spec)
+    if problem.cfg.k_spec is not problem.cfg.K_spec:
+        raise RingMismatch("searches run with coefficients in the point field")
+    out, wall = _timed(search_witness, f, problem.ideal, args.family, bounds)
     if isinstance(out, Exhausted):
         rep.line("result: exhausted")
         rep.line(f"candidates: {out.candidates}")
@@ -525,12 +527,10 @@ def build_parser():
                     version=f"nullkit {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, with_input=True):
-        if with_input:
-            p.add_argument("--input", required=True,
-                           help="problem file (.null)")
-            p.add_argument("--emit-normalized", action="store_true",
-                           help="reprint the parsed problem and exit")
+    def common(p):
+        p.add_argument("--input", required=True, help="problem file (.null)")
+        p.add_argument("--emit-normalized", action="store_true",
+                       help="reprint the parsed problem and exit")
         p.add_argument("--json", action="store_true",
                        help="machine-readable report")
 

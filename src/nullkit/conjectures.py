@@ -48,19 +48,12 @@ from .field import enumerate_field, is_subfield, make_field, prime_power
 from .groebner import normal_form
 from .ideals import (
     Ideal,
-    ideal_quotient,
     ideal_sum,
     is_homogeneous_ideal,
     radical_membership,
     reduced,
 )
-from .nullstellensatz import (
-    NullConfig,
-    affine_vanishing,
-    degree_bound,
-    gamma_q_star,
-    power_ideal,
-)
+from .nullstellensatz import NullConfig, affine_vanishing, gamma_q_star
 from .poly import DEGREVLEX, Polynomial, parse_polynomial
 from .varieties import (
     AFFINE,
@@ -283,13 +276,13 @@ class _SearchContext:
     ideal at worst compute an entry twice.
     """
 
-    def __init__(self, f, I, bounds, K):
+    def __init__(self, f, I, bounds):
         if f.spec is not I.spec or f.vars != I.vars:
             raise RingMismatch("target and ideal live in different rings")
         self.f = f
         self.ideal = I
         self.bounds = bounds
-        self.K = K
+        K = I.spec
         self.basis = I.gb()
         zeros = zero_set(I, K, AFFINE)
         self.zero_pts = PointTable.of_points(K, zeros.points, zeros.n)
@@ -372,7 +365,7 @@ def _structures(ctx, family):
                     yield RWitness("r3", chain, bps, (), f, I)
 
 
-def search_witness(f, I, family, bounds=None, K=None):
+def search_witness(f, I, family, bounds=None):
     """First verified witness in canonical order, or Exhausted.
 
     The candidate count in an Exhausted result is exact over the full
@@ -384,10 +377,7 @@ def search_witness(f, I, family, bounds=None, K=None):
     if family not in FAMILIES:
         raise ValueError(f"family must be one of {FAMILIES}")
     bounds = bounds or SearchBounds()
-    K = K or I.spec
-    if K is not I.spec:
-        raise RingMismatch("searches run with coefficients in the point field")
-    ctx = _SearchContext(f, I, bounds, K)
+    ctx = _SearchContext(f, I, bounds)
     count = 0
     for w in _structures(ctx, family):
         forms, breakpoints = w.chain()
@@ -480,7 +470,7 @@ class SuiteReport:
         return "\n".join(lines)
 
 
-def counterexample_suite(K=None, bounds=None, ideal_override=None,
+def counterexample_suite(bounds=None, ideal_override=None,
                          raise_on_failure=True):
     """Checked walk through the standing counterexample over GF(2).
 
@@ -491,7 +481,7 @@ def counterexample_suite(K=None, bounds=None, ideal_override=None,
     member X1.  Searches admitting zero candidates are flagged vacuous
     and fail the suite rather than passing silently.
     """
-    K = K or make_field(2)
+    K = make_field(2)
     bounds = bounds or SearchBounds()
     vars = ("X1", "X2")
     I = ideal_override if ideal_override is not None else Ideal.from_strings(
@@ -528,7 +518,7 @@ def counterexample_suite(K=None, bounds=None, ideal_override=None,
 
     for family in FAMILIES:
         try:
-            out = search_witness(f, I, family, bounds, K)
+            out = search_witness(f, I, family, bounds)
         except Exception as exc:  # noqa: BLE001
             report.add(f"{family} search exhausts for f", False, str(exc),
                        group="exhaustion")
@@ -549,7 +539,7 @@ def counterexample_suite(K=None, bounds=None, ideal_override=None,
 
     for family in FAMILIES:
         try:
-            out = search_witness(easy, I, family, bounds, K)
+            out = search_witness(easy, I, family, bounds)
         except Exception as exc:  # noqa: BLE001
             report.add(f"{family} finds the easy member", False, str(exc),
                        group="controls")
@@ -588,9 +578,11 @@ def find_nonradical_instance(q, n, max_gen_degree):
 
     Enumerates homogeneous ideals with at most two monic generators of
     degree <= max_gen_degree in n+1 variables, skips empty zero sets,
-    and returns the first instance where the colon result strictly
-    exceeds I + Gamma_q^*, together with a verified witness member of
-    the radical that is not in the ideal itself.
+    and returns the first instance where I(V) strictly exceeds
+    I + Gamma_q^*, together with a verified witness member of the
+    radical that is not in the ideal itself.  I(V), which the colon
+    result equals, is interpolated from the zero set V the emptiness
+    test has already enumerated (varieties.oracle_vanishing_ideal).
     """
     pe = prime_power(q)
     if pe is None:
@@ -609,15 +601,15 @@ def find_nonradical_instance(q, n, max_gen_degree):
     gamma = gamma_q_star(cfg)
     for gens in candidates:
         I = Ideal(spec, vars, gens)
-        if not zero_set(I, spec, PROJECTIVE).points:
+        V = zero_set(I, spec, PROJECTIVE)
+        if not V.points:
             continue
         J = ideal_sum(I, gamma)
-        d = degree_bound(I, spec.q)
-        colon = reduced(ideal_quotient(J, power_ideal(spec, vars, d)))
-        if colon.equals(J):
+        vanishing = oracle_vanishing_ideal(V, spec=spec, vars=vars)
+        if vanishing.equals(J):
             continue
         jbasis = J.gb()
-        witness = next(g for g in colon.gens
+        witness = next(g for g in vanishing.gens
                        if not normal_form(g, jbasis).is_zero)
         if not radical_membership(witness, J) or J.contains(witness):
             continue

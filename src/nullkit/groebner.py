@@ -117,11 +117,6 @@ def s_polynomial(f, g, order):
     return mf * f - mg * g
 
 
-def _monic(f, order):
-    lc = f.leading(order)[1]
-    return f if lc.idx == 1 else f.scale(lc.inv())
-
-
 def buchberger(gens, order=DEGREVLEX):
     """Reduced monic Groebner basis of the ideal the generators span."""
     gens = [g for g in gens if not g.is_zero]
@@ -160,9 +155,11 @@ def buchberger(gens, order=DEGREVLEX):
         if g.total_degree() > MAX_DEGREE:
             raise DegreeOverflow(
                 f"intermediate degree {g.total_degree()} exceeds {MAX_DEGREE}")
-        g = _monic(g, order)
+        lm, lc = g.leading(order)
+        if lc.idx != 1:
+            g = g.scale(lc.inv())
         G.append(g)
-        leads.append((g.leading(order)[0], g))
+        leads.append((lm, g))
         if len(G) > MAX_BASIS:
             raise DegreeOverflow(f"basis exceeds {MAX_BASIS} elements")
         push_pairs(len(G) - 1)
@@ -195,14 +192,11 @@ def buchberger(gens, order=DEGREVLEX):
         if not any(mono_divides(lm2, lm) for lm2, _ in minimal):
             minimal.append((lm, g))
 
-    # Interreduce tails against the current state of the others.
-    polys = [g for _, g in minimal]
-    for i in range(len(polys)):
-        others = [(p.leading(order)[0], p)
-                  for k, p in enumerate(polys) if k != i]
-        polys[i] = _monic(
-            _reduce_full(polys[i].terms, others, order, spec, vars), order)
-    polys.sort(key=lambda p: key(p.leading(order)[0]))
+    # Interreduce each member against the others.  No other lead divides
+    # its own, so its monic leading term survives and the order holds.
+    polys = [_reduce_full(g.terms, minimal[:i] + minimal[i + 1:], order,
+                          spec, vars)
+             for i, (_, g) in enumerate(minimal)]
     return GroebnerBasis(order, polys)
 
 

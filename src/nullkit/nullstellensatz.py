@@ -18,10 +18,13 @@ Certificates make the colon result constructive: for each j the pair
 g_j, l_j splits X_j^d into a part inside I and a part vanishing off the
 zero set, and for a member f the products give an explicit identity
 X_j^d * f = g_j * f + l_j * f with g_j * f in I and l_j * f in
-Gamma_q^*.  A certificate of degree d has up to C(d+n, n) terms, so
-inputs whose bound passes CERTIFICATE_LIMIT are refused before any is
-built; its check evaluates the expanded g_j and l_j at every point of
-P^n through the point tables of varieties.
+Gamma_q^*.  Whether f is a member at all is read off the zero set by
+evaluating f at its points, so certifying a member runs no colon; a
+refused f gets the colon result in its error message.  A certificate
+of degree d has up to C(d+n, n) terms, so inputs whose bound passes
+CERTIFICATE_LIMIT are refused before any is built; its check evaluates
+the expanded g_j and l_j at every point of P^n through the point tables
+of varieties.
 """
 
 import math
@@ -42,19 +45,12 @@ from .errors import (
     ZeroGeneratorCount,
 )
 from .field import in_subfield_image, is_subfield
-from .ideals import (
-    Ideal,
-    ideal_quotient,
-    ideal_saturate,
-    ideal_sum,
-    is_homogeneous_ideal,
-    reduced,
-)
+from .ideals import Ideal, ideal_quotient, ideal_saturate, ideal_sum, reduced
 from .groebner import normal_form
 from .poly import Polynomial
 from .varieties import (
-    AFFINE,
     PROJECTIVE,
+    PointTable,
     ProjectivePoint,
     oracle_vanishing_ideal,
     space_table,
@@ -217,11 +213,7 @@ def projective_vanishing(I, cfg, method="colon"):
     _check_homogeneous_gens(I)
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
-    return _vanishing(I, cfg, method, _nonempty_zero_set(I, cfg))
-
-
-def _vanishing(I, cfg, method, V):
-    """projective_vanishing on checked input with its zero set V."""
+    V = _nonempty_zero_set(I, cfg)
     start = time.perf_counter()
     d = None
     if method == "colon":
@@ -337,8 +329,11 @@ def _verify_certificate(I, j, d, g, l, V, cfg):
 def certify_membership(f, I, cfg):
     """Explicit identities placing f in the colon result, one per index.
 
-    Accepts the degenerate zero ideal, where every g side collapses to
-    zero and the l side carries everything.
+    Membership in I(V) is decided by evaluating f on the zero set V,
+    which the colon result equals; the certificates then prove the colon
+    membership.  Only a refused f pays for the colon, which the error
+    message prints.  Accepts the degenerate zero ideal, where every g
+    side collapses to zero and the l side carries everything.
     """
     _check_ring(I, cfg)
     _check_coefficients(I, cfg)
@@ -351,11 +346,11 @@ def certify_membership(f, I, cfg):
         raise ZeroGeneratorCount("stored generators must be nonzero")
     d = certificate_degree(I, cfg)
     V = _nonempty_zero_set(I, cfg)
-    vanishing, _ = _vanishing(I, cfg, "colon", V)
-    if not vanishing.contains(f):
+    table = PointTable.of_points(cfg.K_spec, V.points, len(cfg.vars))
+    if any(table.evaluate(f)[0]):
+        vanishing, _ = projective_vanishing(I, cfg, "colon")
         raise NotInVanishingIdeal(f"{f} is not in {vanishing}")
-    gamma_star_basis = ideal_sum(
-        Ideal(cfg.k_spec, cfg.vars, ()), gamma_q_star(cfg)).gb()
+    gamma_star_basis = gamma_q_star(cfg).gb()
     certs = []
     for j in range(len(cfg.vars)):
         g, l = _certificate_parts(I, j, d, cfg)

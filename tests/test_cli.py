@@ -201,6 +201,18 @@ class TestCommands:
         assert code == 2
         assert "error: X2 is not in <X1>" in err
 
+    def test_certify_rejects_tower_nonmember(self, tmp_path, capsys):
+        """Points in GF(4) outside the GF(2) coefficients: the refusal
+        prints the colon result, which the oracle cannot interpolate."""
+        path = write_problem(
+            tmp_path, "coeffs GF(2)\npoints GF(4)\nvars X0 X1 X2\n"
+                      "ideal:\nX0*X1 + X2^2\n")
+        code, out, err = run("certify", "--input", path, "--poly", "X1",
+                             capsys=capsys)
+        assert code == 2 and out == ""
+        assert err == ("error: X1 is not in <X0*X1 + X2^2, "
+                       "X1^2*X2 + X0*X2^2, X0^2*X2 + X1*X2^2>\n")
+
     def test_certify_rejects_index_out_of_range(self, capsys):
         for j in ("7", "-1"):
             code, out, err = run("certify", "--input",
@@ -375,6 +387,15 @@ class TestSearchCommand:
                              "--n", "2", "--maxdeg", "2", capsys=capsys)
         assert code == 0
         assert out == "result: found\nideal: X2^2\nwitness: X2\n"
+
+    def test_coefficients_outside_the_point_field(self, capsys):
+        code, out, err = run(
+            "search", "--family", "r1",
+            "--ideal", str(EXAMPLES / "tower.null"), "--target", "X0",
+            capsys=capsys)
+        assert code == 2 and out == ""
+        assert err == ("error: searches run with coefficients in the "
+                       "point field\n")
 
     def test_incomplete_flags(self, capsys):
         code, _, err = run("search", "--family", "r1", "--target", "X1",

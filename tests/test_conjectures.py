@@ -280,6 +280,19 @@ class TestNonRadicalInstances:
         assert radical_membership(inst.witness, inst.with_gamma)
         assert not inst.with_gamma.contains(inst.witness)
 
+    def test_reads_the_vanishing_ideal_off_the_zero_set(self, monkeypatch):
+        """The smallest instance comes without a single quotient."""
+        from nullkit import ideals, nullstellensatz
+
+        # every module binding the name, so a call by any route counts
+        calls = [count_calls(monkeypatch, "ideal_quotient", module=m)
+                 for m in (ideals, nullstellensatz, conjectures)
+                 if hasattr(m, "ideal_quotient")]
+        inst = find_nonradical_instance(2, 2, 2)
+        assert [str(g) for g in inst.ideal.gens] == ["X2^2"]
+        assert str(inst.witness) == "X2"
+        assert sum(map(len, calls)) == 0
+
     def test_linear_generators_yield_nothing(self):
         # Gamma* is GL-invariant over the prime field, so ideals with
         # only linear generators stay radical at this size
@@ -334,7 +347,7 @@ def test_compose_mod_is_the_normal_form_of_the_composition():
     @given(st.sampled_from(cases), st.data())
     def check(case, data):
         I, bounds = case
-        ctx = _SearchContext(I.gens[0], I, bounds, I.spec)
+        ctx = _SearchContext(I.gens[0], I, bounds)
         m = data.draw(st.integers(0, bounds.max_m))
         p = data.draw(st.sampled_from(ctx.forms[m]))
         args = tuple(data.draw(st.sampled_from(ctx.vanishing_residues))
@@ -342,11 +355,11 @@ def test_compose_mod_is_the_normal_form_of_the_composition():
         expected = normal_form(p.compose(list(args)), I.gb())
         assert ctx.compose_mod(p, args) == expected
         # a second context on the same ideal reads the memo
-        again = _SearchContext(I.gens[0], I, bounds, I.spec)
+        again = _SearchContext(I.gens[0], I, bounds)
         assert again.compose_mod(p, args) == expected
 
     check()
-    assert any(len(_SearchContext(I.gens[0], I, b, I.spec)
+    assert any(len(_SearchContext(I.gens[0], I, b)
                    .vanishing_residues) > 2 for I, b in cases)
 
 

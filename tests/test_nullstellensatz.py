@@ -350,7 +350,8 @@ def test_altered_certificate_is_refused():
 
 
 def test_certify_membership_enumerates_once(monkeypatch):
-    """The colon inside certify_membership reuses the one zero set."""
+    """The membership decision and the certificate checks read one
+    zero set."""
     from helpers import count_calls
     from nullkit import nullstellensatz
 
@@ -360,6 +361,56 @@ def test_certify_membership_enumerates_once(monkeypatch):
     f = parse_polynomial("X0*X2 + X1*X2", P2, F3)
     assert [c.j for c in certify_membership(f, I, cfg)] == [0, 1, 2]
     assert len(calls) == 1
+
+
+def test_certify_membership_runs_no_colon(monkeypatch):
+    """A member is recognised on the zero set; no quotient is taken."""
+    from helpers import count_calls
+    from nullkit import nullstellensatz
+
+    calls = count_calls(monkeypatch, "ideal_quotient",
+                        module=nullstellensatz)
+    cfg = NullConfig(F3, F3, P2)
+    I = Ideal.from_strings(F3, P2, ["X0*X1 + X2^2"])
+    f = parse_polynomial("X0*X2 + X1*X2", P2, F3)
+    assert [c.j for c in certify_membership(f, I, cfg)] == [0, 1, 2]
+    assert len(calls) == 0
+
+
+def test_vanishing_on_the_zero_set_is_colon_membership():
+    """A form vanishes at every point of V exactly when the colon result
+    contains it: the fact certify_membership decides membership by,
+    checked here by pointwise evaluation against normal forms.  The
+    first generator is squared half the time, and half the forms are
+    multiples of the oracle's basis elements, so members outside
+    I + Gamma_q^* are drawn too."""
+    pytest.importorskip("hypothesis")
+    from hypothesis import assume, given, settings, strategies as st
+    from helpers import random_poly
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.randoms(use_true_random=False), st.sampled_from([F2, F3, F4]),
+           st.sampled_from([P1, P2]), st.booleans())
+    def check(rng, spec, vars, member):
+        gens = [
+            random_poly(rng, spec, vars, rng.randint(1, 2), rng.randint(1, 3))
+            for _ in range(rng.randint(1, 2))]
+        gens[0] = gens[0] ** rng.randint(1, 2)
+        I = Ideal(spec, vars, gens)
+        assume(not I.is_zero)
+        V = zero_set(I, spec, PROJECTIVE)
+        assume(V.points)
+        f = random_poly(rng, spec, vars, rng.randint(0, 2), rng.randint(1, 3))
+        if member:
+            oracle = oracle_vanishing_ideal(V, spec=spec, vars=vars)
+            f = f * rng.choice(oracle.gens)
+        vanishes = not any(f.evaluate(p.coords) for p in V.points)
+        colon, _ = projective_vanishing(I, cfg_for(spec, vars))
+        assert vanishes == colon.contains(f)
+        if member:
+            assert vanishes
+
+    check()
 
 
 def test_certificate_size_limit():
