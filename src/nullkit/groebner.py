@@ -12,40 +12,160 @@ a combination of those of (i, k) and (j, k), which are already treated.
 The reduced basis is unique, so neither rule changes the output.  The
 computation aborts once any intermediate polynomial passes total degree
 64 or the working basis passes 4096 elements.
+
+Inside buchberger, normal_form and divide_exact a polynomial is packed:
+a dict from packed monomials to coefficient encodings, combined through
+the spec's add, mul, neg and inv tables (see field).  A packed monomial
+is one int of fields, each W value bits with a guard bit above, so
+integer comparison is the monomial order.  From the lowest field up:
+
+    lex        deg, e[n-1], ..., e[0]
+    degrevlex  ~e[0], ..., ~e[n-1], deg
+    block(k)   ~e[k], ..., ~e[n-1], deg(tail), ~e[0], ..., ~e[k-1], deg(head)
+
+where ~e = 2^W - 1 - e and deg is the degree of the segment below it
+(of all variables for lex).  Each field is affine in the exponents, so
+m * m2 / m1 packs as m + m2 - m1; m1 divides m2 when every field of
+(x(m2) | guards) - x(m1) keeps its guard bit, x(m) being the exponent
+fields with the complements undone.  Packings hold monomials whose
+degree fields are below 2^(W-1).  Then no such sum leaves its field,
+and a result that outgrows the packing sets bit W-1 of a degree field:
+the computation then starts over on a packing twice as wide.  W is
+sized from the data, to hold the inputs' degree and never less than
+2 * MAX_DEGREE, so the S-polynomials of basis members always fit.
+MAX_DEGREE is checked on exponent tuples before they are packed.
 """
 
 import heapq
+from operator import mul as _times
 
 from .errors import DegreeOverflow
-from .poly import (
-    DEGREVLEX,
-    Polynomial,
-    mono_coprime,
-    mono_deg,
-    mono_div,
-    mono_divides,
-    mono_lcm,
-)
+from .poly import DEGREVLEX, Polynomial
 
 MAX_DEGREE = 64
 MAX_BASIS = 4096
 
 
+class _Overflow(Exception):
+    """A monomial outgrew its packing."""
+
+
+class _Ring:
+    """Packing of monomials in n variables for one order, with fields
+    wide enough for degree and 2 * MAX_DEGREE, and the coefficient
+    arithmetic of spec."""
+
+    def __init__(self, order, spec, n, degree):
+        self.order, self.spec, self.n = order, spec, n
+        self.width = w = max(degree, 2 * MAX_DEGREE).bit_length() + 1
+        # Fields from the lowest: a variable, or a segment for its degree.
+        if order.kind == "lex":
+            layout, sign = [range(n), *reversed(range(n))], 1
+        else:  # degrevlex is block(0)
+            k = min(order.block, n)
+            layout, sign = [*range(k, n), range(k, n), *range(k), range(k)], -1
+        self.top = (1 << w) - 1
+        self.weights, self.fields, self.degrees = [0] * n, [0] * n, []
+        self.exps = self.guards = self.trip = 0
+        for pos, item in enumerate(layout):
+            shift = pos * (w + 1)
+            if isinstance(item, range):
+                self.degrees.append(shift)
+                self.trip |= 1 << (shift + w - 1)
+                for i in item:
+                    self.weights[i] += 1 << shift
+            else:
+                self.fields[item] = shift
+                self.weights[item] += sign << shift
+                self.exps |= self.top << shift
+                self.guards |= 1 << (shift + w)
+        self.flip = self.one = 0 if sign > 0 else self.exps
+
+    def pack_mono(self, exps):
+        return sum(map(_times, exps, self.weights), self.one)
+
+    def unpack_mono(self, m):
+        m ^= self.flip
+        return tuple((m >> shift) & self.top for shift in self.fields)
+
+    def degree(self, m):
+        return sum((m >> shift) & self.top for shift in self.degrees)
+
+    def pack(self, f):
+        """The packed f, whose degree the ring must hold."""
+        return _Packed(self, {self.pack_mono(e): c.idx
+                              for e, c in f.terms.items()})
+
+
+class _Packed:
+    """Polynomial inside the kernel: {packed monomial: encoding} in ring."""
+
+    __slots__ = ("ring", "terms", "_reducer")
+
+    def __init__(self, ring, terms):
+        self.ring, self.terms, self._reducer = ring, terms, None
+
+    @property
+    def is_zero(self):
+        return not self.terms
+
+    def degree(self):
+        return max(map(self.ring.degree, self.terms))
+
+    def monic(self):
+        lc = self.terms[max(self.terms)]
+        if lc == 1:
+            return self
+        row = self.ring.spec.mul[self.ring.spec.inv[lc]]
+        return _Packed(self.ring, {m: row[c] for m, c in self.terms.items()})
+
+    def repack(self, ring):
+        if ring is self.ring:
+            return self
+        unpack = self.ring.unpack_mono
+        return _Packed(ring, {ring.pack_mono(unpack(m)): c
+                              for m, c in self.terms.items()})
+
+    def unpack(self, vars):
+        ring, at = self.ring, self.ring.spec._at
+        return Polynomial(ring.spec, vars, {ring.unpack_mono(m): at[c]
+                                            for m, c in self.terms.items()})
+
+    def reducer(self):
+        """(x(lead), lead, other terms, lead exponents) of a monic
+        polynomial, x(m) being m's exponent fields with the complements
+        undone."""
+        if self._reducer is None:
+            ring, lm = self.ring, max(self.terms)
+            tail = [(m, c) for m, c in self.terms.items() if m != lm]
+            self._reducer = ((lm ^ ring.flip) & ring.exps, lm, tail,
+                             ring.unpack_mono(lm))
+        return self._reducer
+
+
 class GroebnerBasis:
     """Reduced monic basis together with its monomial order."""
 
-    __slots__ = ("order", "gens", "_leads")
+    __slots__ = ("order", "gens", "_packed")
 
-    def __init__(self, order, gens):
+    def __init__(self, order, gens, packed=None):
         self.order = order
         self.gens = tuple(gens)
-        self._leads = None
+        self._packed = packed  # (ring, packed monic members), made on use
 
-    def leads(self):
-        if self._leads is None:
-            self._leads = tuple((g.leading(self.order)[0], g)
-                                for g in self.gens)
-        return self._leads
+    def _reducers(self, f):
+        """(ring, packed members) in a ring that also holds f; the basis
+        must not be empty."""
+        self.gens[0]._same_ring(f)
+        if self._packed is None:
+            ring = _Ring(self.order, f.spec, len(f.vars),
+                         max(g.total_degree() for g in self.gens))
+            self._packed = (ring, [ring.pack(g).monic() for g in self.gens])
+        ring, reducers = self._packed
+        if f.total_degree() >> (ring.width - 1):
+            ring = _Ring(self.order, f.spec, len(f.vars), f.total_degree())
+            reducers = [g.repack(ring) for g in reducers]
+        return ring, reducers
 
     def __iter__(self):
         return iter(self.gens)
@@ -66,55 +186,104 @@ class GroebnerBasis:
         return len(self.gens) == 1 and self.gens[0].total_degree() == 0
 
 
-def _reduce_full(terms, leads, order, spec, vars):
-    """Full normal form of a term dict against (leading, reducer) pairs.
+def _reduce(f, reducers, quotient=None):
+    """Remainder of the packed f by packed monic reducers.
 
-    Scans the largest remaining monomial first and tries reducers in
-    their stored sequence, which makes the result deterministic.
+    Pops the largest remaining monomial from a heap, skipping entries
+    whose term has cancelled, and tries reducers in their stored
+    sequence, which makes the result deterministic.  Given a quotient
+    dict, the quotient by the one reducer goes there, and the result is
+    None once a term is not divisible.  Raises _Overflow when a monomial
+    outgrows f's ring.
     """
-    work = dict(terms)
+    ring = f.ring
+    guards, flip, exps, trip = ring.guards, ring.flip, ring.exps, ring.trip
+    add, mul, neg = ring.spec.add, ring.spec.mul, ring.spec.neg
+    reducers = [g.reducer() for g in reducers]
+    work = dict(f.terms)
+    heap = [-m for m in work]
+    heapq.heapify(heap)
     done = {}
-    key = order.key
-    while work:
-        mono = max(work, key=key)
-        coef = work[mono]
-        for lm, g in leads:
-            if mono_divides(lm, mono):
-                shift = mono_div(mono, lm)
-                lc = g.terms[lm]
-                factor = coef if lc.idx == 1 else coef * lc.inv()
-                for e, c in g.terms.items():
-                    tgt = tuple(x + y for x, y in zip(e, shift))
-                    sub = factor * c
-                    prev = work.get(tgt)
+    while heap:
+        m = -heapq.heappop(heap)
+        c = work.pop(m, 0)
+        if not c:
+            continue
+        x = ((m ^ flip) & exps) | guards
+        for key, lm, tail, _ in reducers:
+            if (x - key) & guards == guards:  # lm divides m
+                delta = m - lm
+                if quotient is not None:
+                    quotient[delta + ring.one] = c
+                row = mul[neg[c]]
+                for e, ce in tail:
+                    t = e + delta
+                    if t & trip:
+                        raise _Overflow
+                    d = row[ce]
+                    prev = work.get(t)
                     if prev is None:
-                        if sub.idx:
-                            work[tgt] = -sub
-                    elif (s := prev - sub).idx:
-                        work[tgt] = s
+                        work[t] = d
+                        heapq.heappush(heap, -t)
+                    elif s := add[prev][d]:
+                        work[t] = s
                     else:
-                        del work[tgt]
+                        del work[t]
                 break
         else:
-            done[mono] = coef
-            del work[mono]
-    return Polynomial(spec, vars, done)
+            if quotient is not None:
+                return None
+            done[m] = c
+    return _Packed(ring, done)
+
+
+def _widen(f, reducers):
+    ring = _Ring(f.ring.order, f.ring.spec, f.ring.n, 1 << 2 * f.ring.width)
+    return f.repack(ring), [g.repack(ring) for g in reducers]
+
+
+def _reduce_full(f, reducers):
+    """Full normal form of the packed f against packed monic reducers,
+    in f's ring or a wider one."""
+    while True:
+        try:
+            return _reduce(f, reducers)
+        except _Overflow:
+            f, reducers = _widen(f, reducers)
 
 
 def normal_form(f, basis):
     """Deterministic remainder of f modulo a GroebnerBasis."""
-    if f.is_zero:
+    if f.is_zero or not basis.gens:
         return f
-    return _reduce_full(f.terms, basis.leads(), basis.order, f.spec, f.vars)
+    ring, reducers = basis._reducers(f)
+    return _reduce_full(ring.pack(f), reducers).unpack(f.vars)
 
 
 def s_polynomial(f, g, order):
-    ef, cf = f.leading(order)
-    eg, cg = g.leading(order)
-    l = mono_lcm(ef, eg)
-    mf = Polynomial.monomial(f.spec, f.vars, mono_div(l, ef), cf.inv())
-    mg = Polynomial.monomial(g.spec, g.vars, mono_div(l, eg), cg.inv())
-    return mf * f - mg * g
+    """S-polynomial of two polynomials, or of two monic ones packed in
+    one ring, as buchberger passes its members."""
+    if isinstance(f, Polynomial):
+        f._same_ring(g)
+        ring = _Ring(order, f.spec, len(f.vars),
+                     f.total_degree() + g.total_degree())
+        return s_polynomial(ring.pack(f).monic(), ring.pack(g).monic(),
+                            order).unpack(f.vars)
+    ring = f.ring
+    add, neg = ring.spec.add, ring.spec.neg
+    (_, lf, _, ef), (_, lg, _, eg) = f.reducer(), g.reducer()
+    l = ring.pack_mono(tuple(map(max, ef, eg)))
+    out = {m + l - lf: c for m, c in f.terms.items()}
+    for m, c in g.terms.items():
+        t, d = m + l - lg, neg[c]
+        prev = out.get(t)
+        if prev is None:
+            out[t] = d
+        elif s := add[prev][d]:
+            out[t] = s
+        else:
+            del out[t]
+    return _Packed(ring, out)
 
 
 def buchberger(gens, order=DEGREVLEX):
@@ -125,79 +294,81 @@ def buchberger(gens, order=DEGREVLEX):
     spec, vars = gens[0].spec, gens[0].vars
     for g in gens[1:]:
         gens[0]._same_ring(g)
-    one = Polynomial.constant(spec, vars, 1)
-    G = []
-    leads = []
-    heap = []
+    unit = GroebnerBasis(order, (Polynomial.constant(spec, vars, 1),))
+    # Members stay within MAX_DEGREE, so their S-polynomials fit.
+    ring = _Ring(order, spec, len(vars), 0)
+    guards, flip, exps = ring.guards, ring.flip, ring.exps
+    G, keys, leads = [], [], []  # packed monic members, x() of their
+    heap = []                    # leads, and their lead exponents
     pending = set()
 
     def push_pairs(j):
-        lmj = leads[j][0]
+        lead = leads[j]
+        nonzero = (keys[j] + exps) & guards  # a guard per nonzero exponent
         for i in range(j):
-            lmi = leads[i][0]
-            if mono_coprime(lmi, lmj):
-                continue
-            l = mono_lcm(lmi, lmj)
-            heapq.heappush(heap, (mono_deg(l), order.key(l), i, j, l))
-            pending.add((i, j))
+            if (keys[i] + exps) & nonzero:
+                l = tuple(map(max, leads[i], lead))
+                heapq.heappush(heap, (sum(l), ring.pack_mono(l), i, j))
+                pending.add((i, j))
 
     def chain_redundant(i, j, l):
         # Buchberger's chain criterion (see the module docstring); coprime
         # pairs are never pending, so they count as treated.
-        for k, (lmk, _) in enumerate(leads):
-            if (k != i and k != j and mono_divides(lmk, l)
+        x = ((l ^ flip) & exps) | guards
+        for k, key in enumerate(keys):
+            if (k != i and k != j and (x - key) & guards == guards
                     and (min(i, k), max(i, k)) not in pending
                     and (min(j, k), max(j, k)) not in pending):
                 return True
         return False
 
-    def add(g):
-        if g.total_degree() > MAX_DEGREE:
+    def add(g, degree):
+        """Add the polynomial or packed g; True when it is a constant."""
+        if degree == 0:
+            return True
+        if degree > MAX_DEGREE:
             raise DegreeOverflow(
-                f"intermediate degree {g.total_degree()} exceeds {MAX_DEGREE}")
-        lm, lc = g.leading(order)
-        if lc.idx != 1:
-            g = g.scale(lc.inv())
-        G.append(g)
-        leads.append((lm, g))
+                f"intermediate degree {degree} exceeds {MAX_DEGREE}")
+        g = (ring.pack(g) if isinstance(g, Polynomial) else g.repack(ring))
+        G.append(g.monic())
+        key, _, _, lead = G[-1].reducer()
+        keys.append(key)
+        leads.append(lead)
         if len(G) > MAX_BASIS:
             raise DegreeOverflow(f"basis exceeds {MAX_BASIS} elements")
         push_pairs(len(G) - 1)
+        return False
 
     for g in gens:
-        if g.total_degree() == 0:
-            return GroebnerBasis(order, (one,))
-        add(g)
-
+        if add(g, g.total_degree()):
+            return unit
     while heap:
-        _, _, i, j, l = heapq.heappop(heap)
+        _, l, i, j = heapq.heappop(heap)
         pending.remove((i, j))
         if chain_redundant(i, j, l):
             continue
         s = s_polynomial(G[i], G[j], order)
         if s.is_zero:
             continue
-        r = _reduce_full(s.terms, leads, order, spec, vars)
-        if r.is_zero:
-            continue
-        if r.total_degree() == 0:
-            return GroebnerBasis(order, (one,))
-        add(r)
+        r = _reduce_full(s, G)
+        if not r.is_zero and add(r, r.degree()):
+            return unit
 
     # Minimalize: drop members whose leading monomial another one divides.
-    key = order.key
-    by_lm = sorted(leads, key=lambda p: key(p[0]))
     minimal = []
-    for lm, g in by_lm:
-        if not any(mono_divides(lm2, lm) for lm2, _ in minimal):
-            minimal.append((lm, g))
+    for g in sorted(G, key=lambda g: g.reducer()[1]):
+        x = g.reducer()[0] | guards
+        if not any((x - h.reducer()[0]) & guards == guards for h in minimal):
+            minimal.append(g)
 
     # Interreduce each member against the others.  No other lead divides
     # its own, so its monic leading term survives and the order holds.
-    polys = [_reduce_full(g.terms, minimal[:i] + minimal[i + 1:], order,
-                          spec, vars)
-             for i, (_, g) in enumerate(minimal)]
-    return GroebnerBasis(order, polys)
+    polys = [_reduce_full(g, minimal[:i] + minimal[i + 1:])
+             for i, g in enumerate(minimal)]
+    ring = max((p.ring for p in polys), key=lambda r: r.width)
+    polys = [p.repack(ring) for p in polys]
+    return GroebnerBasis(order, [p.unpack(vars) for p in polys],
+                         (ring, polys))
 
 
 def divide_exact(f, g, order=DEGREVLEX):
@@ -206,27 +377,18 @@ def divide_exact(f, g, order=DEGREVLEX):
         raise ZeroDivisionError("division by the zero polynomial")
     if f.is_zero:
         return f
-    lm, lc = g.leading(order)
-    work = dict(f.terms)
-    quot = {}
-    key = order.key
-    while work:
-        mono = max(work, key=key)
-        coef = work[mono]
-        if not mono_divides(lm, mono):
-            raise ValueError(f"{g} does not divide {f}")
-        shift = mono_div(mono, lm)
-        factor = coef if lc.idx == 1 else coef * lc.inv()
-        quot[shift] = factor
-        for e, c in g.terms.items():
-            tgt = tuple(x + y for x, y in zip(e, shift))
-            sub = factor * c
-            prev = work.get(tgt)
-            if prev is None:
-                if sub.idx:
-                    work[tgt] = -sub
-            elif (s := prev - sub).idx:
-                work[tgt] = s
-            else:
-                del work[tgt]
-    return Polynomial(f.spec, f.vars, quot)
+    ring = _Ring(order, f.spec, len(f.vars),
+                 max(f.total_degree(), g.total_degree()))
+    num, den = ring.pack(f), ring.pack(g)
+    while True:
+        quotient = {}
+        try:
+            rest = _reduce(num, [den.monic()], quotient)
+            break
+        except _Overflow:
+            num, (den,) = _widen(num, [den])
+    if rest is None:
+        raise ValueError(f"{g} does not divide {f}")
+    # f = quotient * g / lc(g)
+    return _Packed(num.ring, quotient).unpack(f.vars).scale(
+        g.leading(order)[1].inv())

@@ -2,9 +2,9 @@
 
 A polynomial is a dict from exponent tuples to nonzero coefficients,
 together with its ring context (coefficient spec, ordered variable
-names).  Monomials are plain tuples; the helpers below operate on them
-directly.  Printing is canonical: terms descend in the active monomial
-order and coefficients stay in their canonical form, so equal
+names).  Monomials are plain tuples; groebner packs them into ints for
+its own loops.  Printing is canonical: terms descend in the active
+monomial order and coefficients stay in their canonical form, so equal
 polynomials always print identically.
 """
 
@@ -26,23 +26,6 @@ from .field import FieldElement, common_spec, embed
 def mono_divides(a, b):
     """True when the monomial a divides b."""
     return all(x <= y for x, y in zip(a, b))
-
-
-def mono_div(a, b):
-    """Exponent vector of a / b; caller guarantees divisibility."""
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def mono_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def mono_deg(a):
-    return sum(a)
-
-
-def mono_coprime(a, b):
-    return all(x == 0 or y == 0 for x, y in zip(a, b))
 
 
 # ------------------------------------------------------------------ orders

@@ -1,10 +1,11 @@
 """Shared test helpers: a call counter, random polynomials, the
-reference point fold and a schoolbook reference for finite-field
-arithmetic."""
+reference point fold, a schoolbook reference for finite-field
+arithmetic, and tuple-monomial references for normal forms, exact
+division and reduced Groebner bases."""
 
 from nullkit.field import enumerate_field
 from nullkit.ideals import ideal_intersect
-from nullkit.poly import Polynomial
+from nullkit.poly import Polynomial, mono_divides
 from nullkit.varieties import point_ideal
 
 
@@ -95,3 +96,116 @@ class RefField:
 
     def inv(self, a):
         return self.pow(a, self.q - 2)
+
+
+# --------------------------------------------- tuple-monomial references
+
+def mono_div(a, b):
+    """Exponent vector of a / b; caller guarantees divisibility."""
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def ref_reduce_full(terms, leads, order, spec, vars):
+    """Full normal form of a term dict against (leading, reducer) pairs.
+
+    Scans the largest remaining monomial first and tries reducers in
+    their stored sequence, which makes the result deterministic.
+    """
+    work = dict(terms)
+    done = {}
+    key = order.key
+    while work:
+        mono = max(work, key=key)
+        coef = work[mono]
+        for lm, g in leads:
+            if mono_divides(lm, mono):
+                shift = mono_div(mono, lm)
+                lc = g.terms[lm]
+                factor = coef if lc.idx == 1 else coef * lc.inv()
+                for e, c in g.terms.items():
+                    tgt = tuple(x + y for x, y in zip(e, shift))
+                    sub = factor * c
+                    prev = work.get(tgt)
+                    if prev is None:
+                        if sub.idx:
+                            work[tgt] = -sub
+                    elif (s := prev - sub).idx:
+                        work[tgt] = s
+                    else:
+                        del work[tgt]
+                break
+        else:
+            done[mono] = coef
+            del work[mono]
+    return Polynomial(spec, vars, done)
+
+
+def ref_divide_exact(f, g, order):
+    """Quotient of f by a single divisor g, which must divide exactly."""
+    if g.is_zero:
+        raise ZeroDivisionError("division by the zero polynomial")
+    if f.is_zero:
+        return f
+    lm, lc = g.leading(order)
+    work = dict(f.terms)
+    quot = {}
+    key = order.key
+    while work:
+        mono = max(work, key=key)
+        coef = work[mono]
+        if not mono_divides(lm, mono):
+            raise ValueError(f"{g} does not divide {f}")
+        shift = mono_div(mono, lm)
+        factor = coef if lc.idx == 1 else coef * lc.inv()
+        quot[shift] = factor
+        for e, c in g.terms.items():
+            tgt = tuple(x + y for x, y in zip(e, shift))
+            sub = factor * c
+            prev = work.get(tgt)
+            if prev is None:
+                if sub.idx:
+                    work[tgt] = -sub
+            elif (s := prev - sub).idx:
+                work[tgt] = s
+            else:
+                del work[tgt]
+    return Polynomial(f.spec, f.vars, quot)
+
+
+def ref_buchberger(gens, order):
+    """Reduced monic Groebner basis, ascending by leading monomial, by
+    textbook Buchberger: every pair, no criteria, ref_reduce_full."""
+    gens = [g for g in gens if not g.is_zero]
+    if not gens:
+        return []
+    spec, vars = gens[0].spec, gens[0].vars
+
+    def lead(g):
+        return g.leading(order)[0]
+
+    def reduce(f, basis):
+        return ref_reduce_full(f.terms, [(lead(g), g) for g in basis],
+                               order, spec, vars)
+
+    def monic(g):
+        return g.scale(g.leading(order)[1].inv())
+
+    basis = [monic(g) for g in gens]
+    pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
+    while pairs:
+        i, j = pairs.pop()
+        a, b = lead(basis[i]), lead(basis[j])
+        lcm = tuple(map(max, a, b))
+        s = (basis[i] * Polynomial.monomial(spec, vars, mono_div(lcm, a))
+             - basis[j] * Polynomial.monomial(spec, vars, mono_div(lcm, b)))
+        r = reduce(s, basis)
+        if not r.is_zero:
+            pairs += [(k, len(basis)) for k in range(len(basis))]
+            basis.append(monic(r))
+    basis.sort(key=lambda g: order.key(lead(g)))
+    minimal = []
+    for g in basis:
+        if not any(mono_divides(lead(h), lead(g)) for h in minimal):
+            minimal.append(g)
+    return [reduce(g, minimal[:i] + minimal[i + 1:])
+            for i, g in enumerate(minimal)]

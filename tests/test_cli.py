@@ -276,6 +276,24 @@ class TestCommands:
         assert code == 0, err
         assert out.endswith("count: 1\n")
 
+    @pytest.mark.parametrize("generator, degree", [
+        ("X0^1000000000000000000 + X1^1000000000000000000",
+         "1000000000000000000"),
+        ("X0^70000 - X1", "70000"),
+    ], ids=["1e18", "70000"])
+    def test_lex_basis_reports_the_exact_degree(self, tmp_path, capsys,
+                                                generator, degree):
+        """The degree limit is checked before exponents are packed into
+        fixed-width fields, so the message names the input's degree."""
+        path = write_problem(
+            tmp_path, f"field GF(7)\nvars X0 X1\nideal:\n{generator}\n")
+        start = time.perf_counter()
+        code, out, err = run("gb", "--order", "lex", "--input", path,
+                             capsys=capsys)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == f"error: intermediate degree {degree} exceeds 64\n"
+
     def test_colon_passes_the_degree_limit(self, tmp_path, capsys):
         """d = 83 here; the colon never builds a basis holding X_j^d."""
         path = write_problem(

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 
 import pytest
 
@@ -15,7 +16,20 @@ from nullkit.groebner import (
     s_polynomial,
 )
 from nullkit.ideals import Ideal
-from nullkit.poly import DEGREVLEX, LEX, Polynomial, parse_polynomial
+from nullkit.poly import (
+    DEGREVLEX,
+    LEX,
+    Polynomial,
+    block_order,
+    parse_polynomial,
+)
+
+from helpers import (
+    count_calls,
+    ref_buchberger,
+    ref_divide_exact,
+    ref_reduce_full,
+)
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -208,7 +222,9 @@ def test_reduced_basis_properties_hold_on_random_inputs():
 def test_chain_criterion_bounds_the_s_pairs(monkeypatch):
     """Saturation of <X0*X1 + X2^2> over GF(2) forms at most 373 S-pairs.
 
-    That is half of what the coprime rule alone forms (746).
+    That is half of what the coprime rule alone forms (746).  Buchberger
+    calls s_polynomial once per formed pair and _reduce_full once per
+    reduction, so the counts are exact: 41 pairs and 68 reductions.
     """
     from nullkit import groebner
     from nullkit.nullstellensatz import NullConfig, projective_vanishing
@@ -221,6 +237,7 @@ def test_chain_criterion_bounds_the_s_pairs(monkeypatch):
         return real(f, g, order)
 
     monkeypatch.setattr(groebner, "s_polynomial", counting)
+    reductions = count_calls(monkeypatch, "_reduce_full", module=groebner)
     vars = ("X0", "X1", "X2")
     I = Ideal.from_strings(F2, vars, ["X0*X1 + X2^2"])
     result, _ = projective_vanishing(
@@ -228,3 +245,90 @@ def test_chain_criterion_bounds_the_s_pairs(monkeypatch):
     assert [str(g) for g in result.gens] == [
         "X1*X2 + X2^2", "X0*X2 + X2^2", "X0*X1 + X2^2"]
     assert len(formed) <= 373
+    assert len(formed) == 41
+    assert len(reductions) == 68
+
+
+# Exponents past the packed field width: each check takes well under 1 s.
+
+def test_lex_normal_form_grows_past_the_field_width():
+    """X^1000 = Y^100000 modulo <X - Y^100>: the reduction outgrows
+    the packing of its inputs and starts over wider."""
+    basis = GroebnerBasis(LEX, [parse_polynomial("X - Y^100", XY, F2)])
+    f = parse_polynomial("X^1000", XY, F2)
+    assert normal_form(f, basis) == parse_polynomial("Y^100000", XY, F2)
+
+
+def test_membership_at_degree_70000():
+    F7 = make_field(7)
+    I = Ideal.from_strings(F7, XY, ["X - Y"])
+    assert I.contains(parse_polynomial("X^70000 - Y^70000", XY, F7))
+    assert not I.contains(parse_polynomial("X^70000 - Y", XY, F7))
+    assert not I.contains(parse_polynomial("X^70000 - 2*Y^70000", XY, F7))
+
+
+def test_buchberger_reports_the_degree_reached_in_a_wider_packing():
+    """The S-polynomial reduction climbs to Y^300, past the 256 the
+    basis packing holds; the message gives the exact degree."""
+    F7 = make_field(7)
+    with pytest.raises(DegreeOverflow,
+                       match="^intermediate degree 300 exceeds 64$"):
+        gb(["X - Y^60", "X^5 - Z"], XYZ, F7, LEX)
+
+
+# Differential checks against the tuple-monomial references in helpers.
+
+ORDERS = [LEX, DEGREVLEX, block_order(1), block_order(2)]
+FIELDS = [F2, F3, make_field(2, 2), make_field(3, 2), make_field(257)]
+
+
+def _dense(rng, spec, vars, deg, n_terms):
+    """Up to n_terms terms of degree at most deg; never zero."""
+    terms = {}
+    for _ in range(n_terms):
+        exps = [0] * len(vars)
+        for _ in range(rng.randint(0, deg)):
+            exps[rng.randrange(len(vars))] += 1
+        terms[tuple(exps)] = spec.element(rng.randrange(1, spec.q))
+    return Polynomial(spec, vars, terms)
+
+
+def test_kernel_matches_the_tuple_references():
+    """buchberger, normal_form and divide_exact agree with the tuple
+    loops on lex, degrevlex, block(1) and block(2) over GF(2), GF(3),
+    GF(4), GF(9) and the untabled GF(257).  Substitution bases
+    <X - h(Y, Z)> make lex and block reductions outgrow the packing."""
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(st.randoms(use_true_random=False), st.sampled_from(ORDERS),
+           st.sampled_from(FIELDS))
+    def check(rng, order, spec):
+        gens = [_dense(rng, spec, XYZ, rng.randint(1, 3), rng.randint(1, 3))
+                for _ in range(rng.randint(1, 3))]
+        basis = buchberger(gens, order)
+        assert list(basis.gens) == ref_buchberger(gens, order)
+        if order is not DEGREVLEX:
+            h = _dense(rng, spec, ("Y", "Z"), rng.randint(2, 60), 2)
+            sub = parse_polynomial("X", XYZ, spec) - Polynomial(
+                spec, XYZ, {(0, *e): c for e, c in h.terms.items()})
+            basis = GroebnerBasis(order, [sub])
+        f = _dense(rng, spec, XYZ, rng.randint(0, 20), rng.randint(1, 4))
+        f += Polynomial.monomial(spec, XYZ, (rng.randint(0, 12), 0, 0))
+        leads = [(g.leading(order)[0], g) for g in basis]
+        assert normal_form(f, basis) == ref_reduce_full(
+            f.terms, leads, order, spec, XYZ)
+        g = gens[0]
+        assert divide_exact(f * g, g, order) == ref_divide_exact(
+            f * g, g, order) == f
+        rest = f * g + _dense(rng, spec, XYZ, 2, 2)
+        try:
+            expected = ref_divide_exact(rest, g, order)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                divide_exact(rest, g, order)
+        else:
+            assert divide_exact(rest, g, order) == expected
+
+    check()
