@@ -20,14 +20,17 @@ trivial zero forces every argument to vanish on the zero set of I, and
 membership only depends on argument residues modulo I, so distinct
 arguments with equal residues share one composition test.
 
-Residues are composed from memos.  The residue of an argument monomial
-prod args[i]^e[i] is built from the one with a single exponent lowered,
-by one product and one normal form, and a composition p(args) is the
-sum of c times the monomial residue over the terms c*y^e of p; normal
-form is linear, so the sum is already reduced.  Both memos depend only
-on the reduced basis of I, so they are kept on the Ideal: every search
-over the same Ideal object (the suite's six, or a caller's repeats)
-shares them, and a freshly built Ideal starts empty.
+Residues are composed from memos, on int ids: each residue modulo I is
+interned once, and a composition vanishes when its id is the zero
+residue's.  The residue of an argument monomial prod args[i]^e[i] is
+built from the one with a single exponent lowered, by one product and
+one normal form.  A composition p(args) is the sum of c times the
+monomial residue over the terms c*y^e of p, one memoized partial sum at
+a time; normal form is linear, so the sum is already reduced.  The
+memos, and the set-up that depends only on I and the argument degree
+bound, are kept on the Ideal: every search over the same Ideal object
+(the suite's six, or a caller's repeats) shares them, under a lock for
+interning, and a freshly built Ideal starts empty.
 
 The fourth family from the same source is stated over an infinite
 product and has no finite candidate enumeration at these bounds, so it
@@ -266,14 +269,89 @@ def _vector_polys(spec, vars, monos, too_many, monic=False, keep=None):
             and (keep is None or keep(vec)))
 
 
+class _Residues:
+    """Residues modulo one ideal, shared by every search over it.
+
+    Kept in Ideal._residues["search"].  Each residue polynomial is
+    interned once: ids maps it to a small int and polys maps the int
+    back, so the searches hash and compare ints.  monomials maps the
+    (argument id, exponent) pairs of an argument monomial to the id of
+    its residue, sums maps (a, c, b) to the id of a + c*b, forms maps a
+    form to its _Form, and setups maps an argument degree bound to the
+    set-up that depends only on the ideal and that bound.
+
+    Every entry is a pure value, so concurrent searches at worst
+    compute one twice.  Interning checks, then appends, so it holds
+    the lock; a set-up is built whole and published by one setdefault.
+    """
+
+    def __init__(self, I):
+        self.spec, self.vars = I.spec, I.vars
+        self.basis = I.gb()
+        self.lock = threading.Lock()
+        self.ids, self.polys = {}, []
+        self.monomials, self.sums, self.forms, self.setups = {}, {}, {}, {}
+        self.zero_id = self.intern(Polynomial.zero(I.spec, I.vars))
+
+    def intern(self, r):
+        """The id of the residue polynomial r."""
+        with self.lock:
+            i = self.ids.get(r)
+            if i is None:
+                self.polys.append(r)
+                i = self.ids[r] = len(self.polys) - 1
+        return i
+
+    def add_scaled(self, a, c, b):
+        """The id of the residue a + c*b, for residue ids a and b and a
+        coefficient encoding c, combined through the spec's tables."""
+        spec = self.spec
+        add, row = spec.add, spec.mul[c]
+        terms = {m: v.idx for m, v in self.polys[a].terms.items()}
+        for m, v in self.polys[b].terms.items():
+            v = row[v.idx]
+            terms[m] = add[terms[m]][v] if m in terms else v
+        return self.intern(Polynomial(spec, self.vars, {
+            m: spec.element(v) for m, v in terms.items()}))
+
+
+class _Form:
+    """A form as the residue arithmetic reads it: its terms as
+    (exponent tuple, coefficient encoding) pairs, and the memo from a
+    tuple of argument ids to the id of the form's composition."""
+
+    __slots__ = ("terms", "memo")
+
+    def __init__(self, p):
+        self.terms = tuple((e, c.idx) for e, c in p.terms.items())
+        self.memo = {}
+
+
+def _shared_setup(I, res, max_deg):
+    """(pool, pool ids, vanishing ids, zero table) for I and max_deg.
+
+    pool is argument_pool of degree max_deg and pool ids the ids of its
+    residues.  Only residues vanishing on the affine zero set can take
+    part in a membership, since the composed form kills nonzero
+    argument values: vanishing ids holds those, each once, in pool
+    order.  zero table is the PointTable of that zero set.
+    """
+    zeros = zero_set(I, I.spec, AFFINE)
+    table = PointTable.of_points(I.spec, zeros.points, zeros.n)
+    pool = argument_pool(I.spec, I.vars, max_deg)
+    ids = tuple(res.intern(normal_form(g, res.basis)) for g in pool)
+    vanishing = tuple(i for i in dict.fromkeys(ids)
+                      if not any(table.evaluate(res.polys[i])[0]))
+    return pool, ids, vanishing, table
+
+
 class _SearchContext:
     """Shared state for one bounded search over one target and ideal.
 
-    The residue memos live on the ideal (Ideal._residues), not here:
-    _monomials maps the nonzero (argument, exponent) pairs of an argument
-    monomial to its residue, and _compose maps (p, args) to the residue
-    of p(args).  Both hold pure values, so concurrent searches on one
-    ideal at worst compute an entry twice.
+    The residues, their memos and the set-up that depends only on the
+    ideal and max_deg_args live on the ideal (the _Residues in
+    Ideal._residues), not here; a context adds the target's residue id
+    and the forms and inner powers of its bounds.
     """
 
     def __init__(self, f, I, bounds):
@@ -283,86 +361,107 @@ class _SearchContext:
         self.ideal = I
         self.bounds = bounds
         K = I.spec
-        self.basis = I.gb()
-        zeros = zero_set(I, K, AFFINE)
-        self.zero_pts = PointTable.of_points(K, zeros.points, zeros.n)
-        self.f_vanishes = not any(self.zero_pts.evaluate(f)[0])
-        self.f_res = normal_form(f, self.basis)
-        self.pool = argument_pool(I.spec, I.vars, bounds.max_deg_args)
-        self.residue_of = {}
-        residues = {}
-        for g in self.pool:
-            r = normal_form(g, self.basis)
-            self.residue_of[g] = r
-            if r not in residues:
-                residues[r] = not any(self.zero_pts.evaluate(r)[0])
-        # Only residues vanishing on the zero set can take part in a
-        # membership: the composed form kills nonzero argument values.
-        self.vanishing_residues = tuple(
-            r for r, ok in residues.items() if ok)
+        D = bounds.max_deg_args
+        res = self.residues = (I._residues.get("search") or
+                               I._residues.setdefault("search", _Residues(I)))
+        self.pool, self.pool_ids, self.vanishing_ids, zero_pts = (
+            res.setups.get(D) or
+            res.setups.setdefault(D, _shared_setup(I, res, D)))
+        self.f_vanishes = not any(zero_pts.evaluate(f)[0])
+        self.f_id = res.intern(normal_form(f, res.basis))
         self.forms = {m: enumerate_forms(K, m, bounds.max_deg_p)
                       for m in range(bounds.max_m + 1)}
-        self._monomials = I._residues.setdefault("monomials", {})
-        self._compose = I._residues.setdefault("compose", {})
+        y0 = Polynomial.variable(K, ("y0",), "y0")
+        self.inner = {n: y0 ** n
+                      for n in range(1, bounds.max_inner_exp + 1)}
+
+    def form(self, p):
+        """The _Form of p on this ideal."""
+        forms = self.residues.forms
+        return forms.get(p) or forms.setdefault(p, _Form(p))
 
     def _monomial_mod(self, key):
-        """Residue of the product of a^e over the pairs (a, e) of key,
-        from the residue with the last exponent lowered by one."""
-        out = self._monomials.get(key)
+        """Id of the residue of the product of a^e over the (residue id,
+        exponent) pairs (a, e) of key.  A key with zero exponents is an
+        alias of the one without them; otherwise the residue comes from
+        the one with the last exponent lowered by one."""
+        res = self.residues
+        out = res.monomials.get(key)
         if out is None:
-            if key:
+            canon = tuple(pair for pair in key if pair[1])
+            if canon != key:
+                out = self._monomial_mod(canon)
+            elif key:
                 a, e = key[-1]
                 rest = key[:-1] + ((a, e - 1),) if e > 1 else key[:-1]
-                out = self._monomial_mod(rest) * a
+                out = res.intern(normal_form(
+                    res.polys[self._monomial_mod(rest)] * res.polys[a],
+                    res.basis))
             else:
-                out = Polynomial.constant(self.ideal.spec, self.ideal.vars, 1)
-            out = normal_form(out, self.basis)
-            self._monomials[key] = out
+                out = res.intern(normal_form(
+                    Polynomial.constant(res.spec, res.vars, 1), res.basis))
+            res.monomials[key] = out
         return out
 
-    def compose_mod(self, p, args):
-        """Residue of p(args) modulo the ideal, memoized."""
-        key = (p, args)
-        out = self._compose.get(key)
+    def compose_mod(self, form, args):
+        """Id of the residue of form(args) modulo the ideal, memoized;
+        form is a _Form and args a tuple of residue ids.
+
+        A miss sums c times the monomial residue over the terms c*y^e of
+        the form; normal form is linear, so the sum is already reduced.
+        Each partial sum is one memoized step of _Residues.add_scaled."""
+        out = form.memo.get(args)
         if out is None:
-            terms = {}
-            for exps, c in p.terms.items():
-                mono = tuple((a, e) for a, e in zip(args, exps) if e)
-                for m, v in self._monomial_mod(mono).terms.items():
-                    terms[m] = terms[m] + c * v if m in terms else c * v
-            out = Polynomial(self.ideal.spec, self.ideal.vars, terms)
-            self._compose[key] = out
+            res = self.residues
+            monomials, sums = res.monomials, res.sums
+            out = res.zero_id
+            for exps, c in form.terms:
+                key = tuple(zip(args, exps))
+                mono = monomials.get(key)
+                if mono is None:
+                    mono = self._monomial_mod(key)
+                step = (out, c, mono)
+                out = sums.get(step)
+                if out is None:
+                    out = sums[step] = res.add_scaled(*step)
+            form.memo[args] = out
         return out
 
     def first_passing_args(self, nargs, passing):
-        """Canonically first argument tuple whose residues pass."""
-        for args in itertools.product(self.pool, repeat=nargs):
-            if tuple(self.residue_of[g] for g in args) in passing:
-                return args
+        """Canonically first argument tuple whose residue ids pass."""
+        pairs = tuple(zip(self.pool, self.pool_ids))
+        for args in itertools.product(pairs, repeat=nargs):
+            if tuple(i for _, i in args) in passing:
+                return tuple(g for g, _ in args)
         return None
 
 
 def _structures(ctx, family):
-    """The family's witnesses without arguments, in canonical order."""
+    """The family's witnesses without arguments, in canonical order,
+    each with its chain of forms and breakpoints (RWitness.chain, with
+    the r1 inner power taken from the context)."""
     f, I, b, forms = ctx.f, ctx.ideal, ctx.bounds, ctx.forms
     if family == "r1":
         for m in range(b.max_m + 1):
             for p in forms[m]:
                 for nexp in range(1, b.max_inner_exp + 1):
-                    yield RWitness("r1", (p,), (m,), (), f, I, inner_exp=nexp)
+                    yield (RWitness("r1", (p,), (m,), (), f, I,
+                                    inner_exp=nexp),
+                           (ctx.inner[nexp], p), (0, m))
     elif family == "r2":
         for total in range(b.max_m + 1):
             for n_in in range(total + 1):
                 for s in forms[n_in]:
                     for p in forms[total - n_in]:
-                        yield RWitness("r2", (s, p), (n_in, total), (), f, I)
+                        w = RWitness("r2", (s, p), (n_in, total), (), f, I)
+                        yield w, w.forms, w.breakpoints
     else:
         for chain_len in range(1, b.max_chain + 1):
             for bps in itertools.combinations_with_replacement(
                     range(b.max_m + 1), chain_len):
                 slots = [stop - start for start, stop in zip((0,) + bps, bps)]
                 for chain in itertools.product(*[forms[s] for s in slots]):
-                    yield RWitness("r3", chain, bps, (), f, I)
+                    yield RWitness("r3", chain, bps, (), f, I), chain, bps
 
 
 def search_witness(f, I, family, bounds=None):
@@ -378,21 +477,23 @@ def search_witness(f, I, family, bounds=None):
         raise ValueError(f"family must be one of {FAMILIES}")
     bounds = bounds or SearchBounds()
     ctx = _SearchContext(f, I, bounds)
+    compose_mod, zero_id = ctx.compose_mod, ctx.residues.zero_id
+    npool = len(ctx.pool)
     count = 0
-    for w in _structures(ctx, family):
-        forms, breakpoints = w.chain()
+    for w, forms, breakpoints in _structures(ctx, family):
         nargs = breakpoints[-1]
-        count += len(ctx.pool) ** nargs
+        count += npool ** nargs
         if not ctx.f_vanishes:
             continue
+        links = tuple(zip(map(ctx.form, forms), breakpoints))
         passing = set()
-        for combo in itertools.product(ctx.vanishing_residues, repeat=nargs):
-            h = ctx.f_res
+        for combo in itertools.product(ctx.vanishing_ids, repeat=nargs):
+            h = ctx.f_id
             prev = 0
-            for p, stop in zip(forms, breakpoints):
-                h = ctx.compose_mod(p, (h, *combo[prev:stop]))
+            for form, stop in links:
+                h = compose_mod(form, (h, *combo[prev:stop]))
                 prev = stop
-            if h.is_zero:
+            if h == zero_id:
                 passing.add(combo)
         if not passing:
             continue

@@ -52,7 +52,7 @@ class Ideal:
                     f"{spec}[{','.join(self.vars)}]")
         self.gens = gens
         self._gb = {}
-        # conjectures._SearchContext keeps its memos here, by name
+        # conjectures keeps the search's residues here, by name
         self._residues = {}
 
     @classmethod

@@ -160,14 +160,30 @@ def power_ideal(spec, vars, d):
         Polynomial.variable(spec, vars, v) ** d for v in vars))
 
 
+def _fold_exponents(g, q):
+    """g with each exponent e >= 1 replaced by ((e - 1) mod (q - 1)) + 1,
+    which X_i^q - X_i allows: the two differ by an element of Gamma_q."""
+    terms = {}
+    for exps, c in g.terms.items():
+        e = tuple((x - 1) % (q - 1) + 1 if x else 0 for x in exps)
+        terms[e] = terms[e] + c if e in terms else c
+    return Polynomial(g.spec, g.vars, terms)
+
+
 def affine_vanishing(I, cfg):
     """I(Z_K(I)) = I + Gamma_q, returned as a reduced basis.
 
-    An empty zero set falls out as the unit ideal with no special case.
+    The generators' exponents are folded below q first (_fold_exponents),
+    which leaves I + Gamma_q unchanged, so huge exponents stay within the
+    Groebner degree limit.  This is affine only: Gamma_q^* allows no such
+    step.  An empty zero set falls out as the unit ideal with no special
+    case.
     """
     _check_ring(I, cfg)
     _check_coefficients(I, cfg)
-    return reduced(ideal_sum(I, gamma_q(cfg)))
+    folded = Ideal(I.spec, I.vars,
+                   [_fold_exponents(g, cfg.q) for g in I.gens])
+    return reduced(ideal_sum(folded, gamma_q(cfg)))
 
 
 def degree_bound(I, q):
@@ -206,6 +222,13 @@ def _nonempty_zero_set(I, cfg):
     return V
 
 
+def _colon(I, cfg):
+    """(I + Gamma_q^*) : <X_0^d, ..., X_n^d>, unreduced, and its d."""
+    d = degree_bound(I, cfg.q)
+    J = ideal_sum(I, gamma_q_star(cfg))
+    return ideal_quotient(J, power_ideal(cfg.k_spec, cfg.vars, d)), d
+
+
 def projective_vanishing(I, cfg, method="colon"):
     """I(V_K(I)) for a nonempty projective zero set, plus a run report."""
     _check_ring(I, cfg)
@@ -217,9 +240,7 @@ def projective_vanishing(I, cfg, method="colon"):
     start = time.perf_counter()
     d = None
     if method == "colon":
-        d = degree_bound(I, cfg.q)
-        J = ideal_sum(I, gamma_q_star(cfg))
-        result = ideal_quotient(J, power_ideal(cfg.k_spec, cfg.vars, d))
+        result, d = _colon(I, cfg)
         rounds = 1
     elif method == "saturation":
         J = ideal_sum(I, gamma_q_star(cfg))
@@ -348,7 +369,9 @@ def certify_membership(f, I, cfg):
     V = _nonempty_zero_set(I, cfg)
     table = PointTable.of_points(cfg.K_spec, V.points, len(cfg.vars))
     if any(table.evaluate(f)[0]):
-        vanishing, _ = projective_vanishing(I, cfg, "colon")
+        # V is known nonempty, so the colon runs without enumerating it
+        # again, as projective_vanishing would.
+        vanishing = reduced(_colon(I, cfg)[0])
         raise NotInVanishingIdeal(f"{f} is not in {vanishing}")
     gamma_star_basis = gamma_q_star(cfg).gb()
     certs = []

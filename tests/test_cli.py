@@ -139,6 +139,19 @@ class TestCommands:
         assert code == 0
         assert out == "X0\nX1^2 + X1\n"
 
+    def test_vanishing_affine_folds_huge_exponents(self, tmp_path, capsys):
+        """X^e and X^((e-1) mod (q-1) + 1) differ by a multiple of
+        X^q - X, so a millionth power answers like a fourth one."""
+        text = "field GF(7)\nvars X0 X1\nideal:\n{g}\n"
+        answers = []
+        for g in ("X0^4 + X1^4", "X0^1000000 + X1^1000000"):
+            path = write_problem(tmp_path, text.format(g=g))
+            start = time.perf_counter()
+            answers.append(run("vanishing", "--affine", "--input", path,
+                               capsys=capsys))
+            assert time.perf_counter() - start < 1.0
+        assert answers[0] == answers[1] == (0, "X1\nX0\n", "")
+
     def test_vanishing_affine_rejects_method(self, capsys):
         code, out, err = run("vanishing", "--affine", "--method", "oracle",
                              "--input", str(EXAMPLES / "p1.null"),
@@ -200,6 +213,17 @@ class TestCommands:
                              "--poly", "X2", capsys=capsys)
         assert code == 2
         assert "error: X2 is not in <X1>" in err
+
+    def test_certify_refusal_enumerates_once(self, monkeypatch, capsys):
+        from helpers import count_calls
+        from nullkit import nullstellensatz
+
+        calls = count_calls(monkeypatch, "zero_set", module=nullstellensatz)
+        code, out, err = run("certify", "--input",
+                             str(EXAMPLES / "counterexample.null"),
+                             "--poly", "X2", capsys=capsys)
+        assert (code, out, err) == (2, "", "error: X2 is not in <X1>\n")
+        assert len(calls) == 1
 
     def test_certify_rejects_tower_nonmember(self, tmp_path, capsys):
         """Points in GF(4) outside the GF(2) coefficients: the refusal

@@ -324,10 +324,11 @@ def test_form_cache_is_thread_safe(monkeypatch):
 
 
 def test_compose_mod_is_the_normal_form_of_the_composition():
-    """Second route: compose_mod(p, args) equals the normal form of the
-    expanded p(args), for forms p and vanishing argument residues over
-    random homogeneous ideals.  Each ideal serves every example drawn
-    for it, so later calls read entries that earlier ones memoized."""
+    """Second route: the residue behind compose_mod(form, args) equals
+    the normal form of the expanded p(args), for forms p and vanishing
+    argument residues over random homogeneous ideals.  Each ideal
+    serves every example drawn for it, so later calls read entries that
+    earlier ones memoized."""
     pytest.importorskip("hypothesis")
     from hypothesis import given, settings, strategies as st
 
@@ -348,19 +349,22 @@ def test_compose_mod_is_the_normal_form_of_the_composition():
     def check(case, data):
         I, bounds = case
         ctx = _SearchContext(I.gens[0], I, bounds)
+        polys = ctx.residues.polys
         m = data.draw(st.integers(0, bounds.max_m))
         p = data.draw(st.sampled_from(ctx.forms[m]))
-        args = tuple(data.draw(st.sampled_from(ctx.vanishing_residues))
+        args = tuple(data.draw(st.sampled_from(ctx.vanishing_ids))
                      for _ in range(m + 1))
-        expected = normal_form(p.compose(list(args)), I.gb())
-        assert ctx.compose_mod(p, args) == expected
+        expected = normal_form(p.compose([polys[a] for a in args]), I.gb())
+        got = ctx.compose_mod(ctx.form(p), args)
+        assert polys[got] == expected
         # a second context on the same ideal reads the memo
         again = _SearchContext(I.gens[0], I, bounds)
-        assert again.compose_mod(p, args) == expected
+        assert again.form(p).memo[args] == got
+        assert again.compose_mod(again.form(p), args) == got
 
     check()
     assert any(len(_SearchContext(I.gens[0], I, b)
-                   .vanishing_residues) > 2 for I, b in cases)
+                   .vanishing_ids) > 2 for I, b in cases)
 
 
 def _count_compose_normal_forms(monkeypatch):
@@ -370,9 +374,9 @@ def _count_compose_normal_forms(monkeypatch):
     inside = []
     real = _SearchContext.compose_mod
 
-    def counting(self, p, args):
+    def counting(self, form, args):
         before = len(calls)
-        out = real(self, p, args)
+        out = real(self, form, args)
         inside.append(len(calls) - before)
         return out
 
@@ -381,16 +385,22 @@ def _count_compose_normal_forms(monkeypatch):
 
 
 def test_suite_fills_its_own_residue_memo(monkeypatch):
-    """One suite makes 535 normal forms: 390 to set up its six searches
-    (64 pool residues and the target's, each) and 145 to fill the
-    residue memos.  A second suite builds its ideal afresh and makes
-    the same number again, so nothing is cached across calls."""
+    """One suite makes 215 normal forms: 70 to set up its six searches
+    (the 64 pool residues once, shared by all six, and the target's in
+    each) and 145 to fill the residue memos.  It builds the argument
+    pool once and asks compose_mod 42,611 times, once per composition
+    lookup.  A second suite builds its ideal afresh and makes the same
+    numbers again, so nothing is cached across calls."""
     calls, inside = _count_compose_normal_forms(monkeypatch)
+    pools = count_calls(monkeypatch, "argument_pool", conjectures)
     for _ in range(2):
         before, before_inside = len(calls), sum(inside)
+        before_pools, before_asked = len(pools), len(inside)
         assert counterexample_suite().ok
-        assert len(calls) - before == 535
+        assert len(calls) - before == 215
         assert sum(inside) - before_inside == 145
+        assert len(pools) - before_pools == 1
+        assert len(inside) - before_asked == 42611
 
 
 def test_family_searches_share_the_residue_memo(monkeypatch):
@@ -447,3 +457,40 @@ def test_threads_share_one_ideal():
     assert got == expected
     assert [got[family][0][1] for family in FAMILIES] == \
         [3245388, 8855056, 9936852]
+
+
+def test_threads_intern_each_residue_once():
+    """r1, r2 and r3, each twice, run at once on one Ideal and leave an
+    intern table that is a bijection: every id maps back to the residue
+    that interned to it, and no residue holds two ids.  Three rounds,
+    each on a fresh Ideal, since a lost update needs two threads inside
+    one intern."""
+    f = poly("X2^2 - X2")
+    want = dict(zip(FAMILIES, (3245388, 8855056, 9936852)))
+    for _ in range(3):
+        shared = ideal(["X1"])
+        got = {}
+
+        def run(i, family):
+            got[i, family] = search_witness(f, shared, family).candidates
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(i, family))
+                       for i in range(2) for family in FAMILIES]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(th.is_alive() for th in threads)
+        assert got == {(i, family): want[family]
+                       for i in range(2) for family in FAMILIES}
+        res = shared._residues["search"]
+        assert len(res.ids) == len(res.polys)
+        assert sorted(res.ids.values()) == list(range(len(res.polys)))
+        for i, r in enumerate(res.polys):
+            assert res.intern(r) == i
+        assert len(set(res.polys)) == len(res.polys)

@@ -19,7 +19,7 @@ from nullkit.errors import (
 )
 from nullkit.field import enumerate_field, make_field
 from nullkit.groebner import normal_form
-from nullkit.ideals import Ideal, ideal_saturate, reduced
+from nullkit.ideals import Ideal, ideal_saturate, ideal_sum, reduced
 from nullkit.nullstellensatz import (
     CERTIFICATE_LIMIT,
     EMPTY_IRRELEVANT,
@@ -127,6 +127,37 @@ def test_affine_result_is_radical():
     for s in ["X", "X + Y^2", "X*Y"]:
         f = parse_polynomial(s, vars, F2)
         assert J.contains(f * f) == J.contains(f)
+
+
+def test_affine_folds_exponents_below_q():
+    """Folding each exponent e >= 1 to ((e - 1) mod (q - 1)) + 1 leaves
+    I + Gamma_q unchanged: on inputs with exponents below 64, the basis
+    equals that of I + Gamma_q taken without folding."""
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    vars = ("X", "Y")
+    F5 = make_field(5)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.sampled_from([F2, F3, F4, F5]),
+           st.randoms(use_true_random=False))
+    def check(spec, rng):
+        elements = enumerate_field(spec)
+        gens = []
+        for _ in range(rng.randint(1, 2)):
+            terms = {}
+            for _ in range(rng.randint(1, 3)):
+                exps = (rng.randrange(64), rng.randrange(64))
+                if sum(exps) <= 60:
+                    terms[exps] = rng.choice(elements)
+            gens.append(Polynomial(spec, vars, terms))
+        I = Ideal(spec, vars, gens)
+        cfg = cfg_for(spec, vars)
+        unfolded = reduced(ideal_sum(I, gamma_q(cfg)))
+        assert affine_vanishing(I, cfg).gb().gens == unfolded.gb().gens
+
+    check()
 
 
 def test_empty_affine_gives_unit():
@@ -360,6 +391,22 @@ def test_certify_membership_enumerates_once(monkeypatch):
     I = Ideal.from_strings(F3, P2, ["X0*X1 + X2^2"])
     f = parse_polynomial("X0*X2 + X1*X2", P2, F3)
     assert [c.j for c in certify_membership(f, I, cfg)] == [0, 1, 2]
+    assert len(calls) == 1
+
+
+def test_refused_certify_enumerates_once(monkeypatch):
+    """A refused f reads the zero set once: the colon for its message
+    runs on the V already known to be nonempty."""
+    from helpers import count_calls
+    from nullkit import nullstellensatz
+
+    calls = count_calls(monkeypatch, "zero_set", module=nullstellensatz)
+    vars = ("X1", "X2")
+    I = Ideal.from_strings(F2, vars, ["X1"])
+    with pytest.raises(NotInVanishingIdeal) as exc:
+        certify_membership(parse_polynomial("X2", vars, F2), I,
+                           cfg_for(F2, vars))
+    assert str(exc.value) == "X2 is not in <X1>"
     assert len(calls) == 1
 
 
