@@ -43,11 +43,12 @@ witnessed immediately.
 """
 
 import itertools
+import math
 import threading
 from dataclasses import dataclass, field as dc_field
 
 from .errors import NotPrime, RingMismatch, SizeOverflow, SuiteFailure
-from .field import enumerate_field, is_subfield, make_field, prime_power
+from .field import is_subfield, make_field, prime_power
 from .groebner import normal_form
 from .ideals import (
     Ideal,
@@ -118,7 +119,7 @@ class RWitness:
         if self.family != "r1":
             return self.forms, self.breakpoints
         p = self.forms[0]
-        inner = Polynomial.variable(p.spec, ("y0",), "y0") ** self.inner_exp
+        inner = Polynomial.monomial(p.spec, ("y0",), (self.inner_exp,))
         return (inner, p), (0, self.breakpoints[0])
 
     def substituted_form(self):
@@ -207,7 +208,8 @@ def _anisotropic_forms_of_degree(K, m, d):
 
 
 def _build_anisotropic_forms(K, m, d):
-    monos = _degree_monomials(m + 1, d)
+    monos = _monomial_basis(K.q, m + 1, [d],
+                            "{q}^{n} candidate forms exceed the search limit")
     add, mul = K.add, K.mul
 
     def anisotropic(vec):
@@ -220,11 +222,8 @@ def _build_anisotropic_forms(K, m, d):
                 return False
         return True
 
-    # The size check runs at this call, before the point table is built;
-    # anisotropic only runs once the forms are drawn.
-    forms = _vector_polys(
-        K, _yvars(m), monos, "{q}^{n} candidate forms exceed the search limit",
-        monic=True, keep=anisotropic)
+    # anisotropic reads rows, which exist once the forms are drawn.
+    forms = _vector_polys(K, _yvars(m), monos, monic=True, keep=anisotropic)
     space = space_table(K, m + 1, AFFINE)
     space = space.take(range(1, space.size))  # the origin comes first
     rows = list(zip(*(space.monomial(mono) for mono in monos)))
@@ -242,28 +241,30 @@ def enumerate_forms(K, m, max_deg):
 def argument_pool(spec, vars, max_deg):
     """Every polynomial of total degree <= max_deg, zero first, in
     canonical vector order over the descending monomial basis."""
-    monos = []
-    for d in range(max_deg, -1, -1):
-        monos.extend(_degree_monomials(len(vars), d))
-    return tuple(_vector_polys(
-        spec, vars, monos, "{q}^{n} argument candidates exceed the limit"))
+    monos = _monomial_basis(spec.q, len(vars), range(max_deg, -1, -1),
+                            "{q}^{n} argument candidates exceed the limit")
+    return tuple(_vector_polys(spec, vars, monos))
 
 
-def _vector_polys(spec, vars, monos, too_many, monic=False, keep=None):
+def _monomial_basis(q, nvars, degrees, too_many):
+    """The monomials in nvars variables of the given degrees, each degree
+    descending in degrevlex, counted before they are listed: too_many is
+    the SizeOverflow message (with {q} and {n} for the field size and
+    basis length) raised when the q^n vectors over GF(q) pass _ENUM_LIMIT."""
+    n = sum(math.comb(nvars + d - 1, d) for d in degrees)
+    # q >= 2, so a basis past the limit's bit length needs no q^n.
+    if n > _ENUM_LIMIT.bit_length() or q ** n > _ENUM_LIMIT:
+        raise SizeOverflow(too_many.format(q=q, n=n))
+    return [m for d in degrees for m in _degree_monomials(nvars, d)]
+
+
+def _vector_polys(spec, vars, monos, monic=False, keep=None):
     """Polynomials over the monomial basis monos, one per coefficient
-    vector in lexicographic order, as a lazy iterator.
-
-    The size check runs at the call: too_many is the SizeOverflow
-    message (with {q} and {n} for the field size and basis length)
-    raised when the vectors exceed _ENUM_LIMIT.  monic skips vectors
-    whose first nonzero entry is not 1; keep, when given, is tested on
-    the vector before a polynomial is built.
+    vector in lexicographic order, as a lazy iterator.  monic skips
+    vectors whose first nonzero entry is not 1; keep, when given, is
+    tested on the vector before a polynomial is built.
     """
-    if spec.q ** len(monos) > _ENUM_LIMIT:
-        raise SizeOverflow(too_many.format(q=spec.q, n=len(monos)))
-    elems = enumerate_field(spec)
-    return (Polynomial(spec, vars, {
-                monos[mi]: elems[v] for mi, v in enumerate(vec) if v})
+    return (Polynomial(spec, vars, dict(zip(monos, vec)))
             for vec in itertools.product(range(spec.q), repeat=len(monos))
             if (not monic or next((v for v in vec if v), 0) == 1)
             and (keep is None or keep(vec)))
@@ -305,14 +306,12 @@ class _Residues:
     def add_scaled(self, a, c, b):
         """The id of the residue a + c*b, for residue ids a and b and a
         coefficient encoding c, combined through the spec's tables."""
-        spec = self.spec
-        add, row = spec.add, spec.mul[c]
-        terms = {m: v.idx for m, v in self.polys[a].terms.items()}
+        add, row = self.spec.add, self.spec.mul[c]
+        terms = dict(self.polys[a].terms)
         for m, v in self.polys[b].terms.items():
-            v = row[v.idx]
+            v = row[v]
             terms[m] = add[terms[m]][v] if m in terms else v
-        return self.intern(Polynomial(spec, self.vars, {
-            m: spec.element(v) for m, v in terms.items()}))
+        return self.intern(Polynomial(self.spec, self.vars, terms))
 
 
 class _Form:
@@ -323,7 +322,7 @@ class _Form:
     __slots__ = ("terms", "memo")
 
     def __init__(self, p):
-        self.terms = tuple((e, c.idx) for e, c in p.terms.items())
+        self.terms = tuple(p.terms.items())
         self.memo = {}
 
 
@@ -351,7 +350,7 @@ class _SearchContext:
     The residues, their memos and the set-up that depends only on the
     ideal and max_deg_args live on the ideal (the _Residues in
     Ideal._residues), not here; a context adds the target's residue id
-    and the forms and inner powers of its bounds.
+    and the forms of its bounds.
     """
 
     def __init__(self, f, I, bounds):
@@ -371,9 +370,6 @@ class _SearchContext:
         self.f_id = res.intern(normal_form(f, res.basis))
         self.forms = {m: enumerate_forms(K, m, bounds.max_deg_p)
                       for m in range(bounds.max_m + 1)}
-        y0 = Polynomial.variable(K, ("y0",), "y0")
-        self.inner = {n: y0 ** n
-                      for n in range(1, bounds.max_inner_exp + 1)}
 
     def form(self, p):
         """The _Form of p on this ideal."""
@@ -437,31 +433,27 @@ class _SearchContext:
 
 
 def _structures(ctx, family):
-    """The family's witnesses without arguments, in canonical order,
-    each with its chain of forms and breakpoints (RWitness.chain, with
-    the r1 inner power taken from the context)."""
+    """The family's witnesses without arguments, in canonical order."""
     f, I, b, forms = ctx.f, ctx.ideal, ctx.bounds, ctx.forms
     if family == "r1":
         for m in range(b.max_m + 1):
             for p in forms[m]:
                 for nexp in range(1, b.max_inner_exp + 1):
-                    yield (RWitness("r1", (p,), (m,), (), f, I,
-                                    inner_exp=nexp),
-                           (ctx.inner[nexp], p), (0, m))
+                    yield RWitness("r1", (p,), (m,), (), f, I,
+                                   inner_exp=nexp)
     elif family == "r2":
         for total in range(b.max_m + 1):
             for n_in in range(total + 1):
                 for s in forms[n_in]:
                     for p in forms[total - n_in]:
-                        w = RWitness("r2", (s, p), (n_in, total), (), f, I)
-                        yield w, w.forms, w.breakpoints
+                        yield RWitness("r2", (s, p), (n_in, total), (), f, I)
     else:
         for chain_len in range(1, b.max_chain + 1):
             for bps in itertools.combinations_with_replacement(
                     range(b.max_m + 1), chain_len):
                 slots = [stop - start for start, stop in zip((0,) + bps, bps)]
                 for chain in itertools.product(*[forms[s] for s in slots]):
-                    yield RWitness("r3", chain, bps, (), f, I), chain, bps
+                    yield RWitness("r3", chain, bps, (), f, I)
 
 
 def search_witness(f, I, family, bounds=None):
@@ -480,11 +472,12 @@ def search_witness(f, I, family, bounds=None):
     compose_mod, zero_id = ctx.compose_mod, ctx.residues.zero_id
     npool = len(ctx.pool)
     count = 0
-    for w, forms, breakpoints in _structures(ctx, family):
-        nargs = breakpoints[-1]
+    for w in _structures(ctx, family):
+        nargs = w.breakpoints[-1]
         count += npool ** nargs
         if not ctx.f_vanishes:
             continue
+        forms, breakpoints = w.chain()
         links = tuple(zip(map(ctx.form, forms), breakpoints))
         passing = set()
         for combo in itertools.product(ctx.vanishing_ids, repeat=nargs):
@@ -693,9 +686,9 @@ def find_nonradical_instance(q, n, max_gen_degree):
     cfg = NullConfig(spec, spec, vars)
     forms = []
     for d in range(1, max_gen_degree + 1):
-        forms.extend(_vector_polys(
-            spec, vars, _degree_monomials(n + 1, d),
-            "generator enumeration exceeds the limit", monic=True))
+        monos = _monomial_basis(spec.q, n + 1, [d],
+                                "generator enumeration exceeds the limit")
+        forms.extend(_vector_polys(spec, vars, monos, monic=True))
     candidates = itertools.chain(
         ((g,) for g in forms),
         itertools.combinations(forms, 2))

@@ -553,6 +553,6 @@ def parse_field_literal(text):
         raise ReducibleModulus(f"modulus must have degree {e}, got degree {d}")
     modulus = [0] * (e + 1)
     for (k,), c in f.terms.items():
-        modulus[k] = c.idx
+        modulus[k] = c
     return make_field(p, e, modulus)
 

@@ -93,7 +93,7 @@ class _Ring:
 
     def pack(self, f):
         """The packed f, whose degree the ring must hold."""
-        return _Packed(self, {self.pack_mono(e): c.idx
+        return _Packed(self, {self.pack_mono(e): c
                               for e, c in f.terms.items()})
 
 
@@ -127,8 +127,8 @@ class _Packed:
                               for m, c in self.terms.items()})
 
     def unpack(self, vars):
-        ring, at = self.ring, self.ring.spec._at
-        return Polynomial(ring.spec, vars, {ring.unpack_mono(m): at[c]
+        ring = self.ring
+        return Polynomial(ring.spec, vars, {ring.unpack_mono(m): c
                                             for m, c in self.terms.items()})
 
     def reducer(self):

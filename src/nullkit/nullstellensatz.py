@@ -44,7 +44,7 @@ from .errors import (
     SizeOverflow,
     ZeroGeneratorCount,
 )
-from .field import in_subfield_image, is_subfield
+from .field import is_subfield
 from .ideals import Ideal, ideal_quotient, ideal_saturate, ideal_sum, reduced
 from .groebner import normal_form
 from .poly import Polynomial
@@ -116,10 +116,11 @@ def _check_coefficients(I, cfg):
         return
     for g in I.gens:
         for c in g.terms.values():
-            if not in_subfield_image(c, cfg.K_spec):
+            if c >= cfg.K_spec.p:  # K_spec is the prime subfield here
                 raise FieldMismatch(
-                    f"coefficient {c} of {g} lies outside the image of "
-                    f"{cfg.K_spec}; mixed-coefficient inputs are rejected")
+                    f"coefficient {g.spec.element(c)} of {g} lies outside "
+                    f"the image of {cfg.K_spec}; mixed-coefficient inputs "
+                    f"are rejected")
 
 
 def _check_homogeneous_gens(I):
@@ -163,10 +164,11 @@ def power_ideal(spec, vars, d):
 def _fold_exponents(g, q):
     """g with each exponent e >= 1 replaced by ((e - 1) mod (q - 1)) + 1,
     which X_i^q - X_i allows: the two differ by an element of Gamma_q."""
+    add = g.spec.add
     terms = {}
     for exps, c in g.terms.items():
         e = tuple((x - 1) % (q - 1) + 1 if x else 0 for x in exps)
-        terms[e] = terms[e] + c if e in terms else c
+        terms[e] = add[terms[e]][c] if e in terms else c
     return Polynomial(g.spec, g.vars, terms)
 
 

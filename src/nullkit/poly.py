@@ -1,11 +1,13 @@
 """Multivariate polynomials over a FieldSpec.
 
-A polynomial is a dict from exponent tuples to nonzero coefficients,
-together with its ring context (coefficient spec, ordered variable
-names).  Monomials are plain tuples; groebner packs them into ints for
-its own loops.  Printing is canonical: terms descend in the active
-monomial order and coefficients stay in their canonical form, so equal
-polynomials always print identically.
+A polynomial is a dict from exponent tuples to the encodings of its
+nonzero coefficients (see field), with its ring context (coefficient
+spec, ordered variable names); the ring operations run on the spec's
+tables.  FieldElements enter through the constructor and the scalars
+of constant, scale and dehomogenize, and leave through leading,
+sorted_terms and evaluate.  Monomials are plain tuples.  Printing is
+canonical: terms descend in the active monomial order and coefficients
+stay in their canonical form, so equal polynomials print identically.
 """
 
 import re
@@ -14,11 +16,12 @@ from dataclasses import dataclass
 from .errors import (
     ArityMismatch,
     DimensionMismatch,
+    FieldMismatch,
     ParseError,
     RingMismatch,
     UnknownVariable,
 )
-from .field import FieldElement, common_spec, embed
+from .field import FieldElement, common_spec, embed, is_subfield
 
 
 # ---------------------------------------------------------------- monomials
@@ -68,15 +71,24 @@ def block_order(k):
 
 # ------------------------------------------------------------- polynomials
 
+def _scalar(spec, c):
+    """Encoding of a FieldElement of spec or its prime subfield, or of
+    an integer read modulo p."""
+    return embed(c, spec).idx if isinstance(c, FieldElement) else c % spec.p
+
+
 class Polynomial:
-    """Element of spec[vars]; immutable by convention."""
+    """Element of spec[vars], immutable by convention: terms maps
+    exponent tuples to nonzero encodings.  The constructor also takes
+    FieldElements of spec or its prime subfield, and drops zeros."""
 
     __slots__ = ("spec", "vars", "terms", "_hash")
 
     def __init__(self, spec, vars, terms):
         self.spec = spec
         self.vars = tuple(vars)
-        self.terms = {e: c for e, c in terms.items() if c.idx != 0}
+        self.terms = {e: c if type(c) is int else embed(c, spec).idx
+                      for e, c in terms.items() if c}
         self._hash = None
 
     @classmethod
@@ -85,22 +97,18 @@ class Polynomial:
 
     @classmethod
     def constant(cls, spec, vars, value):
-        c = value if isinstance(value, FieldElement) else spec.element(
-            value % spec.p)
-        n = len(vars)
-        return cls(spec, vars, {(0,) * n: c})
+        return cls(spec, vars, {(0,) * len(vars): _scalar(spec, value)})
 
     @classmethod
     def variable(cls, spec, vars, name):
         if name not in vars:
             raise UnknownVariable(f"{name} is not a ring variable")
         exps = tuple(1 if v == name else 0 for v in vars)
-        return cls(spec, vars, {exps: spec.one})
+        return cls(spec, vars, {exps: 1})
 
     @classmethod
-    def monomial(cls, spec, vars, exps, coef=None):
-        c = spec.one if coef is None else coef
-        return cls(spec, vars, {tuple(exps): c})
+    def monomial(cls, spec, vars, exps, coef=1):
+        return cls(spec, vars, {tuple(exps): coef})
 
     def _same_ring(self, other):
         if not isinstance(other, Polynomial):
@@ -125,46 +133,47 @@ class Polynomial:
 
     def __hash__(self):
         if self._hash is None:
-            items = frozenset((e, c.idx) for e, c in self.terms.items())
-            self._hash = hash((id(self.spec), self.vars, items))
+            self._hash = hash((id(self.spec), self.vars,
+                               frozenset(self.terms.items())))
         return self._hash
 
     def __add__(self, other):
         self._same_ring(other)
+        add = self.spec.add
         out = dict(self.terms)
         for e, c in other.terms.items():
             prev = out.get(e)
             if prev is None:
                 out[e] = c
+            elif s := add[prev][c]:
+                out[e] = s
             else:
-                s = prev + c
-                if s.idx:
-                    out[e] = s
-                else:
-                    del out[e]
+                del out[e]
         return Polynomial(self.spec, self.vars, out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
+        neg = self.spec.neg
         return Polynomial(self.spec, self.vars,
-                          {e: -c for e, c in self.terms.items()})
+                          {e: neg[c] for e, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, FieldElement):
             return self.scale(other)
         self._same_ring(other)
+        add, mul = self.spec.add, self.spec.mul
         out = {}
         for e1, c1 in self.terms.items():
+            row = mul[c1]
             for e2, c2 in other.terms.items():
                 key = tuple(x + y for x, y in zip(e1, e2))
-                c = c1 * c2
+                c = row[c2]
                 prev = out.get(key)
                 if prev is None:
-                    if c.idx:
-                        out[key] = c
-                elif (s := prev + c).idx:
+                    out[key] = c
+                elif s := add[prev][c]:
                     out[key] = s
                 else:
                     del out[key]
@@ -176,14 +185,9 @@ class Polynomial:
         return NotImplemented
 
     def scale(self, c):
-        if not isinstance(c, FieldElement):
-            c = self.spec.element(c % self.spec.p)
-        if c.spec is not self.spec:
-            c = embed(c, self.spec)
-        if c.idx == 0:
-            return Polynomial.zero(self.spec, self.vars)
+        row = self.spec.mul[_scalar(self.spec, c)]
         return Polynomial(self.spec, self.vars,
-                          {e: v * c for e, v in self.terms.items()})
+                          {e: row[v] for e, v in self.terms.items()})
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
@@ -220,10 +224,11 @@ class Polynomial:
         if not self.terms:
             raise ValueError("the zero polynomial has no leading term")
         e = max(self.terms, key=order.key)
-        return e, self.terms[e]
+        return e, self.spec.element(self.terms[e])
 
     def sorted_terms(self, order=DEGREVLEX):
-        return [(e, self.terms[e])
+        element = self.spec.element
+        return [(e, element(self.terms[e]))
                 for e in sorted(self.terms, key=order.key, reverse=True)]
 
     def evaluate(self, point):
@@ -238,7 +243,7 @@ class Polynomial:
         pows = [{0: target.one} for _ in coords]
         total = target.zero
         for exps, c in self.terms.items():
-            v = embed(c, target)
+            v = target.element(c)
             for i, e in enumerate(exps):
                 if e:
                     cache = pows[i]
@@ -262,11 +267,11 @@ class Polynomial:
         if target is not ring.spec:
             args = [lift(g, target) for g in args]
             ring = args[0]
-        one = Polynomial.constant(target, ring.vars, 1)
-        pows = [{0: one} for _ in args]
+        const = (0,) * len(ring.vars)
+        pows = [{0: Polynomial(target, ring.vars, {const: 1})} for _ in args]
         total = Polynomial.zero(target, ring.vars)
         for exps, c in self.terms.items():
-            v = one.scale(embed(c, target))
+            v = Polynomial(target, ring.vars, {const: c})
             for i, e in enumerate(exps):
                 if e:
                     cache = pows[i]
@@ -292,17 +297,17 @@ class Polynomial:
         return "*".join(parts)
 
     def _coef_str(self, c):
-        return str(c.idx) if self.spec.e == 1 else f"({c})"
+        return str(c) if self.spec.e == 1 else f"({self.spec.element(c)})"
 
     def to_string(self, order=DEGREVLEX):
         if not self.terms:
             return "0"
         parts = []
-        for exps, c in self.sorted_terms(order):
-            mono = self._mono_str(exps)
+        for exps in sorted(self.terms, key=order.key, reverse=True):
+            mono, c = self._mono_str(exps), self.terms[exps]
             if not mono:
                 parts.append(self._coef_str(c))
-            elif c.idx == 1:
+            elif c == 1:
                 parts.append(mono)
             else:
                 parts.append(f"{self._coef_str(c)}*{mono}")
@@ -313,8 +318,9 @@ def lift(f, target):
     """The same polynomial with coefficients embedded into target."""
     if f.spec is target:
         return f
-    return Polynomial(target, f.vars,
-                      {e: embed(c, target) for e, c in f.terms.items()})
+    if not is_subfield(f.spec, target):
+        raise FieldMismatch(f"no embedding of {f.spec} into {target}")
+    return Polynomial(target, f.vars, f.terms)
 
 
 def insert_variable(f, position, name):
@@ -361,22 +367,22 @@ def homogenize(f, position=0, name=None):
 
 
 def dehomogenize(f, position, value=1):
-    """Substitute a constant for one variable and remove it."""
-    c = value if isinstance(value, FieldElement) else f.spec.element(
-        value % f.spec.p)
+    """Substitute the scalar value for one variable and remove it."""
+    spec = f.spec
+    c = _scalar(spec, value)
+    add, mul = spec.add, spec.mul
     out = {}
     for e, v in f.terms.items():
-        w = v * c ** e[position]
+        w = mul[v][spec.encoded_pow(c, e[position])]
         key = e[:position] + e[position + 1:]
         prev = out.get(key)
         if prev is None:
-            if w.idx:
-                out[key] = w
-        elif (s := prev + w).idx:
+            out[key] = w
+        elif s := add[prev][w]:
             out[key] = s
         else:
             del out[key]
-    return Polynomial(f.spec, f.vars[:position] + f.vars[position + 1:], out)
+    return Polynomial(spec, f.vars[:position] + f.vars[position + 1:], out)
 
 
 # ------------------------------------------------------------------ parser

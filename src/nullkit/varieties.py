@@ -162,7 +162,7 @@ class PointTable:
             for k, f in enumerate(polys):
                 if exps in f.terms:
                     add = specs[k].add
-                    row = specs[k].mul[f.terms[exps].idx]
+                    row = specs[k].mul[f.terms[exps]]
                     totals[k] = [add[t][row[a]] for t, a in zip(totals[k], v)]
         return totals
 
@@ -368,8 +368,6 @@ def oracle_vanishing_ideal(V, spec=None, vars=None):
         raise FieldMismatch(f"no embedding of {V.spec} into {spec}")
     table = PointTable.of_points(V.spec, V.points, nvars)
     combos = _buchberger_moller(table, spec, nvars, V.kind == PROJECTIVE)
-    gens = [Polynomial(spec, vars, {m: spec.element(c)
-                                    for m, c in combo.items()})
-            for combo in combos]
+    gens = [Polynomial(spec, vars, combo) for combo in combos]
     basis = GroebnerBasis(DEGREVLEX, gens)
     return Ideal(spec, vars, basis.gens).seed_gb(basis)

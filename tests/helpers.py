@@ -1,9 +1,10 @@
 """Shared test helpers: a call counter, random polynomials, the
 reference point fold, a schoolbook reference for finite-field
-arithmetic, and tuple-monomial references for normal forms, exact
-division and reduced Groebner bases."""
+arithmetic, FieldElement references for polynomial arithmetic, and
+tuple-monomial references for normal forms, exact division and reduced
+Groebner bases."""
 
-from nullkit.field import enumerate_field
+from nullkit.field import FieldElement, embed, enumerate_field
 from nullkit.ideals import ideal_intersect
 from nullkit.poly import Polynomial, mono_divides
 from nullkit.varieties import point_ideal
@@ -98,6 +99,75 @@ class RefField:
         return self.pow(a, self.q - 2)
 
 
+# ------------------------------------------ FieldElement polynomial loops
+# Polynomial arithmetic as it ran on FieldElement coefficients, before
+# Polynomial.terms held encodings; each takes and returns Polynomials.
+
+def _elements(f):
+    return dict(f.sorted_terms())
+
+
+def ref_add(f, g):
+    out = _elements(f)
+    for e, c in _elements(g).items():
+        prev = out.get(e)
+        if prev is None:
+            out[e] = c
+        else:
+            s = prev + c
+            if s.idx:
+                out[e] = s
+            else:
+                del out[e]
+    return Polynomial(f.spec, f.vars, out)
+
+
+def ref_mul(f, g):
+    out = {}
+    for e1, c1 in _elements(f).items():
+        for e2, c2 in _elements(g).items():
+            key = tuple(x + y for x, y in zip(e1, e2))
+            c = c1 * c2
+            prev = out.get(key)
+            if prev is None:
+                if c.idx:
+                    out[key] = c
+            elif (s := prev + c).idx:
+                out[key] = s
+            else:
+                del out[key]
+    return Polynomial(f.spec, f.vars, out)
+
+
+def ref_scale(f, c):
+    if not isinstance(c, FieldElement):
+        c = f.spec.element(c % f.spec.p)
+    if c.spec is not f.spec:
+        c = embed(c, f.spec)
+    if c.idx == 0:
+        return Polynomial.zero(f.spec, f.vars)
+    return Polynomial(f.spec, f.vars,
+                      {e: v * c for e, v in _elements(f).items()})
+
+
+def ref_dehomogenize(f, position, value=1):
+    c = value if isinstance(value, FieldElement) else f.spec.element(
+        value % f.spec.p)
+    out = {}
+    for e, v in _elements(f).items():
+        w = v * c ** e[position]
+        key = e[:position] + e[position + 1:]
+        prev = out.get(key)
+        if prev is None:
+            if w.idx:
+                out[key] = w
+        elif (s := prev + w).idx:
+            out[key] = s
+        else:
+            del out[key]
+    return Polynomial(f.spec, f.vars[:position] + f.vars[position + 1:], out)
+
+
 # --------------------------------------------- tuple-monomial references
 
 def mono_div(a, b):
@@ -111,7 +181,7 @@ def ref_reduce_full(terms, leads, order, spec, vars):
     Scans the largest remaining monomial first and tries reducers in
     their stored sequence, which makes the result deterministic.
     """
-    work = dict(terms)
+    work = {e: spec.element(c) for e, c in terms.items()}
     done = {}
     key = order.key
     while work:
@@ -120,11 +190,11 @@ def ref_reduce_full(terms, leads, order, spec, vars):
         for lm, g in leads:
             if mono_divides(lm, mono):
                 shift = mono_div(mono, lm)
-                lc = g.terms[lm]
+                lc = spec.element(g.terms[lm])
                 factor = coef if lc.idx == 1 else coef * lc.inv()
                 for e, c in g.terms.items():
                     tgt = tuple(x + y for x, y in zip(e, shift))
-                    sub = factor * c
+                    sub = factor * spec.element(c)
                     prev = work.get(tgt)
                     if prev is None:
                         if sub.idx:
@@ -147,7 +217,7 @@ def ref_divide_exact(f, g, order):
     if f.is_zero:
         return f
     lm, lc = g.leading(order)
-    work = dict(f.terms)
+    work = dict(f.sorted_terms(order))
     quot = {}
     key = order.key
     while work:
@@ -160,7 +230,7 @@ def ref_divide_exact(f, g, order):
         quot[shift] = factor
         for e, c in g.terms.items():
             tgt = tuple(x + y for x, y in zip(e, shift))
-            sub = factor * c
+            sub = factor * f.spec.element(c)
             prev = work.get(tgt)
             if prev is None:
                 if sub.idx:

@@ -430,6 +430,40 @@ class TestSearchCommand:
         assert code == 0
         assert out == "result: found\nideal: X2^2\nwitness: X2\n"
 
+    @pytest.mark.time_budget(10)
+    @pytest.mark.parametrize("family, target, head", [
+        ("r1", "X1", "result: witness"),
+        ("r3", "X1", "result: witness"),
+        ("r3", "X2^2 - X2", "result: exhausted\ncandidates: 9936852")],
+        ids=["r1-witness", "r3-witness", "r3-exhausted"])
+    def test_inner_powers_are_built_on_demand(self, capsys, family, target,
+                                              head):
+        """A huge inner exponent bound costs nothing to a search that
+        stops early or never reads the inner powers."""
+        start = time.perf_counter()
+        code, out, err = run(
+            "search", "--family", family,
+            "--ideal", str(EXAMPLES / "counterexample.null"),
+            "--target", target, "--bounds", "exp=100000000", capsys=capsys)
+        assert time.perf_counter() - start < 1
+        assert code == 0 and out.startswith(head + "\n"), out + err
+
+    @pytest.mark.time_budget(10)
+    @pytest.mark.parametrize("argv, message", [
+        (("--family", "r1", "--ideal", str(EXAMPLES / "counterexample.null"),
+          "--target", "X2^2 - X2", "--bounds", "degargs=100000"),
+         "2^5000150001 argument candidates exceed the limit"),
+        (("--nonradical", "--q", "2", "--n", "100000", "--maxdeg", "1"),
+         "generator enumeration exceeds the limit")],
+        ids=["degargs", "nonradical"])
+    def test_oversized_enumerations_exit_2(self, capsys, argv, message):
+        """The enumeration size is checked before any monomial is
+        listed."""
+        start = time.perf_counter()
+        code, out, err = run("search", *argv, capsys=capsys)
+        assert time.perf_counter() - start < 1
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_coefficients_outside_the_point_field(self, capsys):
         code, out, err = run(
             "search", "--family", "r1",

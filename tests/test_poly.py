@@ -8,6 +8,7 @@ import pytest
 from nullkit.errors import (
     ArityMismatch,
     DimensionMismatch,
+    FieldMismatch,
     ParseError,
     RingMismatch,
     UnknownVariable,
@@ -26,6 +27,8 @@ from nullkit.poly import (
     parse_polynomial,
     permute_variables,
 )
+
+from helpers import ref_add, ref_dehomogenize, ref_mul, ref_scale
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -101,6 +104,52 @@ def test_ring_axioms_on_random_polynomials():
         assert a ** k == power
 
     check()
+
+
+def test_arithmetic_matches_the_field_element_loops():
+    """Sums, products, scaling and dehomogenization on encodings equal
+    the FieldElement loops of tests/helpers.py over prime, tabled,
+    untabled and extension fields, with scalars given as elements or as
+    integers; scale also takes elements of the prime subfield."""
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    fields = [F2, F4, make_field(3, 2), make_field(251), make_field(4099),
+              make_field(67, 2, (1, 0, 1))]
+
+    def polys(spec):
+        terms = st.dictionaries(st.tuples(*[st.integers(0, 4)] * 2),
+                                st.integers(0, spec.q - 1), max_size=6)
+        return terms.map(lambda t: Polynomial(spec, XY, {
+            e: spec.element(c) for e, c in t.items()}))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.sampled_from(fields).flatmap(lambda spec: st.tuples(
+               polys(spec), polys(spec), st.integers(0, spec.q - 1))),
+           st.integers(-5, 300), st.integers(0, 1))
+    def check(fgc, k, position):
+        f, g, c = fgc
+        spec = f.spec
+        assert f + g == ref_add(f, g)
+        assert f * g == ref_mul(f, g)
+        for a in (spec.element(c), k):
+            assert f.scale(a) == ref_scale(f, a)
+            assert dehomogenize(f, position, a) == ref_dehomogenize(
+                f, position, a)
+        a = make_field(spec.p).element(c % spec.p)
+        assert f.scale(a) == ref_scale(f, a)
+
+    check()
+
+
+def test_constructor_encodes_field_elements():
+    one = Polynomial(F4, XY, {(1, 0): F4.element((0, 1)), (0, 1): 1})
+    other = Polynomial(F4, XY, {(1, 0): 2, (0, 1): F4.one, (0, 0): F4.zero})
+    assert one == other and hash(one) == hash(other)
+    assert one.terms == {(1, 0): 2, (0, 1): 1}
+    assert Polynomial(F4, XY, {(1, 0): F2.one}).terms == {(1, 0): 1}
+    with pytest.raises(FieldMismatch):
+        Polynomial(F4, XY, {(1, 0): F3.one})
 
 
 def test_product_degrees():
@@ -315,7 +364,7 @@ def test_coefficients_share_the_term_grammar():
     # a library ring may name a variable t; in parentheses t stays the
     # generator
     f = parse_polynomial("(t)*t", ("t",), F4)
-    assert f.terms == {(1,): F4.element((0, 1))}
+    assert f.terms == {(1,): F4.element((0, 1)).idx}
     for text, spec in [("(2t)*X", F4), ("(2 t)*X", F4), ("2t*X", F4),
                        ("(2*t + 1)*X", F2), ("(X)*Y", F4),
                        ("(t + 1*X", F4),

@@ -1,10 +1,15 @@
-"""The per-test time budget of conftest.py turns a hang into a failure."""
+"""The per-test budgets of conftest.py turn a hang or a runaway
+allocation into a failure."""
 
 import os
 import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from conftest import TEST_MEMORY_BYTES
 
 ENDLESS = """\
 import pytest
@@ -31,3 +36,11 @@ def test_an_endless_loop_fails_on_its_budget(tmp_path):
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "1 failed" in proc.stdout
     assert "OverBudget: the test ran past its budget of 0.5 s" in proc.stdout
+
+
+def test_a_test_runs_under_the_memory_budget():
+    """Inside a test the address space is capped at the budget, so an
+    allocation without bound raises MemoryError."""
+    resource = pytest.importorskip("resource")
+    soft, _ = resource.getrlimit(resource.RLIMIT_AS)
+    assert soft != resource.RLIM_INFINITY and soft <= TEST_MEMORY_BYTES
