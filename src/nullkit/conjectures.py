@@ -208,26 +208,52 @@ def _anisotropic_forms_of_degree(K, m, d):
 
 
 def _build_anisotropic_forms(K, m, d):
+    """Meet in the middle on the projective points, as the zeros of a form
+    are lines through the origin: a vector is a head (the larger part of
+    the basis, listed monic or zero) and a tail, its value at a point
+    theirs summed.  Bit t of mask[P][x] is set when tail t takes the value
+    x at P; a monic head keeps the tails outside every mask[P][-head(P)],
+    the zero head the monic ones."""
     monos = _monomial_basis(K.q, m + 1, [d],
                             "{q}^{n} candidate forms exceed the search limit")
-    add, mul = K.add, K.mul
-
-    def anisotropic(vec):
-        for row in rows:
-            s = 0
-            for v, cell in zip(vec, row):
-                if v:
-                    s = add[s][mul[v][cell]]
-            if not s:
-                return False
-        return True
-
-    # anisotropic reads rows, which exist once the forms are drawn.
-    forms = _vector_polys(K, _yvars(m), monos, monic=True, keep=anisotropic)
-    space = space_table(K, m + 1, AFFINE)
-    space = space.take(range(1, space.size))  # the origin comes first
-    rows = list(zip(*(space.monomial(mono) for mono in monos)))
+    if d <= m:  # Chevalley-Warning gives a nontrivial zero (d < m + 1)
+        return ()
+    space = space_table(K, m, PROJECTIVE)
+    cols = [space.monomial(mono) for mono in monos]
+    h = len(monos) - len(monos) // 2
+    heads = _vector_values(K, cols[:h], space.size, monic=True)
+    tails = _vector_values(K, cols[h:], space.size)
+    masks = [{} for _ in range(space.size)]
+    for t, (_, values) in enumerate(tails):
+        for mask, x in zip(masks, values):
+            mask[x] = mask.get(x, 0) | 1 << t
+    monic_tails = sum(1 << t for t, (vec, _) in enumerate(tails)
+                      if next((c for c in vec if c), 0) == 1)
+    full, neg, vars = (1 << len(tails)) - 1, K.neg, _yvars(m)
+    forms = []
+    for head, values in heads:
+        keep = full if any(head) else monic_tails
+        for mask, x in zip(masks, values):
+            keep &= ~mask.get(neg[x], 0)
+        while keep:
+            low = keep & -keep
+            keep ^= low
+            tail = tails[low.bit_length() - 1][0]
+            forms.append(Polynomial(K, vars, dict(zip(monos, head + tail))))
     return tuple(forms)
+
+
+def _vector_values(K, cols, size, monic=False):
+    """(vector, its values at the size points) for every coefficient
+    vector over monomials with values cols, in itertools.product order;
+    monic keeps the zero vector and those whose first nonzero entry is 1."""
+    add, mul = K.add, K.mul
+    out = [((), (0,) * size)]
+    for col in cols:
+        out = [(vec + (c,), tuple(add[s][mul[c][v]] for s, v in zip(at, col)))
+               for vec, at in out
+               for c in (range(K.q) if any(vec) or not monic else (0, 1))]
+    return out
 
 
 def enumerate_forms(K, m, max_deg):
@@ -258,16 +284,13 @@ def _monomial_basis(q, nvars, degrees, too_many):
     return [m for d in degrees for m in _degree_monomials(nvars, d)]
 
 
-def _vector_polys(spec, vars, monos, monic=False, keep=None):
+def _vector_polys(spec, vars, monos, monic=False):
     """Polynomials over the monomial basis monos, one per coefficient
     vector in lexicographic order, as a lazy iterator.  monic skips
-    vectors whose first nonzero entry is not 1; keep, when given, is
-    tested on the vector before a polynomial is built.
-    """
+    vectors whose first nonzero entry is not 1."""
     return (Polynomial(spec, vars, dict(zip(monos, vec)))
             for vec in itertools.product(range(spec.q), repeat=len(monos))
-            if (not monic or next((v for v in vec if v), 0) == 1)
-            and (keep is None or keep(vec)))
+            if not monic or next((v for v in vec if v), 0) == 1)
 
 
 class _Residues:

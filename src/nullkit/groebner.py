@@ -390,5 +390,6 @@ def divide_exact(f, g, order=DEGREVLEX):
     if rest is None:
         raise ValueError(f"{g} does not divide {f}")
     # f = quotient * g / lc(g)
-    return _Packed(num.ring, quotient).unpack(f.vars).scale(
-        g.leading(order)[1].inv())
+    row = f.spec.mul[f.spec.inv[den.terms[max(den.terms)]]]
+    return _Packed(num.ring, {m: row[c] for m, c in quotient.items()}
+                   ).unpack(f.vars)

@@ -223,13 +223,19 @@ def _echelon(polys):
     rows = {}
     for f in polys:
         while f:
-            lm, c = f.leading()
+            lm = max(f.terms, key=DEGREVLEX.key)
             row = rows.get(lm)
             if row is None:
-                rows[lm] = f.scale(c.inv())
+                rows[lm] = _times(f, f.spec.inv[f.terms[lm]])
                 break
-            f = f - row.scale(c)
+            f = f - _times(row, f.terms[lm])
     return list(rows.values())
+
+
+def _times(f, c):
+    """f times the field element of encoding c."""
+    row = f.spec.mul[c]
+    return Polynomial(f.spec, f.vars, {e: row[v] for e, v in f.terms.items()})
 
 
 def ideal_saturate(I, J):

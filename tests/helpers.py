@@ -2,12 +2,15 @@
 reference point fold, a schoolbook reference for finite-field
 arithmetic, FieldElement references for polynomial arithmetic, and
 tuple-monomial references for normal forms, exact division and reduced
-Groebner bases."""
+Groebner bases, and the brute-force anisotropic form list."""
 
+import itertools
+
+from nullkit.conjectures import _monomial_basis, _yvars
 from nullkit.field import FieldElement, embed, enumerate_field
 from nullkit.ideals import ideal_intersect
 from nullkit.poly import Polynomial, mono_divides
-from nullkit.varieties import point_ideal
+from nullkit.varieties import AFFINE, point_ideal, space_table
 
 
 def count_calls(monkeypatch, name, module=None):
@@ -279,3 +282,30 @@ def ref_buchberger(gens, order):
             minimal.append(g)
     return [reduce(g, minimal[:i] + minimal[i + 1:])
             for i, g in enumerate(minimal)]
+
+
+def ref_anisotropic_forms(K, m, d):
+    """The monic forms in y0..ym of degree d with only the trivial zero,
+    by brute force: every monic coefficient vector over the descending
+    monomial basis, in lexicographic order, tested at every nonzero
+    point."""
+    monos = _monomial_basis(K.q, m + 1, [d],
+                            "{q}^{n} candidate forms exceed the search limit")
+    add, mul = K.add, K.mul
+
+    def anisotropic(vec):
+        for row in rows:
+            s = 0
+            for v, cell in zip(vec, row):
+                if v:
+                    s = add[s][mul[v][cell]]
+            if not s:
+                return False
+        return True
+
+    space = space_table(K, m + 1, AFFINE)
+    space = space.take(range(1, space.size))  # the origin comes first
+    rows = list(zip(*(space.monomial(mono) for mono in monos)))
+    return tuple(Polynomial(K, _yvars(m), dict(zip(monos, vec)))
+                 for vec in itertools.product(range(K.q), repeat=len(monos))
+                 if next((v for v in vec if v), 0) == 1 and anisotropic(vec))

@@ -30,13 +30,14 @@ from nullkit.conjectures import (
     search_witness,
     verify_kradical_witness,
 )
-from nullkit.field import make_field
+from nullkit.errors import SizeOverflow
+from nullkit.field import make_field, prime_power
 from nullkit.groebner import normal_form
 from nullkit.ideals import Ideal, radical_membership
 from nullkit.poly import parse_polynomial
 from nullkit.varieties import AFFINE, zero_set
 
-from helpers import count_calls, random_poly
+from helpers import count_calls, random_poly, ref_anisotropic_forms
 
 F2 = make_field(2)
 VARS = ("X1", "X2")
@@ -117,6 +118,47 @@ class TestFormEnumeration:
     def test_powers_of_y0_lead_the_unary_list(self):
         assert [str(p) for p in enumerate_forms(F2, 0, 3)] == \
             ["y0", "y0^2", "y0^3"]
+
+    def test_counts_over_larger_fields(self):
+        def of_degree(K, m, d):
+            return sum(p.total_degree() == d for p in enumerate_forms(K, m, d))
+
+        assert of_degree(make_field(3), 2, 3) == 144
+        assert of_degree(make_field(2, 2), 1, 3) == 20
+
+    def test_binary_quadratics_over_a_large_field(self):
+        # the monic anisotropic binary quadratics are the irreducible
+        # y0^2 + b*y0*y1 + c*y1^2, (q^2 - q)/2 of them
+        forms = enumerate_forms(make_field(101), 1, 2)
+        assert len(forms) == 101 * 100 // 2
+        # GF(4099) has no operation tables
+        assert [str(p) for p in enumerate_forms(make_field(4099), 0, 2)] == \
+            ["y0", "y0^2"]
+
+    def test_refuses_past_the_limit(self):
+        with pytest.raises(SizeOverflow) as err:
+            enumerate_forms(make_field(3), 2, 4)
+        assert str(err.value) == "3^15 candidate forms exceed the search limit"
+
+
+FORM_CASES = ([(2, m, d) for m in range(3) for d in range(1, 5)]
+              + [(3, m, d) for m in range(2) for d in range(1, 5)]
+              + [(3, 2, d) for d in range(1, 4)]
+              + [(q, 1, d) for q in (4, 5) for d in range(1, 4)]
+              + [(7, 1, 3)] + [(8, 1, d) for d in range(1, 3)])
+
+
+@pytest.mark.parametrize("q, m, d", FORM_CASES,
+                         ids=[f"GF{q}-m{m}-d{d}" for q, m, d in FORM_CASES])
+def test_forms_match_the_brute_force_list(q, m, d):
+    """The meet-in-the-middle join lists exactly the monic vectors that
+    the one-by-one test at every nonzero point keeps, in the same
+    order."""
+    K = make_field(*prime_power(q))
+    forms = conjectures._build_anisotropic_forms(K, m, d)
+    expected = ref_anisotropic_forms(K, m, d)
+    assert forms == expected
+    assert [str(p) for p in forms] == [str(p) for p in expected]
 
 
 class TestArgumentPool:

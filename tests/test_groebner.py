@@ -144,6 +144,16 @@ def test_divide_exact():
         divide_exact(parse_polynomial("X^2 + 1", XY, F3), f, DEGREVLEX)
 
 
+def test_divide_exact_by_a_t_leading_divisor_over_gf9():
+    """The quotient is scaled by 1/lc(g) = 2*t in GF(9) = GF(3)[t]/(t^2 + 1),
+    whose encoding 6 is 0 when read as an integer modulo 3."""
+    F9 = make_field(3, 2)
+    f = parse_polynomial("X^2 + t*Y", XY, F9)
+    g = parse_polynomial("t*X*Y + Y^2 + 1", XY, F9)
+    assert str(g.leading(DEGREVLEX)[1]) == "t"
+    assert divide_exact(f * g, g, DEGREVLEX) == f
+
+
 def test_degree_guard():
     with pytest.raises(DegreeOverflow):
         buchberger([parse_polynomial("X^65 + Y", XY, F2)])

@@ -316,6 +316,20 @@ def test_saturation_by_variable_powers_matches_reference():
     check()
 
 
+def test_saturation_rounds_with_t_leading_rows_over_gf9():
+    """Divisors t*X0 and t*X1 over GF(9) = GF(3)[t]/(t^2 + 1) hand the
+    round count rows that lead with t, each scaled by 1/t = 2*t, whose
+    encoding 6 is 0 when read as an integer modulo 3."""
+    F9 = make_field(3, 2)
+    vars = ("X0", "X1")
+    I = Ideal.from_strings(F9, vars, ["t*X0^2*X1 + X0*X1^2", "t*X0^3"])
+    J = Ideal.from_strings(F9, vars, ["t*X0", "t*X1"])
+    S, rounds = ideal_saturate(I, J)
+    assert S.equals(Ideal.from_strings(F9, vars, ["X0"]))
+    assert rounds == 4
+    assert (S.gb().gens, rounds) == reference_saturate(I, J)
+
+
 @pytest.mark.parametrize("I_gens, J_gens", [
     (["X0*X1^2", "X1^3 + X0^2*X1"], ["X0 + X1"]),
     (["X0^2*X1 + X1^2", "X0*X1^2"], ["X0", "X1"]),
