@@ -44,7 +44,15 @@ from .nullstellensatz import (
     make_certificate,
     projective_vanishing,
 )
-from .poly import DEGREVLEX, LEX, Polynomial, block_order, parse_polynomial
+from .poly import (
+    DEGREVLEX,
+    LEX,
+    Polynomial,
+    block_order,
+    dehomogenize,
+    homogenize,
+    parse_polynomial,
+)
 from .varieties import (
     AffinePoint,
     ProjectivePoint,
@@ -85,11 +93,13 @@ __all__ = [
     "classify_empty",
     "counterexample_suite",
     "degree_bound",
+    "dehomogenize",
     "eliminate",
     "enumerate_field",
     "enumerate_forms",
     "enumerate_space",
     "find_nonradical_instance",
+    "homogenize",
     "ideal_intersect",
     "ideal_quotient",
     "ideal_saturate",

@@ -451,6 +451,9 @@ def _cmd_search(args, rep):
     if args.nonradical:
         if args.q is None or args.n is None or args.maxdeg is None:
             raise ParseError("--nonradical needs --q, --n and --maxdeg")
+        for flag, value in (("--n", args.n), ("--maxdeg", args.maxdeg)):
+            if value < 0:
+                raise ParseError(f"{flag} {value} is negative")
         inst, wall = _timed(find_nonradical_instance,
                             args.q, args.n, args.maxdeg)
         if inst is None:

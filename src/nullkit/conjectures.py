@@ -20,6 +20,13 @@ trivial zero forces every argument to vanish on the zero set of I, and
 membership only depends on argument residues modulo I, so distinct
 arguments with equal residues share one composition test.
 
+The set-up per ideal and argument degree bound is (pool size, first
+polynomial per residue, vanishing ids, zero table).  Swapping a pool
+polynomial for the first one with its residue gives an earlier tuple
+with the same residues, so the first passing pool tuple is made of
+first polynomials; the vanishing ids run in their pool order, so the
+first passing combination of ids in product order names that tuple.
+
 Residues are composed from memos, on int ids: each residue modulo I is
 interned once, and a composition vanishes when its id is the zero
 residue's.  The residue of an argument monomial prod args[i]^e[i] is
@@ -122,20 +129,14 @@ class RWitness:
         inner = Polynomial.monomial(p.spec, ("y0",), (self.inner_exp,))
         return (inner, p), (0, self.breakpoints[0])
 
-    def substituted_form(self):
-        """The composed polynomial in the y variables."""
+    def composition(self):
+        """The chain composed on (target, *args), one form at a time."""
         forms, breakpoints = self.chain()
-        vars = _yvars(breakpoints[-1])
-        ys = [Polynomial.variable(forms[0].spec, vars, v) for v in vars]
-        h = ys[0]
-        prev = 0
+        h, prev = self.target, 0
         for p, stop in zip(forms, breakpoints):
-            h = p.compose([h] + ys[prev + 1:stop + 1])
+            h = p.compose([h, *self.args[prev:stop]])
             prev = stop
         return h
-
-    def composition(self):
-        return self.substituted_form().compose([self.target, *self.args])
 
     def describe(self):
         lines = [f"family: {self.family}"]
@@ -350,21 +351,24 @@ class _Form:
 
 
 def _shared_setup(I, res, max_deg):
-    """(pool, pool ids, vanishing ids, zero table) for I and max_deg.
+    """(pool size, first, vanishing ids, zero table) for I and max_deg.
 
-    pool is argument_pool of degree max_deg and pool ids the ids of its
-    residues.  Only residues vanishing on the affine zero set can take
-    part in a membership, since the composed form kills nonzero
-    argument values: vanishing ids holds those, each once, in pool
-    order.  zero table is the PointTable of that zero set.
+    The pool is argument_pool of degree max_deg.  first maps the id of
+    each residue of the pool to the first pool polynomial with that
+    residue, in pool order.  Only residues vanishing on the affine zero
+    set can take part in a membership, since the composed form kills
+    nonzero argument values: vanishing ids holds those, in the order of
+    first.  zero table is the PointTable of that zero set.
     """
     zeros = zero_set(I, I.spec, AFFINE)
     table = PointTable.of_points(I.spec, zeros.points, zeros.n)
     pool = argument_pool(I.spec, I.vars, max_deg)
-    ids = tuple(res.intern(normal_form(g, res.basis)) for g in pool)
-    vanishing = tuple(i for i in dict.fromkeys(ids)
+    first = {}
+    for g in pool:
+        first.setdefault(res.intern(normal_form(g, res.basis)), g)
+    vanishing = tuple(i for i in first
                       if not any(table.evaluate(res.polys[i])[0]))
-    return pool, ids, vanishing, table
+    return len(pool), first, vanishing, table
 
 
 class _SearchContext:
@@ -372,8 +376,9 @@ class _SearchContext:
 
     The residues, their memos and the set-up that depends only on the
     ideal and max_deg_args live on the ideal (the _Residues in
-    Ideal._residues), not here; a context adds the target's residue id
-    and the forms of its bounds.
+    Ideal._residues), not here; a context reads npool, first and
+    vanishing_ids from that set-up (see _shared_setup) and adds the
+    target's residue id and the forms of its bounds.
     """
 
     def __init__(self, f, I, bounds):
@@ -386,7 +391,7 @@ class _SearchContext:
         D = bounds.max_deg_args
         res = self.residues = (I._residues.get("search") or
                                I._residues.setdefault("search", _Residues(I)))
-        self.pool, self.pool_ids, self.vanishing_ids, zero_pts = (
+        self.npool, self.first, self.vanishing_ids, zero_pts = (
             res.setups.get(D) or
             res.setups.setdefault(D, _shared_setup(I, res, D)))
         self.f_vanishes = not any(zero_pts.evaluate(f)[0])
@@ -446,14 +451,6 @@ class _SearchContext:
             form.memo[args] = out
         return out
 
-    def first_passing_args(self, nargs, passing):
-        """Canonically first argument tuple whose residue ids pass."""
-        pairs = tuple(zip(self.pool, self.pool_ids))
-        for args in itertools.product(pairs, repeat=nargs):
-            if tuple(i for _, i in args) in passing:
-                return tuple(g for g, _ in args)
-        return None
-
 
 def _structures(ctx, family):
     """The family's witnesses without arguments, in canonical order."""
@@ -493,16 +490,14 @@ def search_witness(f, I, family, bounds=None):
     bounds = bounds or SearchBounds()
     ctx = _SearchContext(f, I, bounds)
     compose_mod, zero_id = ctx.compose_mod, ctx.residues.zero_id
-    npool = len(ctx.pool)
     count = 0
     for w in _structures(ctx, family):
         nargs = w.breakpoints[-1]
-        count += npool ** nargs
+        count += ctx.npool ** nargs
         if not ctx.f_vanishes:
             continue
         forms, breakpoints = w.chain()
         links = tuple(zip(map(ctx.form, forms), breakpoints))
-        passing = set()
         for combo in itertools.product(ctx.vanishing_ids, repeat=nargs):
             h = ctx.f_id
             prev = 0
@@ -510,12 +505,10 @@ def search_witness(f, I, family, bounds=None):
                 h = compose_mod(form, (h, *combo[prev:stop]))
                 prev = stop
             if h == zero_id:
-                passing.add(combo)
-        if not passing:
-            continue
-        w.args = ctx.first_passing_args(nargs, passing)
-        if verify_kradical_witness(w):
-            return w
+                w.args = tuple(ctx.first[i] for i in combo)
+                if verify_kradical_witness(w):
+                    return w
+                break
     return Exhausted(family, count, bounds)
 
 
@@ -530,20 +523,6 @@ def verify_kradical_witness(w):
     if len(w.args) != w.breakpoints[-1]:
         return False
     return w.ideal.contains(w.composition())
-
-
-def as_r2(w):
-    """Embed an r1 witness: the inner power becomes a nested form."""
-    if w.family != "r1":
-        raise ValueError("expected an r1 witness")
-    return RWitness("r2", *w.chain(), w.args, w.target, w.ideal)
-
-
-def as_r3(w):
-    """Embed an r2 witness as a chain of length two."""
-    if w.family != "r2":
-        raise ValueError("expected an r2 witness")
-    return RWitness("r3", w.forms, w.breakpoints, w.args, w.target, w.ideal)
 
 
 @dataclass

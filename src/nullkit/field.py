@@ -499,15 +499,6 @@ def embed(a, target):
     return target.element(a.idx)
 
 
-def in_subfield_image(a, small):
-    """True when a lies in the embedded image of the subfield small."""
-    if a.spec is small:
-        return True
-    if not is_subfield(small, a.spec):
-        raise FieldMismatch(f"{small} is not a subfield of {a.spec}")
-    return a.idx < small.p
-
-
 def common_spec(s1, s2):
     """The larger of two comparable specs; FieldMismatch otherwise."""
     if s1 is s2 or is_subfield(s1, s2):

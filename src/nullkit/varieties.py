@@ -59,16 +59,6 @@ class AffinePoint:
 class ProjectivePoint:
     coords: tuple
 
-    @classmethod
-    def normalize(cls, coords):
-        """Scale so the first nonzero coordinate becomes 1."""
-        coords = tuple(coords)
-        for a in coords:
-            if a.idx:
-                inv = a.inv()
-                return cls(tuple(c * inv for c in coords))
-        raise ValueError("the zero vector is not a projective point")
-
     @property
     def key(self):
         return tuple(a.idx for a in self.coords)

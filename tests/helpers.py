@@ -1,16 +1,28 @@
 """Shared test helpers: a call counter, random polynomials, the
 reference point fold, a schoolbook reference for finite-field
-arithmetic, FieldElement references for polynomial arithmetic, and
-tuple-monomial references for normal forms, exact division and reduced
-Groebner bases, and the brute-force anisotropic form list."""
+arithmetic, the subfield-image test, projective normalization,
+FieldElement references for polynomial arithmetic, and tuple-monomial
+references for normal forms, exact division and reduced Groebner bases,
+the brute-force anisotropic form list and the pool-product witness
+search."""
 
 import itertools
 
-from nullkit.conjectures import _monomial_basis, _yvars
-from nullkit.field import FieldElement, embed, enumerate_field
+from nullkit.conjectures import (
+    Exhausted,
+    _monomial_basis,
+    _SearchContext,
+    _structures,
+    _yvars,
+    argument_pool,
+    verify_kradical_witness,
+)
+from nullkit.errors import FieldMismatch
+from nullkit.field import FieldElement, embed, enumerate_field, is_subfield
+from nullkit.groebner import normal_form
 from nullkit.ideals import ideal_intersect
 from nullkit.poly import Polynomial, mono_divides
-from nullkit.varieties import AFFINE, point_ideal, space_table
+from nullkit.varieties import AFFINE, ProjectivePoint, point_ideal, space_table
 
 
 def count_calls(monkeypatch, name, module=None):
@@ -100,6 +112,26 @@ class RefField:
 
     def inv(self, a):
         return self.pow(a, self.q - 2)
+
+
+def in_subfield_image(a, small):
+    """True when a lies in the embedded image of the subfield small."""
+    if a.spec is small:
+        return True
+    if not is_subfield(small, a.spec):
+        raise FieldMismatch(f"{small} is not a subfield of {a.spec}")
+    return a.idx < small.p
+
+
+def normalize(coords):
+    """The ProjectivePoint of coords, scaled so that the first nonzero
+    coordinate becomes 1."""
+    coords = tuple(coords)
+    for a in coords:
+        if a.idx:
+            inv = a.inv()
+            return ProjectivePoint(tuple(c * inv for c in coords))
+    raise ValueError("the zero vector is not a projective point")
 
 
 # ------------------------------------------ FieldElement polynomial loops
@@ -309,3 +341,39 @@ def ref_anisotropic_forms(K, m, d):
     return tuple(Polynomial(K, _yvars(m), dict(zip(monos, vec)))
                  for vec in itertools.product(range(K.q), repeat=len(monos))
                  if next((v for v in vec if v), 0) == 1 and anisotropic(vec))
+
+
+def ref_search_witness(f, I, family, bounds):
+    """search_witness by the pool-product scan: collect every argument id
+    tuple whose composition lies in I, then return the first pool tuple,
+    in itertools.product order, whose residue ids are one of them.  Ids
+    are tried whether or not they vanish on the zero set, and f whether
+    or not it does; only the residue arithmetic is shared."""
+    ctx = _SearchContext(f, I, bounds)
+    res = ctx.residues
+    pool = [(g, res.intern(normal_form(g, res.basis)))
+            for g in argument_pool(I.spec, I.vars, bounds.max_deg_args)]
+    ids = tuple(dict.fromkeys(i for _, i in pool))
+    count = 0
+    for w in _structures(ctx, family):
+        nargs = w.breakpoints[-1]
+        count += len(pool) ** nargs
+        forms, breakpoints = w.chain()
+        links = tuple(zip(map(ctx.form, forms), breakpoints))
+        passing = set()
+        for combo in itertools.product(ids, repeat=nargs):
+            h, prev = ctx.f_id, 0
+            for form, stop in links:
+                h = ctx.compose_mod(form, (h, *combo[prev:stop]))
+                prev = stop
+            if h == res.zero_id:
+                passing.add(combo)
+        if not passing:
+            continue
+        for args in itertools.product(pool, repeat=nargs):
+            if tuple(i for _, i in args) in passing:
+                w.args = tuple(g for g, _ in args)
+                if verify_kradical_witness(w):
+                    return w
+                break
+    return Exhausted(family, count, bounds)

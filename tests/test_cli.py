@@ -473,6 +473,17 @@ class TestSearchCommand:
         assert err == ("error: searches run with coefficients in the "
                        "point field\n")
 
+    @pytest.mark.parametrize("n, maxdeg, message", [
+        ("-1", "1", "--n -1 is negative"),
+        ("2", "-1", "--maxdeg -1 is negative")], ids=["n", "maxdeg"])
+    def test_nonradical_refuses_negative_sizes(self, capsys, n, maxdeg,
+                                               message):
+        """A negative dimension or degree cap is refused, not searched
+        as an empty ring or an empty generator list."""
+        code, out, err = run("search", "--nonradical", "--q", "2",
+                             "--n", n, "--maxdeg", maxdeg, capsys=capsys)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_incomplete_flags(self, capsys):
         code, _, err = run("search", "--family", "r1", "--target", "X1",
                            capsys=capsys)

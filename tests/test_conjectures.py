@@ -21,8 +21,6 @@ from nullkit.conjectures import (
     SuiteFailure,
     _SearchContext,
     argument_pool,
-    as_r2,
-    as_r3,
     check_form_class,
     counterexample_suite,
     enumerate_forms,
@@ -37,7 +35,12 @@ from nullkit.ideals import Ideal, radical_membership
 from nullkit.poly import parse_polynomial
 from nullkit.varieties import AFFINE, zero_set
 
-from helpers import count_calls, random_poly, ref_anisotropic_forms
+from helpers import (
+    count_calls,
+    random_poly,
+    ref_anisotropic_forms,
+    ref_search_witness,
+)
 
 F2 = make_field(2)
 VARS = ("X1", "X2")
@@ -222,8 +225,11 @@ class TestPositiveSearches:
 
 class TestWitnessConversion:
     def test_r1_embeds_into_the_chain_families(self):
+        """An r1 witness's chain is an r2 witness (the inner power
+        becomes a nested form), and an r2 witness a chain of length
+        two."""
         w1 = search_witness(poly("X1"), ideal(["X1^2"]), "r1")
-        w2 = as_r2(w1)
+        w2 = RWitness("r2", *w1.chain(), w1.args, w1.target, w1.ideal)
         assert w1.chain() == w2.chain() == (w2.forms, w2.breakpoints)
         assert w2.family == "r2"
         assert [str(p) for p in w2.forms] == ["y0^2", "y0"]
@@ -231,10 +237,47 @@ class TestWitnessConversion:
         assert verify_kradical_witness(w2)
         assert w2.composition() == w1.composition()
 
-        w3 = as_r3(w2)
+        w3 = RWitness("r3", w2.forms, w2.breakpoints, w2.args, w2.target,
+                      w2.ideal)
         assert w3.family == "r3"
         assert verify_kradical_witness(w3)
         assert w3.composition() == w1.composition()
+
+
+@pytest.mark.time_budget(5)
+def test_first_occurrences_match_the_pool_product_scan():
+    """search_witness names the same witness, args included, and counts
+    the same candidates as the pool-product scan it replaced, which
+    tests every residue and not only the vanishing ones.  Each side
+    has its own Ideal, so they share no residue memo."""
+    F3 = make_field(3)
+    small = SearchBounds(max_m=1, max_deg_p=2, max_deg_args=1,
+                         max_inner_exp=2)
+    wide = SearchBounds(max_m=1, max_deg_p=2, max_deg_args=2, max_chain=1,
+                        max_inner_exp=2)
+    cases = [(F2, ["X1"], SearchBounds(max_m=2, max_deg_p=3,
+                                       max_deg_args=1, max_inner_exp=2)),
+             (F2, ["X1^2 + X1*X2 + X2^2"], wide),
+             (F2, ["X1^2", "X2^2"], small),
+             (F2, ["X1*X2"], wide),
+             (F3, ["X1^2 + X2^2", "X1*X2"], wide),
+             (F3, ["X1^2 + X2^2"], small),
+             (F3, ["X1*X2 - X2"], small)]
+    found = 0
+    for spec, gens, bounds in cases:
+        I, ref_I = ideal(gens, spec=spec), ideal(gens, spec=spec)
+        for target in ("X1", "X2", "X1 + X2", "X1*X2", "X1 + 1"):
+            f = poly(target, spec=spec)
+            for family in FAMILIES:
+                got = search_witness(f, I, family, bounds)
+                want = ref_search_witness(f, ref_I, family, bounds)
+                assert type(got) is type(want), (gens, target, family)
+                if isinstance(want, Exhausted):
+                    assert got.candidates == want.candidates
+                else:
+                    found += 1
+                    assert got.describe() == want.describe()
+    assert found > 40
 
 
 class TestExhaustion:

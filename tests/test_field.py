@@ -27,14 +27,13 @@ from nullkit.field import (
     common_spec,
     embed,
     enumerate_field,
-    in_subfield_image,
     is_subfield,
     make_field,
     parse_field_literal,
 )
 from nullkit.ideals import Ideal
 
-from helpers import RefField
+from helpers import RefField, in_subfield_image
 
 SMALL = [(2, 1), (3, 1), (5, 1), (2, 2), (2, 3), (3, 2)]
 # Fields above the table limit, with a schoolbook reference for each.

@@ -1,8 +1,12 @@
-"""Every name a nullkit module imports is used there or re-exported.
+"""Every name a nullkit module imports is used there or re-exported,
+and every function and class a module defines is read or exported.
 
 A stdlib ast walk over src/nullkit/*.py (the package __init__ only
-re-exports, so it is skipped): an imported name counts as used when
-the module reads it anywhere or lists it in __all__.
+re-exports, so the import check skips it): an imported name counts as
+used when the module reads it anywhere or lists it in __all__.  A
+module-level def or class counts as used when some module of the
+package reads it, as a Name or an Attribute, or an __all__ lists it;
+code that only the tests call belongs in the tests.
 """
 
 import ast
@@ -57,3 +61,43 @@ def test_the_walk_finds_an_unused_import():
               "from a.b import c, d\nfrom e import f\n"
               "__all__ = ['f']\nprint(c, os.sep)\n")
     assert unused_imports(source) == [(2, "system"), (3, "d")]
+
+
+def unread_definitions(sources):
+    """(module, name) of each module-level function or class in sources,
+    a map from module name to source, that no module reads as a Name
+    or an Attribute and no __all__ lists."""
+    trees = {module: ast.parse(src) for module, src in sources.items()}
+    read = set()
+    for tree in trees.values():
+        read |= _exported(tree)
+        for node in ast.walk(tree):
+            if not isinstance(getattr(node, "ctx", None), ast.Load):
+                continue
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted((module, node.name) for module, tree in trees.items()
+                  for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and node.name not in read)
+
+
+def test_every_definition_is_read_or_exported():
+    sources = {p.name: p.read_text(encoding="utf-8")
+               for p in sorted(SRC.glob("*.py"))}
+    unread = unread_definitions(sources)
+    assert not unread, "\n".join(
+        f"{module}: {name} is neither read in src/nullkit nor exported"
+        for module, name in unread)
+
+
+def test_the_walk_finds_an_unread_definition():
+    sources = {"a.py": ("def used(): pass\ndef exported(): pass\n"
+                        "class Cls: pass\ndef attr(): pass\n"
+                        "def stored(): pass\ndef unread(): used()\n"
+                        "__all__ = ['exported']\n"),
+               "b.py": "import a\nstored = 1\nprint(a.Cls.attr)\n"}
+    assert unread_definitions(sources) == [("a.py", "stored"),
+                                           ("a.py", "unread")]

@@ -19,7 +19,6 @@ from nullkit.varieties import (
     PROJECTIVE,
     AffinePoint,
     PointTable,
-    ProjectivePoint,
     Variety,
     enumerate_space,
     oracle_vanishing_ideal,
@@ -28,7 +27,7 @@ from nullkit.varieties import (
     zero_set,
 )
 
-from helpers import fold_vanishing_ideal
+from helpers import fold_vanishing_ideal, normalize
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -58,16 +57,19 @@ def test_size_guard():
 
 
 def test_projective_normalization():
-    """All scalar multiples of a coordinate tuple normalize identically."""
+    """All scalar multiples of a coordinate tuple normalize identically,
+    to a point that enumerate_space lists."""
+    points = set(enumerate_space(F4, 1, PROJECTIVE).points)
     for coords in itertools.product(enumerate_field(F4), repeat=2):
         if not any(c.idx for c in coords):
             continue
-        base = ProjectivePoint.normalize(coords)
+        base = normalize(coords)
+        assert base in points
         for c in enumerate_field(F4):
             if not c.idx:
                 continue
             scaled = tuple(c * x for x in coords)
-            assert ProjectivePoint.normalize(scaled) == base
+            assert normalize(scaled) == base
         # first nonzero coordinate is one
         lead = next(x for x in base.coords if x.idx)
         assert lead == F4.one
