@@ -454,6 +454,8 @@ def _cmd_search(args, rep):
         for flag, value in (("--n", args.n), ("--maxdeg", args.maxdeg)):
             if value < 0:
                 raise ParseError(f"{flag} {value} is negative")
+        if args.maxdeg == 0:
+            raise ParseError("--maxdeg 0 leaves no generator degree to search")
         inst, wall = _timed(find_nonradical_instance,
                             args.q, args.n, args.maxdeg)
         if inst is None:

@@ -22,8 +22,9 @@ Gamma_q^*.  Whether f is a member at all is read off the zero set by
 evaluating f at its points, so certifying a member runs no colon; a
 refused f gets the colon result in its error message.  A certificate
 of degree d has up to C(d+n, n) terms, so inputs whose bound passes
-CERTIFICATE_LIMIT are refused before any is built; its check evaluates
-the expanded g_j and l_j at every point of P^n through the point tables
+CERTIFICATE_LIMIT are refused before any is built.  All indices share
+one expansion of each h_i^{q-1}, and their check evaluates every
+expanded g_j at every point of P^n in one pass through the point tables
 of varieties.
 """
 
@@ -297,19 +298,22 @@ class Certificate:
     l_times_f: Polynomial | None = dc_field(default=None, repr=False)
 
 
-def _certificate_parts(I, j, d, cfg):
-    """g_j = X_j^d - X_j prod_i (X_j^{d_i(q-1)} - h_i^{q-1}) and its mate."""
+def _certificate_parts(I, d, cfg, indices):
+    """{j: (g_j, l_j)} for each j in indices, where
+    g_j = X_j^d - X_j prod_i (X_j^{d_i(q-1)} - h_i^{q-1}) and l_j is its
+    mate X_j^d - g_j.  Each h_i^{q-1} is expanded once for all indices."""
     spec, vars, q = cfg.k_spec, cfg.vars, cfg.q
-    xj = Polynomial.variable(spec, vars, vars[j])
-    prod = Polynomial.constant(spec, vars, 1)
-    for h in I.gens:
-        if h.is_zero:
-            continue
-        di = h.total_degree()
-        prod = prod * (xj ** (di * (q - 1)) - h ** (q - 1))
-    head = xj ** d
-    g = head - xj * prod
-    return g, head - g
+    factors = [(h.total_degree() * (q - 1), h ** (q - 1)) for h in I.gens]
+    parts = {}
+    for j in indices:
+        xj = Polynomial.variable(spec, vars, vars[j])
+        prod = Polynomial.constant(spec, vars, 1)
+        for a, power in factors:
+            prod = prod * (xj ** a - power)
+        head = xj ** d
+        g = head - xj * prod
+        parts[j] = (g, head - g)
+    return parts
 
 
 def make_certificate(I, j, cfg):
@@ -327,26 +331,35 @@ def make_certificate(I, j, cfg):
     V = zero_set(I, cfg.K_spec, PROJECTIVE)
     if not V.points:
         raise EmptyVariety("certificates need a nonempty zero set")
-    g, l = _certificate_parts(I, j, d, cfg)
-    _verify_certificate(I, j, d, g, l, V, cfg)
-    return Certificate(j, d, g, l)
+    parts = _certificate_parts(I, d, cfg, [j])
+    _verify_certificate(I, d, parts, V, cfg)
+    return Certificate(j, d, *parts[j])
 
 
-def _verify_certificate(I, j, d, g, l, V, cfg):
-    xj = Polynomial.variable(cfg.k_spec, cfg.vars, cfg.vars[j])
-    if g + l != xj ** d:
-        raise NullkitError(f"certificate split for j={j} does not sum")
-    if not g.is_homogeneous or (g and g.total_degree() != d):
-        raise NullkitError(f"g_{j} is not homogeneous of degree {d}")
-    if not I.contains(g):
-        raise NullkitError(f"g_{j} fell outside the input ideal")
+def _verify_certificate(I, d, parts, V, cfg):
+    """Check each split of _certificate_parts: g_j + l_j = X_j^d, g_j
+    homogeneous of degree d and inside I, then g_j zero on V and l_j
+    zero off V.  One evaluation pass over P^n serves every index: l_j
+    is zero at a point exactly where g_j and X_j^d agree there."""
+    heads = []
+    for j, (g, l) in parts.items():
+        head = Polynomial.variable(cfg.k_spec, cfg.vars, cfg.vars[j]) ** d
+        if g + l != head:
+            raise NullkitError(f"certificate split for j={j} does not sum")
+        if not g.is_homogeneous or (g and g.total_degree() != d):
+            raise NullkitError(f"g_{j} is not homogeneous of degree {d}")
+        if not I.contains(g):
+            raise NullkitError(f"g_{j} fell outside the input ideal")
+        heads.append(head)
     on_v = {p.key for p in V.points}
     space = space_table(cfg.K_spec, len(cfg.vars) - 1, PROJECTIVE)
-    for key, at_g, at_l in zip(space.keys(), *space.evaluate(g, l)):
-        name, value = ("g", at_g) if key in on_v else ("l", at_l)
-        if value:
-            p = ProjectivePoint(tuple(map(cfg.K_spec.element, key)))
-            raise NullkitError(f"{name}_{j} does not vanish at {p}")
+    values = space.evaluate(*(g for g, _ in parts.values()), *heads)
+    for j, at_g, at_head in zip(parts, values, values[len(parts):]):
+        for key, g_p, head_p in zip(space.keys(), at_g, at_head):
+            name, bad = ("g", g_p) if key in on_v else ("l", g_p != head_p)
+            if bad:
+                p = ProjectivePoint(tuple(map(cfg.K_spec.element, key)))
+                raise NullkitError(f"{name}_{j} does not vanish at {p}")
 
 
 def certify_membership(f, I, cfg):
@@ -376,10 +389,10 @@ def certify_membership(f, I, cfg):
         vanishing = reduced(_colon(I, cfg)[0])
         raise NotInVanishingIdeal(f"{f} is not in {vanishing}")
     gamma_star_basis = gamma_q_star(cfg).gb()
+    parts = _certificate_parts(I, d, cfg, range(len(cfg.vars)))
+    _verify_certificate(I, d, parts, V, cfg)
     certs = []
-    for j in range(len(cfg.vars)):
-        g, l = _certificate_parts(I, j, d, cfg)
-        _verify_certificate(I, j, d, g, l, V, cfg)
+    for j, (g, l) in parts.items():
         gf = g * f
         lf = l * f
         xj = Polynomial.variable(cfg.k_spec, cfg.vars, cfg.vars[j])

@@ -27,7 +27,9 @@ from nullkit.varieties import AFFINE, ProjectivePoint, point_ideal, space_table
 
 def count_calls(monkeypatch, name, module=None):
     """Patch module.<name> (nullkit.ideals by default) to record its
-    calls; returns the record."""
+    calls; returns the record, one tuple of positional arguments per
+    call.  A class may stand for the module: a patched method records
+    its instance as the first argument."""
     if module is None:
         from nullkit import ideals as module
 
@@ -35,7 +37,7 @@ def count_calls(monkeypatch, name, module=None):
     real = getattr(module, name)
 
     def counting(*args, **kwargs):
-        calls.append(1)
+        calls.append(args)
         return real(*args, **kwargs)
 
     monkeypatch.setattr(module, name, counting)

@@ -475,11 +475,14 @@ class TestSearchCommand:
 
     @pytest.mark.parametrize("n, maxdeg, message", [
         ("-1", "1", "--n -1 is negative"),
-        ("2", "-1", "--maxdeg -1 is negative")], ids=["n", "maxdeg"])
+        ("2", "-1", "--maxdeg -1 is negative"),
+        ("2", "0", "--maxdeg 0 leaves no generator degree to search")],
+        ids=["n", "maxdeg", "maxdeg-zero"])
     def test_nonradical_refuses_negative_sizes(self, capsys, n, maxdeg,
                                                message):
-        """A negative dimension or degree cap is refused, not searched
-        as an empty ring or an empty generator list."""
+        """A negative dimension or a degree cap below 1 is refused, not
+        searched as an empty ring or an empty generator list, which
+        would print "result: none" as if the search had exhausted."""
         code, out, err = run("search", "--nonradical", "--q", "2",
                              "--n", n, "--maxdeg", maxdeg, capsys=capsys)
         assert (code, out, err) == (2, "", f"error: {message}\n")

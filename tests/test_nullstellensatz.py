@@ -364,20 +364,23 @@ def test_certify_degenerate_zero_generators():
 def test_altered_certificate_is_refused():
     """One changed coefficient breaks the split; moving a multiple of
     the generator from l to g keeps the split and g inside I, and only
-    the evaluation at the points off V catches it."""
+    the evaluation at the points off V catches it.  Index 0 is checked
+    in the same pass and passes, so each error names index 1."""
     cfg = NullConfig(F3, F3, P2)
     I = Ideal.from_strings(F3, P2, ["X0*X1 + X2^2"])
     V = zero_set(I, F3, PROJECTIVE)
     d = degree_bound(I, 3)
-    g, l = _certificate_parts(I, 1, d, cfg)
-    _verify_certificate(I, 1, d, g, l, V, cfg)
+    parts = _certificate_parts(I, d, cfg, [0, 1])
+    _verify_certificate(I, d, parts, V, cfg)
+    g, l = parts[1]
     e, c = l.sorted_terms()[0]
     bumped = Polynomial(F3, P2, {**l.terms, e: c + F3.one})
-    with pytest.raises(NullkitError, match="does not sum"):
-        _verify_certificate(I, 1, d, g, bumped, V, cfg)
+    with pytest.raises(NullkitError, match="j=1 does not sum"):
+        _verify_certificate(I, d, {**parts, 1: (g, bumped)}, V, cfg)
     shift = I.gens[0] * parse_polynomial("X1^3", P2, F3)
     with pytest.raises(NullkitError, match="l_1 does not vanish at"):
-        _verify_certificate(I, 1, d, g + shift, l - shift, V, cfg)
+        _verify_certificate(I, d, {**parts, 1: (g + shift, l - shift)}, V,
+                            cfg)
 
 
 def test_certify_membership_enumerates_once(monkeypatch):
@@ -392,6 +395,85 @@ def test_certify_membership_enumerates_once(monkeypatch):
     f = parse_polynomial("X0*X2 + X1*X2", P2, F3)
     assert [c.j for c in certify_membership(f, I, cfg)] == [0, 1, 2]
     assert len(calls) == 1
+
+
+def test_certify_membership_expands_each_power_once(monkeypatch):
+    """All indices share one expansion of each h_i^(q-1) and one table
+    of P^n: the multi-term powers taken number the generators, and one
+    space_table is built."""
+    from helpers import count_calls
+    from nullkit import nullstellensatz
+
+    powers = count_calls(monkeypatch, "__pow__", module=Polynomial)
+    tables = count_calls(monkeypatch, "space_table", module=nullstellensatz)
+    cfg = NullConfig(F3, F3, P2)
+    I = Ideal.from_strings(F3, P2, ["X0*X1 + X2^2", "X0*X2 + X1*X2"])
+    f = parse_polynomial("X0*X2 + X1*X2", P2, F3)
+    assert [c.j for c in certify_membership(f, I, cfg)] == [0, 1, 2]
+    assert sum(len(base.terms) > 1 for base, _ in powers) == len(I.gens)
+    assert len(tables) == 1
+
+
+def _formula_certificate(I, j, d, cfg):
+    """g_j = X_j^d - X_j prod_i (X_j^{d_i(q-1)} - h_i^{q-1}) and
+    l_j = X_j^d - g_j, every power expanded by repeated multiplication."""
+    spec, vars, q = cfg.k_spec, cfg.vars, cfg.q
+    one = Polynomial.constant(spec, vars, 1)
+
+    def power(f, k):
+        out = one
+        for _ in range(k):
+            out = out * f
+        return out
+
+    xj = Polynomial.variable(spec, vars, vars[j])
+    prod = one
+    for h in I.gens:
+        prod = prod * (power(xj, h.total_degree() * (q - 1))
+                       - power(h, q - 1))
+    head = power(xj, d)
+    g = head - xj * prod
+    return g, head - g
+
+
+def test_shared_certificates_match_single_index_and_formula():
+    """On random homogeneous inputs in P^1 and P^2 over GF(2), GF(3)
+    and GF(4), the certificates certify_membership builds for all
+    indices at once equal make_certificate's for each index and the
+    paper's formula expanded by repeated multiplication."""
+    pytest.importorskip("hypothesis")
+    import random
+
+    from hypothesis import HealthCheck, assume, given, settings
+    from hypothesis import strategies as st
+
+    from helpers import random_poly
+
+    rings = [(spec, vars) for vars in (P1, P2) for spec in (F2, F3, F4)]
+
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.filter_too_much])
+    @given(st.sampled_from(rings), st.integers(0, 2 ** 32))
+    def check(ring, seed):
+        spec, vars = ring
+        rng = random.Random(seed)
+        gens = [random_poly(rng, spec, vars, rng.randint(1, 2),
+                            rng.randint(1, 3))
+                for _ in range(rng.randint(1, 2))]
+        assume(all(gens))
+        I = Ideal(spec, vars, gens)
+        assume(zero_set(I, spec, PROJECTIVE).points)
+        f = gens[0] * random_poly(rng, spec, vars, 1, 2)
+        assume(f)
+        cfg = cfg_for(spec, vars)
+        certs = certify_membership(f, I, cfg)
+        assert [c.j for c in certs] == list(range(len(vars)))
+        for c in certs:
+            single = make_certificate(I, c.j, cfg)
+            assert (single.g, single.l) == (c.g, c.l)
+            assert _formula_certificate(I, c.j, c.d, cfg) == (c.g, c.l)
+
+    check()
 
 
 def test_refused_certify_enumerates_once(monkeypatch):

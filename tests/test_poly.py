@@ -142,6 +142,49 @@ def test_arithmetic_matches_the_field_element_loops():
     check()
 
 
+def test_pow_matches_repeated_multiplication():
+    """f ** k equals k-fold repeated multiplication for k in 0..20 over
+    GF(2), GF(3), GF(4) and GF(5)."""
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    def polys(spec):
+        terms = st.dictionaries(st.tuples(*[st.integers(0, 1)] * 2),
+                                st.integers(0, spec.q - 1), max_size=3)
+        return terms.map(lambda t: Polynomial(spec, XY, {
+            e: spec.element(c) for e, c in t.items()}))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.sampled_from([F2, F3, F4, make_field(5)]).flatmap(polys),
+           st.integers(0, 20))
+    def check(f, k):
+        power = Polynomial.constant(f.spec, XY, 1)
+        for _ in range(k):
+            power = power * f
+        assert f ** k == power
+
+    check()
+
+
+def test_pow_forms_no_product_above_the_result_degree(monkeypatch):
+    """Square-and-multiply stops once the top bit of k is used: no
+    product formed inside h ** k has total degree above k * deg h."""
+    real = Polynomial.__mul__
+    degrees = []
+
+    def recording(self, other):
+        out = real(self, other)
+        degrees.append(out.total_degree())
+        return out
+
+    monkeypatch.setattr(Polynomial, "__mul__", recording)
+    h = parse_polynomial("X^2 + X*Y + 2*Y^2", XY, F3)
+    for k in range(1, 21):
+        degrees.clear()
+        assert (h ** k).total_degree() == 2 * k
+        assert max(degrees, default=0) <= 2 * k
+
+
 def test_constructor_encodes_field_elements():
     one = Polynomial(F4, XY, {(1, 0): F4.element((0, 1)), (0, 1): 1})
     other = Polynomial(F4, XY, {(1, 0): 2, (0, 1): F4.one, (0, 0): F4.zero})
