@@ -42,6 +42,7 @@ from .nullstellensatz import (
     classify_empty,
     degree_bound,
     make_certificate,
+    make_certificates,
     projective_vanishing,
 )
 from .poly import (
@@ -105,6 +106,7 @@ __all__ = [
     "ideal_saturate",
     "ideal_sum",
     "make_certificate",
+    "make_certificates",
     "make_field",
     "normal_form",
     "oracle_vanishing_ideal",

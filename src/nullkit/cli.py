@@ -61,7 +61,7 @@ from .nullstellensatz import (
     certificate_degree,
     certify_membership,
     classify_empty,
-    make_certificate,
+    make_certificates,
     projective_vanishing,
 )
 from .poly import DEGREVLEX, LEX, block_order, parse_polynomial
@@ -437,8 +437,7 @@ def _cmd_certify(args, rep):
         rep.set("verified", True)
     else:
         indices = [args.j] if args.j is not None else range(len(cfg.vars))
-        for j in indices:
-            c = make_certificate(I, j, cfg)
+        for c in make_certificates(I, indices, cfg):
             rep.line(f"j={c.j}: g = {c.g}, l = {c.l}")
             entries.append({"j": c.j, "d": c.d,
                             "g": str(c.g), "l": str(c.l)})

@@ -15,7 +15,8 @@ with p(f, f_1, ..., f_m) in I, verified through a Groebner membership
 test.  Candidates run in a documented canonical order (family
 structure ascending, then forms, then argument tuples in pool order)
 and an exhausted search reports exactly how many candidates the bounds
-admit.  The search prunes soundly: a composed form with only the
+admit.  A search that visits more structures and builds more monomial
+residue terms than _SEARCH_BUDGET stops with SizeOverflow instead.  The search prunes soundly: a composed form with only the
 trivial zero forces every argument to vanish on the zero set of I, and
 membership only depends on argument residues modulo I, so distinct
 arguments with equal residues share one composition test.
@@ -79,6 +80,12 @@ FAMILIES = ("r1", "r2", "r3")
 
 # Candidate coefficient vectors per enumeration are capped here.
 _ENUM_LIMIT = 2_000_000
+
+# A search may visit this many structures plus terms of the monomial
+# residues it builds, then raises SizeOverflow.  A search at the default
+# bounds spends at most 2,714 and one at degargs=3 over GF(2) 4,786;
+# r1 with huge inner exponents reaches the budget in about 0.2 s.
+_SEARCH_BUDGET = 20_000
 
 
 @dataclass(frozen=True)
@@ -398,6 +405,16 @@ class _SearchContext:
         self.f_id = res.intern(normal_form(f, res.basis))
         self.forms = {m: enumerate_forms(K, m, bounds.max_deg_p)
                       for m in range(bounds.max_m + 1)}
+        self.spent = 0
+
+    def spend(self, cost):
+        """Count cost against _SEARCH_BUDGET; SizeOverflow past it."""
+        self.spent += cost
+        if self.spent > _SEARCH_BUDGET:
+            raise SizeOverflow(
+                f"the search passed its budget of {_SEARCH_BUDGET} "
+                f"structures and monomial residue terms at {self.bounds}; "
+                f"lower exp or the other bounds")
 
     def form(self, p):
         """The _Form of p on this ideal."""
@@ -418,9 +435,11 @@ class _SearchContext:
             elif key:
                 a, e = key[-1]
                 rest = key[:-1] + ((a, e - 1),) if e > 1 else key[:-1]
-                out = res.intern(normal_form(
+                r = normal_form(
                     res.polys[self._monomial_mod(rest)] * res.polys[a],
-                    res.basis))
+                    res.basis)
+                self.spend(len(r.terms))
+                out = res.intern(r)
             else:
                 out = res.intern(normal_form(
                     Polynomial.constant(res.spec, res.vars, 1), res.basis))
@@ -492,6 +511,7 @@ def search_witness(f, I, family, bounds=None):
     compose_mod, zero_id = ctx.compose_mod, ctx.residues.zero_id
     count = 0
     for w in _structures(ctx, family):
+        ctx.spend(1)
         nargs = w.breakpoints[-1]
         count += ctx.npool ** nargs
         if not ctx.f_vanishes:

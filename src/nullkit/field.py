@@ -11,6 +11,12 @@ elements; larger fields read them from stand-ins that compute each entry
 from the same functions.  Polynomial code and point evaluation both run
 on them.
 
+One kernel of univariate polynomials, coefficient lists over a spec
+read through its tables, serves three callers: the arithmetic of an
+extension, as polynomials in t over its prime field; Rabin's
+irreducibility test for moduli; and upoly_roots, the roots in GF(q) of
+a polynomial, which the zero sets of varieties call per fibre.
+
 A field literal spells a modulus in the polynomial syntax of
 poly.parse_polynomial, read as a polynomial in the variable t over
 GF(p): GF(3^2; m=t^2+1).
@@ -34,9 +40,10 @@ from .errors import (
 
 # Interned specs keyed by (p, e, modulus); same inputs give the same object.
 # The lock spans lookup and insert so that concurrent first requests for a
-# field cannot each build and return their own spec.
+# field cannot each build and return their own spec.  It is reentrant, since
+# an extension's arithmetic asks for its prime field.
 _SPECS = {}
-_SPECS_LOCK = threading.Lock()
+_SPECS_LOCK = threading.RLock()
 
 # Moduli used when make_field is not given one, little endian.
 DEFAULT_MODULI = {
@@ -115,48 +122,82 @@ def _trim(coeffs):
     return coeffs
 
 
-def _upoly_mul(a, b, p):
+def _upoly_reduce(a, m, F, quo=None):
+    """Reduce the list a in place modulo the monic m over F, storing the
+    quotient's coefficients into quo when given; returns a."""
+    add, mul, neg = F.add, F.mul, F.neg
+    dm = len(m) - 1
+    tail = m[:-1]
+    for top in range(len(a) - 1, dm - 1, -1):
+        lead = a[top]
+        if lead:
+            if quo is not None:
+                quo[top - dm] = lead
+            row = mul[neg[lead]]
+            for i, cm in enumerate(tail, top - dm):
+                a[i] = add[a[i]][row[cm]]
+    del a[dm:]
+    return _trim(a)
+
+
+def _upoly_divmod(a, m, F):
+    """Quotient and remainder of the coefficient list a by the monic m
+    over the field F."""
+    quo = [0] * max(len(a) - len(m) + 1, 0)
+    return quo, _upoly_reduce(list(a), m, F, quo)
+
+
+def _upoly_mod(a, m, F):
+    """Remainder of a modulo the monic m over F."""
+    return _upoly_reduce(list(a), m, F)
+
+
+def _upoly_mulmod(a, b, m, F):
+    """a * b modulo the monic m over F."""
     if not a or not b:
         return []
+    add, mul = F.add, F.mul
     out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca:
-            for j, cb in enumerate(b):
-                out[i + j] = (out[i + j] + ca * cb) % p
-    return _trim(out)
+            row = mul[ca]
+            for j, cb in enumerate(b, i):
+                out[j] = add[out[j]][row[cb]]
+    return _upoly_reduce(out, m, F)
 
 
-def _upoly_mod(a, m, p):
-    """Remainder of a modulo the monic polynomial m, over GF(p)."""
-    a = list(a)
-    _trim(a)
-    dm = len(m) - 1
-    while len(a) - 1 >= dm and a:
-        shift = len(a) - 1 - dm
-        lead = a[-1]
-        for i, cm in enumerate(m):
-            a[shift + i] = (a[shift + i] - lead * cm) % p
-        _trim(a)
-    return a
-
-
-def _upoly_powmod(a, k, m, p):
-    """a^k modulo the monic polynomial m over GF(p), by square-and-multiply."""
-    out = [1]
-    while k:
-        if k & 1:
-            out = _upoly_mod(_upoly_mul(out, a, p), m, p)
-        a = _upoly_mod(_upoly_mul(a, a, p), m, p)
-        k >>= 1
+def _upoly_powmod(a, k, m, F):
+    """a^k modulo the monic m over F, for k >= 1, by square-and-multiply
+    from the leading bit of k."""
+    out = a = _upoly_mod(a, m, F)
+    for bit in bin(k)[3:]:
+        out = _upoly_mulmod(out, out, m, F)
+        if bit == "1":
+            out = _upoly_mulmod(out, a, m, F)
     return out
 
 
-def _upoly_gcd_is_one(a, b, p):
-    """True when a and b are coprime over GF(p)."""
+def _upoly_monic(a, F):
+    """The nonzero a divided by its leading coefficient."""
+    row = F.mul[F.inv[a[-1]]]
+    return [row[c] for c in a]
+
+
+def _upoly_gcd(a, b, F):
+    """The monic gcd of a and b over F; [] when both are zero."""
+    a, b = _trim(list(a)), _trim(list(b))
     while b:
-        inv = pow(b[-1], p - 2, p)
-        a, b = b, _upoly_mod(a, [c * inv % p for c in b], p)
-    return len(a) == 1
+        b = _upoly_monic(b, F)
+        a, b = b, _upoly_mod(a, b, F)
+    return _upoly_monic(a, F) if a else a
+
+
+def _upoly_sub(a, b, F):
+    """a - b over F."""
+    add, neg = F.add, F.neg
+    a = a + [0] * (len(b) - len(a))
+    b = [neg[c] for c in b] + [0] * (len(a) - len(b))
+    return _trim([add[c][d] for c, d in zip(a, b)])
 
 
 def _is_irreducible(m, p):
@@ -170,16 +211,85 @@ def _is_irreducible(m, p):
         return False
     if e == 1:
         return True
+    F = make_field(p)
 
     def frobenius_minus_t(k):
-        f = _upoly_powmod([0, 1], p ** k, m, p) + [0, 0]
-        f[1] -= 1
-        return _trim([c % p for c in f])
+        return _upoly_sub(_upoly_powmod([0, 1], p ** k, m, F), [0, 1], F)
 
     primes = [r for r in range(2, e + 1) if e % r == 0 and _is_prime(r)]
     return (not frobenius_minus_t(e)
-            and all(_upoly_gcd_is_one(m, frobenius_minus_t(e // r), p)
+            and all(len(_upoly_gcd(m, frobenius_minus_t(e // r), F)) == 1
                     for r in primes))
+
+
+def upoly_eval(u, a, F):
+    """The value at the encoding a of the coefficient list u over F."""
+    add, row = F.add, F.mul[a]
+    v = 0
+    for c in reversed(u):
+        v = add[row[v]][c]
+    return v
+
+
+def upoly_roots(u, F, q):
+    """The distinct roots in GF(q) of the nonzero coefficient list u over
+    F, ascending.  GF(q) is F or its prime field, so its elements are
+    the encodings below q.
+
+    A linear u gives its root directly.  Otherwise the roots are split
+    off by gcds with factors of X^q - X (Rabin 1980; Cantor and
+    Zassenhaus 1981), with powers of X taken modulo u by
+    square-and-multiply.  In odd characteristic X^q - X = X (w - 1)
+    (w + 1) with w = X^((q-1)/2), which separates 0, the squares and
+    the non-squares; in characteristic 2, h = gcd(u, X^q - X) holds
+    every root.  Each part is then split as in _split_roots.
+    """
+    u = _trim(list(u))
+    if len(u) < 2:
+        return []
+    if len(u) == 2:
+        r = F.mul[F.neg[u[0]]][F.inv[u[1]]]
+        return [r] if r < q else []
+    m = _upoly_monic(u, F)
+    if q % 2 == 0:
+        x_q = _upoly_powmod([0, 1], q, m, F)
+        h = _upoly_gcd(m, _upoly_sub(x_q, [0, 1], F), F)
+        return sorted(_split_roots(h, F, q, 1))
+    w = _upoly_powmod([0, 1], (q - 1) // 2, m, F)
+    roots = [] if m[0] else [0]
+    for one in (1, F.neg[1]):
+        roots += _split_roots(_upoly_gcd(m, _upoly_sub(w, [one], F), F),
+                              F, q, 1)
+    return sorted(roots)
+
+
+def _split_roots(h, F, q, start):
+    """The roots of the monic h, a product of distinct X - a with every
+    a in GF(q), when no delta below start splits it.
+
+    For delta = start, start + 1, ... in turn, h is split by its gcd
+    with (X + delta)^((q-1)/2) - 1 in odd characteristic, or with the
+    trace sum of the (delta X)^(2^i) in characteristic 2.  For any two
+    roots some delta in GF(q) separates them, so the loop always splits
+    h.  A delta that fails on h fails on its factors, and the one that
+    split h fails on both parts, so they start from delta + 1."""
+    if len(h) <= 2:
+        return [F.neg[h[0]]] if h[1:] else []
+    for delta in range(start, q):
+        if q % 2:
+            w = _upoly_sub(_upoly_powmod([delta, 1], (q - 1) // 2, h, F),
+                           [1], F)
+        else:
+            t = w = [0, delta]
+            for _ in range(q.bit_length() - 2):
+                t = _upoly_mulmod(t, t, h, F)
+                w = _upoly_sub(w, t, F)  # minus is plus in characteristic 2
+        g = _upoly_gcd(h, w, F)
+        if 1 < len(g) < len(h):
+            return (_split_roots(g, F, q, delta + 1)
+                    + _split_roots(_upoly_divmod(h, g, F)[0], F, q,
+                                   delta + 1))
+    raise AssertionError("no split of a polynomial with distinct roots")
 
 
 def _digits(a, p, e):
@@ -203,26 +313,28 @@ def _arithmetic(p, e, modulus):
     """(add, mul, neg, inv) of GF(p^e) as functions on integer encodings.
 
     A prime field works modulo p.  An extension works on the digit
-    vectors modulo the modulus and inverts by raising to the power q - 2.
+    vectors, polynomials over its prime field F, modulo the modulus, and
+    inverts by raising to the power q - 2.
     """
     if e == 1:
         return (lambda a, b: (a + b) % p, lambda a, b: a * b % p,
                 lambda a: -a % p, lambda a: pow(a, p - 2, p))
+    F = make_field(p)
 
     def add(a, b):
         return _encode([(x + y) % p for x, y in
                         zip(_digits(a, p, e), _digits(b, p, e))], p)
 
     def mul(a, b):
-        return _encode(_upoly_mod(_upoly_mul(
-            _digits(a, p, e), _digits(b, p, e), p), modulus, p), p)
+        return _encode(_upoly_mulmod(_digits(a, p, e), _digits(b, p, e),
+                                     modulus, F), p)
 
     def neg(a):
         return _encode([-x % p for x in _digits(a, p, e)], p)
 
     def inv(a):
         return _encode(
-            _upoly_powmod(_digits(a, p, e), p ** e - 2, modulus, p), p)
+            _upoly_powmod(_digits(a, p, e), p ** e - 2, modulus, F), p)
 
     return add, mul, neg, inv
 
@@ -333,6 +445,28 @@ class _Computed:
         return self.fn(a)
 
 
+class _ComputedRows:
+    """Stand-in for the add or mul table of an untabled field: row [a]
+    is a _ComputedRow, whose entry [b] is fn(a, b), computed when read."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __getitem__(self, a):
+        row = _ComputedRow.__new__(_ComputedRow)
+        row.fn, row.a = self.fn, a
+        return row
+
+
+class _ComputedRow:
+    __slots__ = ("fn", "a")
+
+    def __getitem__(self, b):
+        return self.fn(self.a, b)
+
+
 class FieldSpec:
     """Description of GF(p^e); construct through make_field only.
 
@@ -362,8 +496,8 @@ class FieldSpec:
             self.elements = tuple(FieldElement(self, a) for a in r)
             self._at = self.elements
         else:
-            self.add = _Computed(lambda a: _Computed(lambda b: add(a, b)))
-            self.mul = _Computed(lambda a: _Computed(lambda b: mul(a, b)))
+            self.add = _ComputedRows(add)
+            self.mul = _ComputedRows(mul)
             self.neg = _Computed(neg)
             self.inv = _Computed(inv)
             self.elements = None
@@ -409,7 +543,7 @@ class FieldSpec:
             if self.modulus is None:
                 raise ValueError(f"{self} takes one coefficient, "
                                  f"got {len(rep)}")
-            rep = _upoly_mod(rep, self.modulus, self.p)
+            rep = _upoly_mod(rep, self.modulus, make_field(self.p))
         return self._at[_encode(rep, self.p)]
 
     def __str__(self):

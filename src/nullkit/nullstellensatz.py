@@ -316,13 +316,17 @@ def _certificate_parts(I, d, cfg, indices):
     return parts
 
 
-def make_certificate(I, j, cfg):
-    """Certificate pair for index j, verified before it is returned."""
+def make_certificates(I, indices, cfg):
+    """Certificate pairs for the indices, in order, verified before they
+    are returned.  The zero set, the powers h_i^{q-1} and the evaluation
+    pass are shared by all of them."""
     _check_ring(I, cfg)
     _check_coefficients(I, cfg)
     _check_homogeneous_gens(I)
-    if not 0 <= j < len(cfg.vars):
-        raise DimensionMismatch(f"index {j} outside 0..{len(cfg.vars) - 1}")
+    for j in indices:
+        if not 0 <= j < len(cfg.vars):
+            raise DimensionMismatch(
+                f"index {j} outside 0..{len(cfg.vars) - 1}")
     live = [h for h in I.gens if not h.is_zero]
     if not live or len(live) != len(I.gens):
         raise ZeroGeneratorCount(
@@ -331,9 +335,14 @@ def make_certificate(I, j, cfg):
     V = zero_set(I, cfg.K_spec, PROJECTIVE)
     if not V.points:
         raise EmptyVariety("certificates need a nonempty zero set")
-    parts = _certificate_parts(I, d, cfg, [j])
+    parts = _certificate_parts(I, d, cfg, indices)
     _verify_certificate(I, d, parts, V, cfg)
-    return Certificate(j, d, *parts[j])
+    return [Certificate(j, d, *parts[j]) for j in indices]
+
+
+def make_certificate(I, j, cfg):
+    """Certificate pair for index j, verified before it is returned."""
+    return make_certificates(I, [j], cfg)[0]
 
 
 def _verify_certificate(I, d, parts, V, cfg):

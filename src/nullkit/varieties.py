@@ -8,10 +8,18 @@ Points are evaluated on integer encodings.  A PointTable holds one
 column of coordinate encodings per variable and gives a polynomial's
 values at all of its points at once, through the spec's operation
 tables add and mul, with no FieldElement per point.  Spaces are
-enumerated straight into such columns, already in sorted order, and
-only the points a zero set keeps become point objects.  Prime-field
-encodings are the same in every extension, so one table serves
-polynomials with coefficients anywhere in the tower.
+enumerated straight into such columns, already in sorted order.
+Prime-field encodings are the same in every extension, so one table
+serves polynomials with coefficients anywhere in the tower.
+
+A zero set never lists its whole space.  It is fibred over the last
+variable: the generators' coefficients in X_n are evaluated on the
+table of the prefixes, the points without their last coordinate, and
+the common roots in GF(q) of each prefix's univariate polynomials
+complete it (see zero_set).  SIZE_LIMIT caps the prefixes, the zero
+set and, where the space passes it, the cost of those roots, so a conic
+over GF(1009) answers though its P^2 has more than 10^6 points;
+space_table, which lists a whole space, keeps the cap on the space.
 
 The vanishing-ideal oracle interpolates I(V) from such a table by
 Buchberger-Moller (Moller and Buchberger 1982; Abbott, Bigatti,
@@ -32,7 +40,7 @@ from .errors import (
     NonHomogeneousProjective,
     SizeOverflow,
 )
-from .field import common_spec, embed, is_subfield
+from .field import common_spec, embed, is_subfield, upoly_eval, upoly_roots
 from .groebner import GroebnerBasis
 from .ideals import Ideal, is_homogeneous_ideal
 from .poly import DEGREVLEX, Polynomial, mono_divides
@@ -107,23 +115,21 @@ class PointTable:
         cols = [[p.coords[i].idx for p in points] for i in range(nvars)]
         return cls(spec, cols, len(points))
 
-    def take(self, rows):
-        """The table of the points at the given positions."""
-        return PointTable(self.spec, [[c[k] for k in rows] for c in self.cols],
-                          len(rows))
-
     def keys(self):
         """Each point's tuple of coordinate encodings, in table order."""
         return zip(*self.cols) if self.cols else iter([()] * self.size)
 
     def points(self, kind):
         """The points as AffinePoint or ProjectivePoint objects."""
-        element = self.spec.element
+        element = (self.spec.element if self.spec.elements is None
+                   else self.spec.elements.__getitem__)
         cls = AffinePoint if kind == AFFINE else ProjectivePoint
         return tuple(cls(tuple(map(element, key))) for key in self.keys())
 
     def power(self, i, e):
         """Encodings of the i-th coordinates raised to e."""
+        if e == 1:
+            return self.cols[i]
         col = self._powers.get((i, e))
         if col is None:
             values = {a: self.spec.encoded_pow(a, e) for a in set(self.cols[i])}
@@ -157,25 +163,27 @@ class PointTable:
         return totals
 
 
-def space_table(spec, n, kind):
-    """The PointTable of all of A^n (q^n points) or P^n
-    ((q^(n+1)-1)/(q-1) points) over spec, in sorted order.
+def _space_size(q, n, kind):
+    return q ** n if kind == AFFINE else (q ** (n + 1) - 1) // (q - 1)
 
-    Projective points come in blocks by the position of their leading
-    1, from n down to 0, each followed by every tail in lexicographic
-    order, so the columns are built sorted."""
+
+def _too_large(spec, n, kind):
+    return SizeOverflow(f"{'A' if kind == AFFINE else 'P'}^{n}({spec}) has "
+                        f"more than {SIZE_LIMIT} points")
+
+
+def _projective_blocks(n):
+    """(head, m) blocks of P^n: the leading 1 at position lead, from n
+    down to 0, followed by m = n - lead free coordinates."""
+    return [((0,) * lead + (1,), n - lead) for lead in range(n, -1, -1)]
+
+
+def _block_table(spec, width, blocks):
+    """The PointTable of the blocks in order: each block is its head
+    coordinates followed by every tail of m coordinates, in
+    lexicographic order."""
     q = spec.q
-    if kind == AFFINE:
-        if q ** n > SIZE_LIMIT:
-            raise SizeOverflow(f"A^{n}({spec}) has more than {SIZE_LIMIT} points")
-        blocks = [((), n)]
-    elif kind == PROJECTIVE:
-        if (q ** (n + 1) - 1) // (q - 1) > SIZE_LIMIT:
-            raise SizeOverflow(f"P^{n}({spec}) has more than {SIZE_LIMIT} points")
-        blocks = [((0,) * lead + (1,), n - lead) for lead in range(n, -1, -1)]
-    else:
-        raise ValueError(f"unknown space kind {kind!r}")
-    cols = [[] for _ in range(n if kind == AFFINE else n + 1)]
+    cols = [[] for _ in range(width)]
     for head, m in blocks:
         for col, a in zip(cols, head):
             col.extend([a] * q ** m)
@@ -185,13 +193,120 @@ def space_table(spec, n, kind):
     return PointTable(spec, cols, sum(q ** m for _, m in blocks))
 
 
+def space_table(spec, n, kind):
+    """The PointTable of all of A^n (q^n points) or P^n
+    ((q^(n+1)-1)/(q-1) points) over spec, in sorted order.
+
+    Projective points come in blocks by the position of their leading
+    1, from n down to 0, each followed by every tail in lexicographic
+    order, so the columns are built sorted."""
+    if kind not in (AFFINE, PROJECTIVE):
+        raise ValueError(f"unknown space kind {kind!r}")
+    if _space_size(spec.q, n, kind) > SIZE_LIMIT:
+        raise _too_large(spec, n, kind)
+    if kind == AFFINE:
+        return _block_table(spec, n, [((), n)])
+    return _block_table(spec, n + 1, _projective_blocks(n))
+
+
 def enumerate_space(spec, n, kind):
     """Every point of A^n (q^n points) or P^n ((q^(n+1)-1)/(q-1))."""
     return Variety(kind, spec, n, space_table(spec, n, kind).points(kind))
 
 
+def _fibre_columns(table, g, q, spec):
+    """g as a polynomial in its last variable, with coefficients in the
+    others evaluated at the points of table: {k: the value column over
+    spec of the coefficient of X_n^k}.  x^q = x on GF(q), so exponents
+    k >= q fold onto 1, ..., q - 1."""
+    add, mul = spec.add, spec.mul
+    cols = {}
+    for exps, c in g.terms.items():
+        k = exps[-1]
+        if k >= q:
+            k = (k - 1) % (q - 1) + 1
+        v, row, col = table.monomial(exps[:-1]), mul[c], cols.get(k)
+        cols[k] = ([row[a] for a in v] if col is None
+                   else [add[t][row[a]] for t, a in zip(col, v)])
+    return cols
+
+
+def _root_cost(q, d, t):
+    """(cost, by evaluation) of the roots in GF(q) of a polynomial of
+    degree d with t terms, in reads of a value at one point.  Evaluating
+    it at every element reads q values per term; the gcds and splits of
+    field.upoly_roots cost about 5 (d + 1)^2 log2(q) reads
+    (BENCH_18.json).  A linear one gives its root directly."""
+    if d <= 1:
+        return 0, False
+    split = 5 * (d + 1) ** 2 * q.bit_length()
+    return min(q * t, split), q * t <= split
+
+
+def _degree(u):
+    return max(k for k, c in enumerate(u) if c)
+
+
+class _FibreRoots:
+    """Roots in GF(q), the point field, of univariate coefficient lists
+    over spec.  The table of GF(q) that evaluation reads is built once,
+    when first needed, and keeps its power columns for every fibre."""
+
+    def __init__(self, point_spec, spec):
+        self.point_spec, self.spec, self.q = point_spec, spec, point_spec.q
+        self.line = None
+
+    def of(self, u):
+        """The roots of the nonzero u, ascending: by field.upoly_roots,
+        or by evaluation at every element where _root_cost finds that
+        cheaper."""
+        if len(u) < 3 or not _root_cost(self.q, _degree(u),
+                                         sum(1 for c in u if c))[1]:
+            return upoly_roots(u, self.spec, self.q)
+        if self.line is None:
+            self.line = space_table(self.point_spec, 1, AFFINE)
+        f = Polynomial(self.spec, ("x",),
+                       {(k,): c for k, c in enumerate(u) if c})
+        values, = self.line.evaluate(f)
+        return [a for a, v in enumerate(values) if not v]
+
+    def common(self, us, candidates=None):
+        """The x, ascending, at which every coefficient list in us
+        vanishes.  They are found among the candidates when given, else
+        among the roots of the nonzero u of least degree; None when
+        neither exists, that is when every u is zero."""
+        polys = [u for u in us if any(u)]
+        if candidates is None:
+            if not polys:
+                return None
+            if len(polys) > 1:
+                polys.sort(key=_degree)
+            candidates = self.of(polys.pop(0))
+        for u in polys:
+            candidates = [a for a in candidates
+                          if not upoly_eval(u, a, self.spec)]
+        return candidates
+
+
 def zero_set(I, point_spec, kind):
-    """Common zeros of the generators among the points of the space."""
+    """Common zeros of the generators among the points of the space.
+
+    The points are fibred over all but their last coordinate.  The
+    prefixes run over A^(n-1), or over the zero prefix of the point
+    [0:...:0:1] followed by P^(n-1).  Each generator, as a polynomial
+    in X_n, has its coefficients evaluated at every prefix in one pass
+    over its terms.  At each prefix that leaves univariate polynomials
+    in X_n; their common roots in GF(q) (_FibreRoots) complete the
+    prefix to the zeros over it, and a fibre on which all of them are
+    zero holds every x.  Prefixes and roots both come in sorted order,
+    so the points do too.
+
+    SIZE_LIMIT caps the prefixes and the zero set.  Where the space
+    passes it, the zero set is also refused when the roots of every
+    generator's fibres would cost more than evaluating it at SIZE_LIMIT
+    points (_root_cost), as brute force would; a space within it is
+    never refused.
+    """
     if kind == PROJECTIVE:
         if not (all(g.is_homogeneous for g in I.gens)
                 or is_homogeneous_ideal(I)):
@@ -200,12 +315,40 @@ def zero_set(I, point_spec, kind):
         n = len(I.vars) - 1
     else:
         n = len(I.vars)
-    table = space_table(point_spec, n, kind)
-    for g in I.gens:
-        if g:
-            values, = table.evaluate(g)
-            table = table.take([k for k, v in enumerate(values) if not v])
-    return Variety(kind, point_spec, n, table.points(kind))
+    gens = [g for g in I.gens if g]
+    if kind == AFFINE and n == 0:
+        return Variety(kind, point_spec, 0, () if gens else (AffinePoint(()),))
+    q = point_spec.q
+    if _space_size(q, n - 1, kind) + (kind == PROJECTIVE) > SIZE_LIMIT:
+        raise _too_large(point_spec, n, kind)
+    if kind == AFFINE:
+        prefixes = _block_table(point_spec, n - 1, [((), n - 1)])
+    else:
+        prefixes = _block_table(point_spec, n,
+                                [((0,) * n, 0)] + _projective_blocks(n - 1))
+    spec = common_spec(I.spec, point_spec)
+    fibres = [_fibre_columns(prefixes, g, q, spec) for g in gens]
+    if gens and _space_size(q, n, kind) > SIZE_LIMIT and all(
+            prefixes.size * _root_cost(q, max(cols), len(cols))[0]
+            > SIZE_LIMIT * len(cols) for cols in fibres):
+        raise _too_large(point_spec, n, kind)
+    zero = [0] * prefixes.size
+    rows_us = zip(*(zip(*(cols.get(k, zero) for k in range(max(cols) + 1)))
+                    for cols in fibres))
+    roots = _FibreRoots(point_spec, spec)
+    vertex = [1] if kind == PROJECTIVE else None
+    rows, last = [], []
+    for r, us in enumerate(rows_us if gens else [()] * prefixes.size):
+        xs = roots.common(us, vertex if r == 0 else None)
+        if xs is None:
+            xs = range(q)
+        if len(last) + len(xs) > SIZE_LIMIT:
+            raise _too_large(point_spec, n, kind)
+        rows.extend([r] * len(xs))
+        last.extend(xs)
+    cols = [[c[r] for r in rows] for c in prefixes.cols] + [last]
+    return Variety(kind, point_spec, n,
+                   PointTable(point_spec, cols, len(rows)).points(kind))
 
 
 def _default_vars(n, kind):

@@ -1,10 +1,10 @@
 """Shared test helpers: a call counter, random polynomials, the
-reference point fold, a schoolbook reference for finite-field
-arithmetic, the subfield-image test, projective normalization,
-FieldElement references for polynomial arithmetic, and tuple-monomial
-references for normal forms, exact division and reduced Groebner bases,
-the brute-force anisotropic form list and the pool-product witness
-search."""
+reference point fold, the brute-force zero set, a schoolbook reference
+for finite-field arithmetic, the subfield-image test, projective
+normalization, FieldElement references for polynomial arithmetic, and
+tuple-monomial references for normal forms, exact division and reduced
+Groebner bases, the brute-force anisotropic form list and the
+pool-product witness search."""
 
 import itertools
 
@@ -22,7 +22,15 @@ from nullkit.field import FieldElement, embed, enumerate_field, is_subfield
 from nullkit.groebner import normal_form
 from nullkit.ideals import ideal_intersect
 from nullkit.poly import Polynomial, mono_divides
-from nullkit.varieties import AFFINE, ProjectivePoint, point_ideal, space_table
+from nullkit.varieties import (
+    AFFINE,
+    PROJECTIVE,
+    PointTable,
+    ProjectivePoint,
+    Variety,
+    point_ideal,
+    space_table,
+)
 
 
 def count_calls(monkeypatch, name, module=None):
@@ -66,6 +74,25 @@ def fold_vanishing_ideal(V, spec=None, vars=None):
     for nxt in ideals[1:]:
         acc = ideal_intersect(acc, nxt)
     return acc
+
+
+def take_rows(table, rows):
+    """The PointTable of the points at the given positions of table."""
+    return PointTable(table.spec, [[c[k] for k in rows] for c in table.cols],
+                      len(rows))
+
+
+def brute_zero_set(I, point_spec, kind):
+    """The zero set by evaluating every generator on all of the space,
+    keeping the zeros: the reference zero_set is checked against."""
+    n = len(I.vars) - (kind == PROJECTIVE)
+    table = space_table(point_spec, n, kind)
+    for g in I.gens:
+        if g:
+            values, = table.evaluate(g)
+            table = take_rows(table, [k for k, v in enumerate(values)
+                                      if not v])
+    return Variety(kind, point_spec, n, table.points(kind))
 
 
 class RefField:
@@ -338,7 +365,7 @@ def ref_anisotropic_forms(K, m, d):
         return True
 
     space = space_table(K, m + 1, AFFINE)
-    space = space.take(range(1, space.size))  # the origin comes first
+    space = take_rows(space, range(1, space.size))  # the origin comes first
     rows = list(zip(*(space.monomial(mono) for mono in monos)))
     return tuple(Polynomial(K, _yvars(m), dict(zip(monos, vec)))
                  for vec in itertools.product(range(K.q), repeat=len(monos))

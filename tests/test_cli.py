@@ -225,6 +225,30 @@ class TestCommands:
         assert (code, out, err) == (2, "", "error: X2 is not in <X1>\n")
         assert len(calls) == 1
 
+    def test_certify_builds_every_index_once(self, tmp_path, monkeypatch,
+                                             capsys):
+        """certify without --poly expands each h_i^(q-1) once, enumerates
+        the zero set once and builds one table of P^n for all indices,
+        and prints what make_certificate gives index by index."""
+        from helpers import count_calls
+        from nullkit import nullstellensatz
+        from nullkit.poly import Polynomial
+
+        path = write_problem(tmp_path, "field GF(3)\nvars X0 X1 X2\nideal:\n"
+                                       "X0*X1 + X2^2; X0*X2 + X1*X2\n")
+        problem = parse_problem_text(Path(path).read_text())
+        want = [f"j={c.j}: g = {c.g}, l = {c.l}" for c in (
+            nullstellensatz.make_certificate(problem.ideal, j, problem.cfg)
+            for j in range(3))]
+        powers = count_calls(monkeypatch, "__pow__", module=Polynomial)
+        tables = count_calls(monkeypatch, "space_table",
+                             module=nullstellensatz)
+        zeros = count_calls(monkeypatch, "zero_set", module=nullstellensatz)
+        code, out, err = run("certify", "--input", path, capsys=capsys)
+        assert code == 0 and out.splitlines()[1:] == want
+        assert sum(len(base.terms) > 1 for base, _ in powers) == 2
+        assert len(tables) == len(zeros) == 1
+
     def test_certify_rejects_tower_nonmember(self, tmp_path, capsys):
         """Points in GF(4) outside the GF(2) coefficients: the refusal
         prints the colon result, which the oracle cannot interpolate."""
@@ -447,6 +471,24 @@ class TestSearchCommand:
             "--target", target, "--bounds", "exp=100000000", capsys=capsys)
         assert time.perf_counter() - start < 1
         assert code == 0 and out.startswith(head + "\n"), out + err
+
+    @pytest.mark.time_budget(10)
+    def test_huge_inner_exponent_exits_2(self, capsys):
+        """r1 on a target that vanishes on the zero set builds the
+        residue of f^n for every inner exponent n; the search budget
+        stops it with exit 2 and a message naming exp."""
+        start = time.perf_counter()
+        code, out, err = run(
+            "search", "--family", "r1",
+            "--ideal", str(EXAMPLES / "counterexample.null"),
+            "--target", "X2^2 - X2", "--bounds", "exp=100000000",
+            capsys=capsys)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == ("error: the search passed its budget of 20000 "
+                       "structures and monomial residue terms at m<=2 "
+                       "degp<=4 degargs<=2 chain<=2 exp<=100000000; lower "
+                       "exp or the other bounds\n")
 
     @pytest.mark.time_budget(10)
     @pytest.mark.parametrize("argv, message", [

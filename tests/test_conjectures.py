@@ -308,6 +308,18 @@ class TestExhaustion:
         assert w.candidates == 4 + 2 * 64 + 2 * 64
         assert str(w.bounds) == "m<=1 degp<=2 degargs<=2 chain<=2 exp<=3"
 
+    def test_the_search_budget_is_exact(self, monkeypatch):
+        """A fresh r1 search at default bounds visits 825 structures and
+        builds monomial residues of 140 terms in all: it exhausts on a
+        budget of 965 and stops on one less."""
+        f = poly("X2^2 - X2")
+        monkeypatch.setattr(conjectures, "_SEARCH_BUDGET", 825 + 140)
+        w = search_witness(f, ideal(["X1"]), "r1")
+        assert isinstance(w, Exhausted) and w.candidates == 3245388
+        monkeypatch.setattr(conjectures, "_SEARCH_BUDGET", 825 + 139)
+        with pytest.raises(SizeOverflow, match="exp<=3; lower exp"):
+            search_witness(f, ideal(["X1"]), "r1")
+
     def test_zero_degree_bound_is_vacuous(self):
         w = search_witness(poly("X2^2 - X2"), ideal(["X1"]), "r1",
                            bounds=SearchBounds(max_deg_p=0))

@@ -307,6 +307,34 @@ def test_large_field_sizes_answer_fast(tmp_path, field, argv, code, message):
     assert elapsed < 1.0
 
 
+@pytest.mark.parametrize("literal, q", [
+    ("GF(2)", 2), ("GF(3)", 3), ("GF(4)", 4), ("GF(8)", 8), ("GF(9)", 9),
+    ("GF(16)", 16), ("GF(4)", 2), ("GF(9)", 3), ("GF(101)", 101),
+    ("GF(1009)", 1009), ("GF(67^2; m=t^2+1)", 67)])
+def test_upoly_roots_are_the_zeros(literal, q):
+    """upoly_roots lists the elements of GF(q), in F or its prime field,
+    where u vanishes: random u, and products of linear factors with
+    repeats, roots outside GF(q) and a constant factor, through the gcds
+    with X^q - X and the equal-degree split in odd characteristic and in
+    characteristic 2."""
+    from nullkit import field
+
+    F = parse_field_literal(literal)
+    rng = random.Random(literal)
+    for _ in range(20 if F.q > 256 else 60):
+        if rng.random() < 0.5:
+            u = [rng.randrange(F.q) for _ in range(rng.randint(1, 9))]
+        else:
+            u = [rng.randrange(1, F.q)]
+            for _ in range(rng.randint(1, 7)):
+                a = rng.randrange(q if rng.random() < 0.8 else F.q)
+                u = field._upoly_mulmod(u, [F.neg[a], 1], [0] * 20 + [1], F)
+        if not any(u):
+            continue
+        want = [a for a in range(q) if not field.upoly_eval(u, a, F)]
+        assert field.upoly_roots(u, F, q) == want, u
+
+
 def test_untabled_prime_field_matches_integers():
     """q > 256 runs on the untabled arithmetic path."""
     p = 4099

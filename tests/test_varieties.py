@@ -2,6 +2,8 @@
 
 import itertools
 import random
+import time
+from pathlib import Path
 
 import pytest
 
@@ -27,7 +29,8 @@ from nullkit.varieties import (
     zero_set,
 )
 
-from helpers import fold_vanishing_ideal, normalize
+from helpers import brute_zero_set, fold_vanishing_ideal, normalize
+from helpers import random_poly as random_form
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -73,6 +76,49 @@ def test_projective_normalization():
         # first nonzero coordinate is one
         lead = next(x for x in base.coords if x.idx)
         assert lead == F4.one
+
+
+def test_size_guard_counts_the_prefixes_and_the_zero_set():
+    """A space refused today whose zero set fits answers; the cap holds
+    for the prefixes alone (A^2 over a huge field) and for a zero set
+    past it, with the message that names the whole space."""
+    huge = make_field(2 ** 61 - 1)
+    with pytest.raises(SizeOverflow, match=r"^A\^2\(GF\(2305843009213693951"
+                       r"\)\) has more than 1000000 points$"):
+        zero_set(Ideal.from_strings(huge, ("X", "Y"), ["X + 3*Y"]), huge,
+                 AFFINE)
+    line = Ideal.from_strings(huge, ("X0", "X1"), ["X0 + 3*X1"])
+    assert [p.key for p in zero_set(line, huge, PROJECTIVE)] == [
+        (1, (2 ** 61 - 2) * pow(3, -1, 2 ** 61 - 1) % (2 ** 61 - 1))]
+    F1009 = make_field(1009)
+    with pytest.raises(SizeOverflow, match=r"^P\^2\(GF\(1009\)\) has more "
+                       "than 1000000 points$"):
+        zero_set(Ideal(F1009, ("X0", "X1", "X2"), []), F1009, PROJECTIVE)
+
+
+@pytest.mark.time_budget(5)
+def test_high_degree_fibres_take_the_cheaper_roots():
+    """A fibre of degree 250 over GF(251) is evaluated at every element
+    rather than split by gcds, so the curve answers as fast as brute
+    force.  Over GF(2^61 - 1) a quadratic fibre is split, while the roots
+    of X^70000 - 1 would cost more than evaluating 10^6 points either way
+    and are refused."""
+    F251 = make_field(251)
+    curve = Ideal.from_strings(F251, ("X0", "X1", "X2"),
+                               ["X0^125*X1^125 + X1^250 - X2^250"])
+    start = time.perf_counter()
+    V = zero_set(curve, F251, PROJECTIVE)
+    assert time.perf_counter() - start < 1
+    assert len(V) == 376 and V == brute_zero_set(curve, F251, PROJECTIVE)
+    huge = make_field(2 ** 61 - 1)
+    two = zero_set(Ideal.from_strings(huge, ("X",), ["X^2 - 2"]), huge,
+                   AFFINE)
+    assert [(a * a - 2) % (2 ** 61 - 1) for (a,) in (p.key for p in two)] \
+        == [0, 0]
+    with pytest.raises(SizeOverflow,
+                       match=r"^A\^1\(GF\(2305843009213693951\)\) has more"):
+        zero_set(Ideal.from_strings(huge, ("X",), ["X^70000 - 1"]), huge,
+                 AFFINE)
 
 
 def test_zero_set_matches_brute_force():
@@ -307,3 +353,106 @@ def test_oracle_refuses_points_outside_the_coefficient_field():
     V = enumerate_space(F4, 1, PROJECTIVE)
     with pytest.raises(FieldMismatch):
         oracle_vanishing_ideal(V, spec=F2)
+
+
+FIBRE_FIELDS = [("GF(2)", "GF(2)"), ("GF(3)", "GF(3)"), ("GF(4)", "GF(4)"),
+                ("GF(5)", "GF(5)"), ("GF(7)", "GF(7)"), ("GF(8)", "GF(8)"),
+                ("GF(9)", "GF(9)"), ("GF(4)", "GF(2)"), ("GF(2)", "GF(4)"),
+                ("GF(9)", "GF(3)"), ("GF(3)", "GF(9)")]
+
+
+@pytest.mark.time_budget(60)
+@pytest.mark.parametrize("by_evaluation", [True, False],
+                         ids=["roots-by-evaluation", "roots-by-gcd"])
+def test_zero_set_matches_brute_force_enumeration(monkeypatch,
+                                                  by_evaluation):
+    """The fibred zero set equals brute_zero_set, which evaluates every
+    generator on the whole space, on random affine and projective
+    inputs: zero generators, exponents past q, both kinds of tower, and
+    non-homogeneous generators of a homogeneous ideal.  The roots of
+    every fibre of degree 2 or more come from evaluation at every
+    element, or from gcds and splitting, in every field."""
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+    from nullkit import varieties
+
+    cost = varieties._root_cost
+    monkeypatch.setattr(varieties, "_root_cost",
+                        lambda q, d, t: (cost(q, d, t)[0], by_evaluation))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.randoms(use_true_random=False), st.sampled_from(FIBRE_FIELDS),
+           st.sampled_from([AFFINE, PROJECTIVE]), st.integers(1, 3))
+    def check(rng, fields, kind, nvars):
+        k, K = map(parse_field_literal, fields)
+        vars = tuple(f"X{i}" for i in range(nvars))
+        count = rng.randint(0, 3)
+        if kind == AFFINE:
+            gens = [random_poly(rng, k, vars, rng.randint(1, 5), K.q + 2)
+                    for _ in range(count)]
+        else:
+            gens = [random_form(rng, k, vars, rng.randint(1, K.q + 1),
+                                rng.randint(1, 4)) for _ in range(count)]
+            if gens and rng.random() < 0.3:
+                # f + g and g generate the homogeneous ideal <f, g>
+                g = random_form(rng, k, vars, rng.randint(1, 3), 2)
+                gens = [gens[0] + g, g] + gens[1:]
+        if rng.random() < 0.2:
+            gens.insert(rng.randint(0, len(gens)), Polynomial.zero(k, vars))
+        I = Ideal(k, vars, gens)
+        assert zero_set(I, K, kind) == brute_zero_set(I, K, kind)
+
+    check()
+
+
+def test_zero_set_of_the_tower_example_matches_brute_force():
+    from nullkit.cli import parse_problem
+
+    problem = parse_problem(str(Path(__file__).resolve().parent.parent
+                                / "examples" / "tower.null"))
+    I, K = problem.ideal, problem.cfg.K_spec
+    assert I.spec is not K
+    assert zero_set(I, K, PROJECTIVE) == brute_zero_set(I, K, PROJECTIVE)
+
+
+@pytest.mark.time_budget(5)
+def test_large_fields_answer():
+    """A conic over GF(997) enumerates in under 0.5 s; one over GF(1009),
+    whose P^2 passes SIZE_LIMIT, has its q + 1 points; and the twisted
+    cubic in P^3(GF(101)), whose space has 1,030,302 points, has its
+    102."""
+    vars = ("X0", "X1", "X2")
+    for q in (997, 1009):
+        F = make_field(q)
+        I = Ideal.from_strings(F, vars, ["X0^2 + 3*X1^2 - 5*X2^2"])
+        start = time.perf_counter()
+        V = zero_set(I, F, PROJECTIVE)
+        if q == 997:
+            assert time.perf_counter() - start < 0.5
+        assert len(V) == q + 1
+        assert all((a * a + 3 * b * b - 5 * c * c) % q == 0
+                   for a, b, c in (p.key for p in V))
+    F101 = make_field(101)
+    cubic = Ideal.from_strings(F101, vars + ("X3",), [
+        "X0*X2 - X1^2", "X1*X3 - X2^2", "X0*X3 - X1*X2"])
+    V = zero_set(cubic, F101, PROJECTIVE)
+    assert [p.key for p in V] == [(0, 0, 0, 1)] + [
+        (1, t, t * t % 101, t ** 3 % 101) for t in range(101)]
+
+
+def test_conic_builds_no_table_past_the_prefixes_and_zeros(monkeypatch):
+    """Over GF(251) the 253 prefixes (with the one of [0:0:1]) and the
+    252 zeros are all the rows a zero set builds, not the 63,253 points
+    of P^2."""
+    sizes = []
+    real = PointTable.__init__
+
+    def record(self, spec, cols, size):
+        sizes.append(size)
+        real(self, spec, cols, size)
+
+    monkeypatch.setattr(PointTable, "__init__", record)
+    F = make_field(251)
+    I = Ideal.from_strings(F, ("X0", "X1", "X2"), ["X0^2 + 3*X1^2 - 5*X2^2"])
+    assert len(zero_set(I, F, PROJECTIVE)) == 252
+    assert sizes and max(sizes) <= 253 + 252
