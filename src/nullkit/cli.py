@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 from . import __version__
 from .conjectures import (
+    FAMILIES,
     Exhausted,
     SearchBounds,
     counterexample_suite,
@@ -101,9 +102,14 @@ def _strip_position(msg):
     return re.sub(r" \(at position \d+\)$", "", msg)
 
 
+# The slot each field directive fills, as "duplicate <slot> line" names it.
+_FIELD_SLOTS = {"field": "field", "coeffs": "coeffs",
+                "points": "points/base", "base": "points/base"}
+
+
 def parse_problem_text(text, name="<input>"):
     """Parse problem text; errors cite name:line:column."""
-    field_spec = coeff_spec = point_spec = None
+    specs = {}
     vars = None
     gens = []
     in_ideal = False
@@ -124,7 +130,7 @@ def parse_problem_text(text, name="<input>"):
             continue
         head, _, rest = stripped.partition(" ")
         rest = rest.strip()
-        if head in ("field", "coeffs", "points", "base"):
+        if head in _FIELD_SLOTS:
             if not rest:
                 _syntax(name, lineno, col, f"{head} needs a field literal")
             try:
@@ -132,19 +138,10 @@ def parse_problem_text(text, name="<input>"):
             except ParseError as exc:
                 _syntax(name, lineno, raw.index(rest) + 1,
                         _strip_position(str(exc)))
-            if head == "field":
-                if field_spec is not None:
-                    _syntax(name, lineno, col, "duplicate field line")
-                field_spec = spec
-            elif head == "coeffs":
-                if coeff_spec is not None:
-                    _syntax(name, lineno, col, "duplicate coeffs line")
-                coeff_spec = spec
-            else:
-                if point_spec is not None:
-                    _syntax(name, lineno, col,
-                            "duplicate points/base line")
-                point_spec = spec
+            slot = _FIELD_SLOTS[head]
+            if slot in specs:
+                _syntax(name, lineno, col, f"duplicate {slot} line")
+            specs[slot] = spec
         elif head == "vars":
             if vars is not None:
                 _syntax(name, lineno, col, "duplicate vars line")
@@ -164,17 +161,17 @@ def parse_problem_text(text, name="<input>"):
         else:
             _syntax(name, lineno, col, f"unknown directive {head!r}")
 
-    if field_spec is not None and (coeff_spec or point_spec):
+    if "field" in specs and len(specs) > 1:
         raise ParseError(
             f"{name}: give either a field line or a coeffs/points pair")
-    if field_spec is None and coeff_spec is None and point_spec is None:
+    if not specs:
         raise ParseError(f"{name}: missing field declaration")
     if vars is None:
         raise ParseError(f"{name}: missing vars line")
     if not in_ideal:
         raise ParseError(f"{name}: missing ideal: section")
-    K = point_spec or field_spec or coeff_spec
-    F = coeff_spec or K
+    K = specs.get("points/base") or specs.get("field") or specs["coeffs"]
+    F = specs.get("coeffs", K)
     cfg = NullConfig(F, K, vars)
     polys = []
     for lineno, col, src in gens:
@@ -504,8 +501,6 @@ def _cmd_search(args, rep):
 
 
 def _cmd_suite(args, rep):
-    if args.which != "counterexample":
-        raise ParseError(f"unknown suite {args.which!r}")
     bounds = parse_bounds(args.bounds) if args.bounds else None
     report, wall = _timed(counterexample_suite, bounds=bounds,
                           raise_on_failure=False)
@@ -538,6 +533,11 @@ def build_parser():
         p.add_argument("--json", action="store_true",
                        help="machine-readable report")
 
+    def geometry(p):
+        geom = p.add_mutually_exclusive_group(required=True)
+        geom.add_argument("--affine", action="store_true")
+        geom.add_argument("--projective", action="store_true")
+
     p = sub.add_parser("gb", help="reduced Groebner basis of the ideal")
     common(p)
     p.add_argument("--order", default="degrevlex",
@@ -556,16 +556,12 @@ def build_parser():
 
     p = sub.add_parser("points", help="enumerate the zero set")
     common(p)
-    geom = p.add_mutually_exclusive_group(required=True)
-    geom.add_argument("--affine", action="store_true")
-    geom.add_argument("--projective", action="store_true")
+    geometry(p)
     p.set_defaults(func=_cmd_points)
 
     p = sub.add_parser("vanishing", help="vanishing ideal of the zero set")
     common(p)
-    geom = p.add_mutually_exclusive_group(required=True)
-    geom.add_argument("--affine", action="store_true")
-    geom.add_argument("--projective", action="store_true")
+    geometry(p)
     p.add_argument("--method", choices=list(METHODS),
                    help="projective only; default colon")
     p.set_defaults(func=_cmd_vanishing)
@@ -582,7 +578,7 @@ def build_parser():
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("search", help="bounded witness search")
-    p.add_argument("--family", choices=["r1", "r2", "r3"])
+    p.add_argument("--family", choices=FAMILIES)
     p.add_argument("--target", help="polynomial to search a witness for")
     p.add_argument("--ideal", help="problem file (.null)")
     p.add_argument("--bounds",

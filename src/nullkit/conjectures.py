@@ -16,10 +16,12 @@ test.  Candidates run in a documented canonical order (family
 structure ascending, then forms, then argument tuples in pool order)
 and an exhausted search reports exactly how many candidates the bounds
 admit.  A search that visits more structures and builds more monomial
-residue terms than _SEARCH_BUDGET stops with SizeOverflow instead.  The search prunes soundly: a composed form with only the
-trivial zero forces every argument to vanish on the zero set of I, and
-membership only depends on argument residues modulo I, so distinct
-arguments with equal residues share one composition test.
+residue terms than _SEARCH_BUDGET stops with SizeOverflow instead.
+
+The search prunes soundly: a composed form with only the trivial zero
+forces every argument to vanish on the zero set of I, and membership
+only depends on argument residues modulo I, so distinct arguments with
+equal residues share one composition test.
 
 The set-up per ideal and argument degree bound is (pool size, first
 polynomial per residue, vanishing ids, zero table).  Swapping a pool
@@ -90,7 +92,8 @@ _SEARCH_BUDGET = 20_000
 
 @dataclass(frozen=True)
 class SearchBounds:
-    """Caps for the candidate enumeration; the defaults finish in minutes."""
+    """Caps for the candidate enumeration.  At the defaults the whole
+    counterexample suite runs in about 0.1 s."""
 
     max_m: int = 2
     max_deg_p: int = 4
@@ -586,6 +589,24 @@ class SuiteReport:
         return "\n".join(lines)
 
 
+def _judge_exhausts(out):
+    """(passed, detail[, vacuous]): the search must exhaust candidates."""
+    if not isinstance(out, Exhausted):
+        return False, f"unexpected witness: {out.describe()}"
+    if out.candidates == 0:
+        return False, "vacuous: bounds admit no candidates", True
+    return True, f"{out.candidates} candidates"
+
+
+def _judge_finds(out):
+    """(passed, detail[, vacuous]): the search must find a witness."""
+    if isinstance(out, RWitness) and verify_kradical_witness(out):
+        return True, f"forms = {[str(p) for p in out.forms]}"
+    if isinstance(out, Exhausted) and out.candidates == 0:
+        return False, "vacuous: bounds admit no candidates", True
+    return False, "no witness found"
+
+
 def counterexample_suite(bounds=None, ideal_override=None,
                          raise_on_failure=True):
     """Checked walk through the standing counterexample over GF(2).
@@ -632,45 +653,17 @@ def counterexample_suite(bounds=None, ideal_override=None,
         report.add("target is a non-homogeneous member", False,
                    "no vanishing ideal to test", group="membership")
 
-    for family in FAMILIES:
-        try:
-            out = search_witness(f, I, family, bounds)
-        except Exception as exc:  # noqa: BLE001
-            report.add(f"{family} search exhausts for f", False, str(exc),
-                       group="exhaustion")
-            continue
-        if isinstance(out, Exhausted):
-            if out.candidates > 0:
-                report.add(f"{family} search exhausts for f", True,
-                           f"{out.candidates} candidates",
-                           group="exhaustion")
+    for target, step, group, judge in (
+            (f, "search exhausts for f", "exhaustion", _judge_exhausts),
+            (easy, "finds the easy member", "controls", _judge_finds)):
+        for family in FAMILIES:
+            try:
+                out = search_witness(target, I, family, bounds)
+            except Exception as exc:  # noqa: BLE001
+                verdict = False, str(exc)
             else:
-                report.add(f"{family} search exhausts for f", False,
-                           "vacuous: bounds admit no candidates",
-                           vacuous=True, group="exhaustion")
-        else:
-            report.add(f"{family} search exhausts for f", False,
-                       f"unexpected witness: {out.describe()}",
-                       group="exhaustion")
-
-    for family in FAMILIES:
-        try:
-            out = search_witness(easy, I, family, bounds)
-        except Exception as exc:  # noqa: BLE001
-            report.add(f"{family} finds the easy member", False, str(exc),
-                       group="controls")
-            continue
-        if isinstance(out, RWitness) and verify_kradical_witness(out):
-            report.add(f"{family} finds the easy member", True,
-                       f"forms = {[str(p) for p in out.forms]}",
-                       group="controls")
-        elif isinstance(out, Exhausted) and out.candidates == 0:
-            report.add(f"{family} finds the easy member", False,
-                       "vacuous: bounds admit no candidates", vacuous=True,
-                       group="controls")
-        else:
-            report.add(f"{family} finds the easy member", False,
-                       "no witness found", group="controls")
+                verdict = judge(out)
+            report.add(f"{family} {step}", *verdict, group=group)
 
     if raise_on_failure and not report.ok:
         first = next(s for s in report.steps if not s.passed)

@@ -588,8 +588,8 @@ def make_field(p, e=1, modulus=None):
         key = (p, 1, None)
     else:
         if e > _MAX_EXT_DEGREE:
-            raise ReducibleModulus(
-                f"irreducibility checks are limited to degree {_MAX_EXT_DEGREE}")
+            raise ReducibleModulus("irreducibility checks are limited to "
+                                   f"degree {_MAX_EXT_DEGREE}")
         if modulus is None:
             if (p, e) not in DEFAULT_MODULI:
                 raise NoDefaultModulus(f"no built-in modulus for GF({p}^{e})")

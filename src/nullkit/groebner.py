@@ -373,6 +373,7 @@ def buchberger(gens, order=DEGREVLEX):
 
 def divide_exact(f, g, order=DEGREVLEX):
     """Quotient of f by a single divisor g, which must divide exactly."""
+    f._same_ring(g)
     if g.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
     if f.is_zero:

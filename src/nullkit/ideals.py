@@ -254,6 +254,7 @@ def ideal_saturate(I, J):
     by the divisors, and reduced again, to vanish; NF(g*NF(f)) = NF(g*f)
     makes this exact.  Any other input iterates ideal_quotient.
     """
+    I._check_ring(J)
     divisors = [g for g in J.gens if not g.is_zero]
     if not divisors:
         raise ZeroDivisorIdeal("saturation by the zero ideal")

@@ -106,13 +106,11 @@ class MethodReport:
 
 
 def _check_ring(I, cfg):
+    """I must live in the configured ring, and extension-scalars inputs
+    must keep their coefficients in the point field."""
     if I.spec is not cfg.k_spec or I.vars != cfg.vars:
         raise RingMismatch(
             f"{I} does not live in {cfg.k_spec}[{','.join(cfg.vars)}]")
-
-
-def _check_coefficients(I, cfg):
-    """Extension-scalars inputs must keep coefficients in the point field."""
     if cfg.k_spec is cfg.K_spec or is_subfield(cfg.k_spec, cfg.K_spec):
         return
     for g in I.gens:
@@ -124,10 +122,16 @@ def _check_coefficients(I, cfg):
                     f"are rejected")
 
 
-def _check_homogeneous_gens(I):
-    for g in I.gens:
+def _check_homogeneous(polys):
+    for g in polys:
         if not g.is_homogeneous:
             raise NonHomogeneousGenerator(f"{g} is not homogeneous")
+
+
+def _check_projective(I, cfg):
+    """The checks every projective entry point runs first."""
+    _check_ring(I, cfg)
+    _check_homogeneous(I.gens)
 
 
 def gamma_q(cfg):
@@ -183,7 +187,6 @@ def affine_vanishing(I, cfg):
     case.
     """
     _check_ring(I, cfg)
-    _check_coefficients(I, cfg)
     folded = Ideal(I.spec, I.vars,
                    [_fold_exponents(g, cfg.q) for g in I.gens])
     return reduced(ideal_sum(folded, gamma_q(cfg)))
@@ -195,14 +198,8 @@ def degree_bound(I, q):
     The bound depends on the presentation, not just the ideal; zero
     generators contribute nothing.
     """
-    total = 0
-    for h in I.gens:
-        if h.is_zero:
-            continue
-        if not h.is_homogeneous:
-            raise NonHomogeneousGenerator(f"{h} is not homogeneous")
-        total += h.total_degree()
-    return total * (q - 1) + 1
+    _check_homogeneous(I.gens)
+    return sum(h.total_degree() for h in I.gens if h) * (q - 1) + 1
 
 
 def certificate_degree(I, cfg):
@@ -234,9 +231,7 @@ def _colon(I, cfg):
 
 def projective_vanishing(I, cfg, method="colon"):
     """I(V_K(I)) for a nonempty projective zero set, plus a run report."""
-    _check_ring(I, cfg)
-    _check_coefficients(I, cfg)
-    _check_homogeneous_gens(I)
+    _check_projective(I, cfg)
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
     V = _nonempty_zero_set(I, cfg)
@@ -265,9 +260,7 @@ def classify_empty(I, cfg):
     (I plus the affine field equations is exactly the irrelevant
     maximal ideal).  Anything else raises ClassificationFailure loudly.
     """
-    _check_ring(I, cfg)
-    _check_coefficients(I, cfg)
-    _check_homogeneous_gens(I)
+    _check_projective(I, cfg)
     V = zero_set(I, cfg.K_spec, PROJECTIVE)
     if V.points:
         return NONEMPTY
@@ -320,9 +313,7 @@ def make_certificates(I, indices, cfg):
     """Certificate pairs for the indices, in order, verified before they
     are returned.  The zero set, the powers h_i^{q-1} and the evaluation
     pass are shared by all of them."""
-    _check_ring(I, cfg)
-    _check_coefficients(I, cfg)
-    _check_homogeneous_gens(I)
+    _check_projective(I, cfg)
     for j in indices:
         if not 0 <= j < len(cfg.vars):
             raise DimensionMismatch(
@@ -380,13 +371,10 @@ def certify_membership(f, I, cfg):
     message prints.  Accepts the degenerate zero ideal, where every g
     side collapses to zero and the l side carries everything.
     """
-    _check_ring(I, cfg)
-    _check_coefficients(I, cfg)
-    _check_homogeneous_gens(I)
+    _check_projective(I, cfg)
     if f.spec is not cfg.k_spec or f.vars != cfg.vars:
         raise RingMismatch(f"{f} does not live in the configured ring")
-    if not f.is_homogeneous:
-        raise NonHomogeneousGenerator(f"{f} is not homogeneous")
+    _check_homogeneous([f])
     if any(h.is_zero for h in I.gens):
         raise ZeroGeneratorCount("stored generators must be nonzero")
     d = certificate_degree(I, cfg)

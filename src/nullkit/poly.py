@@ -358,13 +358,11 @@ def homogenize(f, position=0, name=None):
         while f"X{i}" in f.vars:
             i += 1
         name = f"X{i}"
-    if f.is_zero:
-        return insert_variable(f, position, name)
+    g = insert_variable(f, position, name)
     d = f.total_degree()
-    vars = f.vars[:position] + (name,) + f.vars[position:]
-    terms = {e[:position] + (d - sum(e),) + e[position:]: c
-             for e, c in f.terms.items()}
-    return Polynomial(f.spec, vars, terms)
+    terms = {e[:position] + (d - sum(e),) + e[position + 1:]: c
+             for e, c in g.terms.items()}
+    return Polynomial(f.spec, g.vars, terms)
 
 
 def dehomogenize(f, position, value=1):

@@ -52,25 +52,20 @@ PROJECTIVE = "projective"
 
 
 @dataclass(frozen=True)
-class AffinePoint:
+class _Point:
     coords: tuple
 
     @property
     def key(self):
         return tuple(a.idx for a in self.coords)
 
+
+class AffinePoint(_Point):
     def __str__(self):
         return "(" + ",".join(str(a) for a in self.coords) + ")"
 
 
-@dataclass(frozen=True)
-class ProjectivePoint:
-    coords: tuple
-
-    @property
-    def key(self):
-        return tuple(a.idx for a in self.coords)
-
+class ProjectivePoint(_Point):
     def __str__(self):
         return "[" + ":".join(str(a) for a in self.coords) + "]"
 
@@ -132,7 +127,8 @@ class PointTable:
             return self.cols[i]
         col = self._powers.get((i, e))
         if col is None:
-            values = {a: self.spec.encoded_pow(a, e) for a in set(self.cols[i])}
+            values = {a: self.spec.encoded_pow(a, e)
+                      for a in set(self.cols[i])}
             col = self._powers[(i, e)] = list(map(values.__getitem__,
                                                   self.cols[i]))
         return col
@@ -161,6 +157,11 @@ class PointTable:
                     row = specs[k].mul[f.terms[exps]]
                     totals[k] = [add[t][row[a]] for t, a in zip(totals[k], v)]
         return totals
+
+
+def _check_kind(kind):
+    if kind not in (AFFINE, PROJECTIVE):
+        raise ValueError(f"unknown space kind {kind!r}")
 
 
 def _space_size(q, n, kind):
@@ -200,8 +201,7 @@ def space_table(spec, n, kind):
     Projective points come in blocks by the position of their leading
     1, from n down to 0, each followed by every tail in lexicographic
     order, so the columns are built sorted."""
-    if kind not in (AFFINE, PROJECTIVE):
-        raise ValueError(f"unknown space kind {kind!r}")
+    _check_kind(kind)
     if _space_size(spec.q, n, kind) > SIZE_LIMIT:
         raise _too_large(spec, n, kind)
     if kind == AFFINE:
@@ -307,6 +307,7 @@ def zero_set(I, point_spec, kind):
     points (_root_cost), as brute force would; a space within it is
     never refused.
     """
+    _check_kind(kind)
     if kind == PROJECTIVE:
         if not (all(g.is_homogeneous for g in I.gens)
                 or is_homogeneous_ideal(I)):

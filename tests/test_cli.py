@@ -261,6 +261,33 @@ class TestCommands:
         assert err == ("error: X1 is not in <X0*X1 + X2^2, "
                        "X1^2*X2 + X0*X2^2, X0^2*X2 + X1*X2^2>\n")
 
+    def test_certify_one_index_of_a_member(self, capsys):
+        argv = ("certify", "--input", str(EXAMPLES / "counterexample.null"),
+                "--poly", "X1*X2", "--j", "1")
+        code, out, err = run(*argv, capsys=capsys)
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [
+            "d: 2",
+            "j=1: g = X1*X2, l = X1*X2 + X2^2",
+            "  X2^2 * f = (X1*X2) * f + (X1*X2 + X2^2) * f",
+            "  g * f = X1^2*X2^2",
+            "  l * f = X1^2*X2^2 + X1*X2^3",
+            "verified: yes",
+        ]
+        code, out, err = run(*argv, "--json", capsys=capsys)
+        assert code == 0
+        assert json.loads(out)["certificates"] == [{
+            "j": 1, "d": 2, "g": "X1*X2", "l": "X1*X2 + X2^2",
+            "g_times_f": "X1^2*X2^2", "l_times_f": "X1^2*X2^2 + X1*X2^3",
+        }]
+
+    def test_certify_needs_a_nonempty_zero_set(self, capsys):
+        code, out, err = run("certify", "--input",
+                             str(EXAMPLES / "irrelevant2.null"),
+                             capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: certificates need a nonempty zero set\n"
+
     def test_certify_rejects_index_out_of_range(self, capsys):
         for j in ("7", "-1"):
             code, out, err = run("certify", "--input",

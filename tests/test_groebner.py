@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from nullkit.errors import DegreeOverflow
+from nullkit.errors import DegreeOverflow, RingMismatch
 from nullkit.field import enumerate_field, make_field
 from nullkit.groebner import (
     GroebnerBasis,
@@ -142,6 +142,14 @@ def test_divide_exact():
     assert divide_exact(f * g, g, DEGREVLEX) == f
     with pytest.raises(ValueError):
         divide_exact(parse_polynomial("X^2 + 1", XY, F3), f, DEGREVLEX)
+
+
+def test_divide_exact_checks_the_ring():
+    """A divisor from another ring is refused, not read by exponents."""
+    f = parse_polynomial("X0*X1", ("X0", "X1", "X2"), F2)
+    g = parse_polynomial("Y1", ("Y0", "Y1", "Y2"), F2)
+    with pytest.raises(RingMismatch):
+        divide_exact(f, g)
 
 
 def test_divide_exact_by_a_t_leading_divisor_over_gf9():

@@ -11,6 +11,7 @@ from nullkit.groebner import divide_exact, normal_form
 from nullkit.ideals import (
     Ideal,
     eliminate,
+    fresh_var,
     ideal_intersect,
     ideal_quotient,
     ideal_saturate,
@@ -57,6 +58,19 @@ def test_ring_check():
     J = Ideal.from_strings(F3, XY, ["X"])
     with pytest.raises(RingMismatch):
         ideal_sum(I, J)
+
+
+@pytest.mark.parametrize("spec, vars", [
+    (F2, ("Y0", "Y1")),
+    (F3, ("X", "Y", "Z")),
+], ids=["renamed", "gf3-three-vars"])
+def test_saturate_checks_the_ring(spec, vars):
+    """ideal_saturate refuses a J from another ring, as ideal_quotient
+    does, whatever its field or number of variables."""
+    J = Ideal.from_strings(spec, vars, [vars[-1]])
+    with pytest.raises(RingMismatch,
+                       match="^ideals live in different rings$"):
+        ideal_saturate(ideal(["X*Y"]), J)
 
 
 def test_sum():
@@ -192,6 +206,25 @@ def test_radical_membership():
     assert radical_membership(parse_polynomial("X + 1", XY, F2), J)
     assert not radical_membership(X, J)
     assert radical_membership(X, ideal(["X"]))
+
+
+def test_scaling_variable_skips_ring_variables():
+    """In GF(2)[T,T0,X] the scaling variable of ideal_intersect and
+    radical_membership is T1; the results equal those in GF(2)[A,B,X]
+    with the same exponents."""
+    results = []
+    for vars in (("T", "T0", "X"), ("A", "B", "X")):
+        a, b, x = vars
+        I = ideal([f"{a}*{x}", f"{b}^2"], vars)
+        J = ideal([f"{b} + {x}", f"{a}^2"], vars)
+        meet = reduced(ideal_intersect(I, J))
+        results.append((
+            [g.terms for g in meet.gens],
+            [radical_membership(parse_polynomial(s, vars, F2), I)
+             for s in (b, x, f"{a}*{x} + {b}")]))
+    assert fresh_var(("T", "T0", "X")) == "T1"
+    assert results[0] == results[1]
+    assert results[0][1] == [True, False, True]
 
 
 def test_is_homogeneous_ideal():

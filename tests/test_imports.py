@@ -6,7 +6,8 @@ re-exports, so the import check skips it): an imported name counts as
 used when the module reads it anywhere or lists it in __all__.  A
 module-level def or class counts as used when some module of the
 package reads it, as a Name or an Attribute, or an __all__ lists it;
-code that only the tests call belongs in the tests.
+code that only the tests call belongs in the tests.  Every line of
+src/nullkit/*.py is at most MAX_LINE characters.
 """
 
 import ast
@@ -16,6 +17,7 @@ import pytest
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "nullkit"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+MAX_LINE = 79
 
 
 def _imported(tree):
@@ -101,3 +103,14 @@ def test_the_walk_finds_an_unread_definition():
                "b.py": "import a\nstored = 1\nprint(a.Cls.attr)\n"}
     assert unread_definitions(sources) == [("a.py", "stored"),
                                            ("a.py", "unread")]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_lines_fit_the_width(path):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    long = [(i, len(line)) for i, line in enumerate(lines, 1)
+            if len(line) > MAX_LINE]
+    assert not long, "\n".join(
+        f"{path.name}:{i}: {n} characters, more than {MAX_LINE}"
+        for i, n in long)

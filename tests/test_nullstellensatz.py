@@ -9,6 +9,7 @@ import itertools
 import pytest
 
 from nullkit.errors import (
+    DimensionMismatch,
     EmptyVariety,
     FieldMismatch,
     NonHomogeneousGenerator,
@@ -38,6 +39,7 @@ from nullkit.nullstellensatz import (
     gamma_q_star,
     irrelevant_ideal,
     make_certificate,
+    make_certificates,
     power_ideal,
     projective_vanishing,
 )
@@ -289,6 +291,13 @@ def test_worked_example_certificates():
     assert c1.g.to_string() == "X0*X1"
     assert c1.l.to_string() == "X0*X1 + X1^2"
     assert (c1.g + c1.l).to_string() == "X1^2"
+
+
+def test_make_certificates_refuses_an_index_outside_the_ring():
+    cfg = NullConfig(F2, F2, P1)
+    I = Ideal.from_strings(F2, P1, ["X0"])
+    with pytest.raises(DimensionMismatch, match=r"^index 2 outside 0\.\.1$"):
+        make_certificates(I, [0, 2], cfg)
 
 
 def test_certificate_properties_across_sample():

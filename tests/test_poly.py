@@ -307,6 +307,15 @@ def test_homogenize_dehomogenize():
         assert dehomogenize(h, 0) == f
 
 
+def test_homogenize_refuses_a_ring_variable_name():
+    """The fresh name is checked against the ring for every f, zero or
+    not."""
+    for f in ("X0 + 1", "0"):
+        with pytest.raises(RingMismatch,
+                           match="^X0 already is a ring variable$"):
+            homogenize(parse_polynomial(f, ("X0",), F2), 0, "X0")
+
+
 def test_drop_variable_guard():
     f = parse_polynomial("X + Y", XY, F2)
     with pytest.raises(RingMismatch):

@@ -138,6 +138,25 @@ def test_zero_set_of_zero_ideal_is_everything():
     assert len(zero_set(I, F2, PROJECTIVE)) == 3
 
 
+def test_affine_zero_set_in_zero_variables():
+    """A^0 is one point: the zero ideal keeps it and <1> does not."""
+    V = zero_set(Ideal(F2, (), []), F2, AFFINE)
+    assert [p.key for p in V] == [()] and str(V) == "{()}"
+    assert zero_set(Ideal.from_strings(F2, (), ["1"]), F2, AFFINE).points \
+        == ()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: space_table(F2, 2, "bogus"),
+    lambda: zero_set(Ideal.from_strings(F2, ("X", "Y"), ["X"]), F2,
+                     "bogus"),
+], ids=["space_table", "zero_set"])
+def test_unknown_space_kind_is_refused(make):
+    """Both entry points refuse a kind neither affine nor projective."""
+    with pytest.raises(ValueError, match="^unknown space kind 'bogus'$"):
+        make()
+
+
 def test_projective_zero_set_needs_homogeneous():
     vars = ("X", "Y")
     I = Ideal.from_strings(F2, vars, ["X + Y^2"])
