@@ -17,6 +17,9 @@ extension, as polynomials in t over its prime field; Rabin's
 irreducibility test for moduli; and upoly_roots, the roots in GF(q) of
 a polynomial, which the zero sets of varieties call per fibre.
 
+_Echelon, vectors of encodings in row-echelon form, serves both
+Buchberger-Moller in varieties and the saturation round count in ideals.
+
 A field literal spells a modulus in the polynomial syntax of
 poly.parse_polynomial, read as a polynomial in the variable t over
 GF(p): GF(3^2; m=t^2+1).
@@ -290,6 +293,40 @@ def _split_roots(h, F, q, start):
                     + _split_roots(_upoly_divmod(h, g, F)[0], F, q,
                                    delta + 1))
     raise AssertionError("no split of a polynomial with distinct roots")
+
+
+class _Echelon:
+    """Vectors of encodings over spec in row-echelon form, each with the
+    combination of labels it is the vector of.
+
+    Buchberger-Moller labels the evaluation vector of each monomial with
+    the monomial; the saturation round count inserts the coefficient
+    vectors of normal forms and reads back the rows."""
+
+    def __init__(self, spec):
+        self.add, self.mul = spec.add, spec.mul
+        self.neg, self.inv = spec.neg, spec.inv
+        self.rows = []  # (pivot, vector with 1 at pivot, {label: coef})
+
+    def insert(self, label, v):
+        """Add the vector v of label.  When v depends on the rows,
+        return instead the combination label - ... whose vector is zero,
+        as a {label: encoding} dict."""
+        add, mul = self.add, self.mul
+        combo = {label: 1}
+        for pivot, row, row_combo in self.rows:
+            if v[pivot]:
+                scale = mul[self.neg[v[pivot]]]
+                v = [add[a][scale[b]] for a, b in zip(v, row)]
+                for m, b in row_combo.items():
+                    combo[m] = add[combo.get(m, 0)][scale[b]]
+        pivot = next((k for k, a in enumerate(v) if a), None)
+        if pivot is None:
+            return combo
+        scale = mul[self.inv[v[pivot]]]
+        self.rows.append((pivot, [scale[a] for a in v],
+                          {m: scale[b] for m, b in combo.items()}))
+        return None
 
 
 def _digits(a, p, e):

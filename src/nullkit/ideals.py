@@ -11,15 +11,18 @@ degrevlex basis with X_j last (Bayer-Stillman 1987; Eisenbud,
 Commutative Algebra, Prop. 15.12), and any other part divides the
 intersection with the principal divisor exactly.
 
-Saturation I : J^infinity reports the rounds a loop of quotients by J
-runs until the ideal stops growing: r* + 1, r* the least r with
-J^r * I^sat inside I.  For homogeneous generators and a J of single
-terms c*X_j^k it intersects I : X_j^infinity over the distinct j, each
-read off the same permuted basis as the colon, and finds r* from
-normal forms modulo I's basis; any other input runs the loop itself.
+Saturation I : J^infinity intersects one part I : g^infinity per
+divisor g: I : X_j^infinity off the same permuted basis for
+homogeneous generators and a divisor c*X_j^k, once per distinct j, and
+otherwise T eliminated from I + <1 - T*g> (Rabinowitsch).  It reports
+r* + 1 rounds, r* the least r with J^r * I^sat inside I, found from
+normal forms modulo I's basis on field._Echelon.
 """
 
+from functools import reduce
+
 from .errors import RingMismatch, ZeroDivisorIdeal
+from .field import _Echelon
 from .groebner import (
     DEGREVLEX,
     GroebnerBasis,
@@ -214,74 +217,67 @@ def ideal_quotient(I, J):
     return result
 
 
-def _echelon(polys):
-    """Rows with distinct leading monomials spanning the same space.
-
-    Eliminates only between equal leading monomials, never by monomial
-    division, so it is linear algebra on coefficient vectors.
-    """
-    rows = {}
-    for f in polys:
-        while f:
-            lm = max(f.terms, key=DEGREVLEX.key)
-            row = rows.get(lm)
-            if row is None:
-                rows[lm] = _times(f, f.spec.inv[f.terms[lm]])
-                break
-            f = f - _times(row, f.terms[lm])
-    return list(rows.values())
+def _rabinowitsch(I, f):
+    """I + <1 - T*f> in the ring with a fresh variable T put first."""
+    t = fresh_var(I.vars)
+    tvars = (t,) + I.vars
+    tpoly = Polynomial.variable(I.spec, tvars, t)
+    one = Polynomial.constant(I.spec, tvars, 1)
+    gens = [insert_variable(g, 0, t) for g in I.gens if g]
+    gens.append(one - tpoly * insert_variable(f, 0, t))
+    return Ideal(I.spec, tvars, gens)
 
 
-def _times(f, c):
-    """f times the field element of encoding c."""
-    row = f.spec.mul[c]
-    return Polynomial(f.spec, f.vars, {e: row[v] for e, v in f.terms.items()})
+def _span(I, polys):
+    """A basis of the span of polys in I's ring: the rows of an _Echelon
+    of their coefficient vectors over the monomials they use."""
+    polys = list(polys)
+    monos = list(dict.fromkeys(e for f in polys for e in f.terms))
+    echelon = _Echelon(I.spec)
+    for label, f in enumerate(polys):
+        echelon.insert(label, [f.terms.get(e, 0) for e in monos])
+    return [Polynomial(I.spec, I.vars, dict(zip(monos, row)))
+            for _, row, _ in echelon.rows]
 
 
 def ideal_saturate(I, J):
     """I : J^infinity as a reduced ideal, with the round count.
 
-    Rounds count the quotients by J that a loop runs until one returns
-    its input, so an already saturated ideal reports 1 and an ideal that
-    grows once before stabilizing reports 2.  Since I : J^r grows with r
-    and stops exactly when it reaches I^sat, that is r* + 1 for r* the
-    least r with J^r * I^sat inside I.
+    I^sat intersects the parts I : g^infinity over the divisors g.  When
+    every stored generator of I is homogeneous, c*X_j^k gives the part
+    I : X_j^infinity, once per distinct j; any other divisor gives the
+    elimination of T from I + <1 - T*g>.
 
-    When every stored generator of I is homogeneous and every divisor
-    is a single term c*X_j^k, I^sat is the intersection of I : X_j^infinity
-    over the distinct j, and r* is the number of times the span of the
-    normal forms of I^sat's generators modulo I.gb() must be multiplied
-    by the divisors, and reduced again, to vanish; NF(g*NF(f)) = NF(g*f)
-    makes this exact.  Any other input iterates ideal_quotient.
+    Rounds count the quotients by J that a loop would run until one
+    returns its input, so an already saturated ideal reports 1 and an
+    ideal that grows once before stabilizing reports 2.  Since I : J^r
+    grows with r and stops exactly when it reaches I^sat, that is
+    r* + 1 for r* the least r with J^r * I^sat inside I: the number of
+    times the span of the normal forms of I^sat's generators modulo
+    I.gb() must be multiplied by the divisors, and reduced again, to
+    vanish.  NF(g*NF(f)) = NF(g*f) makes this exact for any I.
     """
     I._check_ring(J)
     divisors = [g for g in J.gens if not g.is_zero]
     if not divisors:
         raise ZeroDivisorIdeal("saturation by the zero ideal")
     homogeneous = all(g.is_homogeneous for g in I.gens)
-    powers = [_variable_power(g) if homogeneous else None for g in divisors]
-    if None not in powers:
-        sat = None
-        for j in dict.fromkeys(j for j, _ in powers):
-            part = _quotient_by_variable_power(I, j)
-            sat = part if sat is None else ideal_intersect(sat, part)
-        sat = reduced(sat)
-        basis = I.gb()
-        span = _echelon(normal_form(f, basis) for f in sat.gens)
-        rounds = 1
-        while span:
-            span = _echelon(normal_form(g * v, basis)
-                            for g in divisors for v in span)
-            rounds += 1
-        return sat, rounds
-    prev = I
-    rounds = 0
-    while True:
-        nxt = ideal_quotient(prev, J)
+    parts = {}
+    for g in divisors:
+        power = _variable_power(g) if homogeneous else None
+        if power is None:
+            parts[g] = eliminate(_rabinowitsch(I, g), 1)
+        elif power[0] not in parts:
+            parts[power[0]] = _quotient_by_variable_power(I, power[0])
+    sat = reduced(reduce(ideal_intersect, parts.values()))
+    basis = I.gb()
+    span = _span(I, (normal_form(f, basis) for f in sat.gens))
+    rounds = 1
+    while span:
+        span = _span(I, (normal_form(g * v, basis)
+                         for g in divisors for v in span))
         rounds += 1
-        if nxt.equals(prev):
-            return reduced(nxt), rounds
-        prev = nxt
+    return sat, rounds
 
 
 def is_homogeneous_ideal(I):
@@ -298,13 +294,7 @@ def radical_membership(f, I):
     """Scaling-trick radical test: 1 in I + <1 - T*f>."""
     if f.spec is not I.spec or f.vars != I.vars:
         raise RingMismatch(f"{f} is not in this ring")
-    t = fresh_var(I.vars)
-    tvars = (t,) + I.vars
-    tpoly = Polynomial.variable(I.spec, tvars, t)
-    one = Polynomial.constant(I.spec, tvars, 1)
-    gens = [insert_variable(g, 0, t) for g in I.gens if g]
-    gens.append(one - tpoly * insert_variable(f, 0, t))
-    return buchberger(gens, block_order(1)).is_unit
+    return _rabinowitsch(I, f).gb(block_order(1)).is_unit
 
 
 __all__ = [

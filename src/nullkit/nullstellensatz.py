@@ -134,26 +134,28 @@ def _check_projective(I, cfg):
     _check_homogeneous(I.gens)
 
 
+def _exponents(n, powers):
+    """The exponent tuple in n variables of prod X_i^k over powers, a
+    {i: k} dict."""
+    return tuple(powers.get(i, 0) for i in range(n))
+
+
 def gamma_q(cfg):
     """Field equations <X_i^q - X_i> of the point field, one per variable."""
-    spec, vars, q = cfg.k_spec, cfg.vars, cfg.q
-    gens = []
-    for name in vars:
-        x = Polynomial.variable(spec, vars, name)
-        gens.append(x ** q - x)
-    return Ideal(spec, vars, tuple(gens))
+    spec, n, q = cfg.k_spec, len(cfg.vars), cfg.q
+    return Ideal(spec, cfg.vars, tuple(
+        Polynomial(spec, cfg.vars, {_exponents(n, {i: q}): 1,
+                                    _exponents(n, {i: 1}): spec.neg[1]})
+        for i in range(n)))
 
 
 def gamma_q_star(cfg):
     """Homogeneous field equations <X_i^q X_j - X_j^q X_i> for i < j."""
-    spec, vars, q = cfg.k_spec, cfg.vars, cfg.q
-    gens = []
-    for i in range(len(vars)):
-        xi = Polynomial.variable(spec, vars, vars[i])
-        for j in range(i + 1, len(vars)):
-            xj = Polynomial.variable(spec, vars, vars[j])
-            gens.append(xi ** q * xj - xj ** q * xi)
-    return Ideal(spec, vars, tuple(gens))
+    spec, n, q = cfg.k_spec, len(cfg.vars), cfg.q
+    return Ideal(spec, cfg.vars, tuple(
+        Polynomial(spec, cfg.vars, {_exponents(n, {i: q, j: 1}): 1,
+                                    _exponents(n, {j: q, i: 1}): spec.neg[1]})
+        for i in range(n) for j in range(i + 1, n)))
 
 
 def irrelevant_ideal(spec, vars):
@@ -163,7 +165,8 @@ def irrelevant_ideal(spec, vars):
 
 def power_ideal(spec, vars, d):
     return Ideal(spec, vars, tuple(
-        Polynomial.variable(spec, vars, v) ** d for v in vars))
+        Polynomial(spec, vars, {_exponents(len(vars), {i: d}): 1})
+        for i in range(len(vars))))
 
 
 def _fold_exponents(g, q):

@@ -324,8 +324,17 @@ def lift(f, target):
     return Polynomial(target, f.vars, f.terms)
 
 
+def _check_position(f, position, end):
+    """Refuse a variable position outside 0..end-1."""
+    if not 0 <= position < end:
+        raise RingMismatch(
+            f"no variable position {position} in {f.spec}[{','.join(f.vars)}]"
+            f"; positions run 0..{end - 1}")
+
+
 def insert_variable(f, position, name):
     """Adjoin a fresh variable (exponent 0 everywhere) at position."""
+    _check_position(f, position, len(f.vars) + 1)
     if name in f.vars:
         raise RingMismatch(f"{name} already is a ring variable")
     vars = f.vars[:position] + (name,) + f.vars[position:]
@@ -336,6 +345,7 @@ def insert_variable(f, position, name):
 
 def drop_variable(f, position):
     """Remove a variable the polynomial does not use."""
+    _check_position(f, position, len(f.vars))
     if any(e[position] for e in f.terms):
         raise RingMismatch(
             f"{f.vars[position]} occurs in {f}; cannot drop it")
@@ -346,6 +356,9 @@ def drop_variable(f, position):
 
 def permute_variables(f, perm):
     """The same polynomial with variable perm[i] moved to position i."""
+    if sorted(perm) != list(range(len(f.vars))):
+        raise RingMismatch(f"{tuple(perm)} is not a permutation of the "
+                           f"positions 0..{len(f.vars) - 1}")
     vars = tuple(f.vars[i] for i in perm)
     terms = {tuple(e[i] for i in perm): c for e, c in f.terms.items()}
     return Polynomial(f.spec, vars, terms)
@@ -367,6 +380,7 @@ def homogenize(f, position=0, name=None):
 
 def dehomogenize(f, position, value=1):
     """Substitute the scalar value for one variable and remove it."""
+    _check_position(f, position, len(f.vars))
     spec = f.spec
     c = _scalar(spec, value)
     add, mul = spec.add, spec.mul

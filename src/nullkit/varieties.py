@@ -40,7 +40,8 @@ from .errors import (
     NonHomogeneousProjective,
     SizeOverflow,
 )
-from .field import common_spec, embed, is_subfield, upoly_eval, upoly_roots
+from .field import (_Echelon, common_spec, embed, is_subfield, upoly_eval,
+                    upoly_roots)
 from .groebner import GroebnerBasis
 from .ideals import Ideal, is_homogeneous_ideal
 from .poly import DEGREVLEX, Polynomial, mono_divides
@@ -391,36 +392,6 @@ def point_ideal(pt, spec=None, vars=None):
                 if minor:
                     gens.append(minor)
     return Ideal(spec, tuple(vars), tuple(gens))
-
-
-class _Echelon:
-    """Evaluation vectors in row-echelon form over spec, each with the
-    combination of monomials it is the vector of."""
-
-    def __init__(self, spec):
-        self.add, self.mul = spec.add, spec.mul
-        self.neg, self.inv = spec.neg, spec.inv
-        self.rows = []  # (pivot, vector with 1 at pivot, {monomial: coef})
-
-    def insert(self, mono, v):
-        """Add the vector v of mono.  When v depends on the rows, return
-        instead the combination mono - ... that vanishes at every point,
-        as a {monomial: encoding} dict."""
-        add, mul = self.add, self.mul
-        combo = {mono: 1}
-        for pivot, row, row_combo in self.rows:
-            if v[pivot]:
-                scale = mul[self.neg[v[pivot]]]
-                v = [add[a][scale[b]] for a, b in zip(v, row)]
-                for m, b in row_combo.items():
-                    combo[m] = add[combo.get(m, 0)][scale[b]]
-        pivot = next((k for k, a in enumerate(v) if a), None)
-        if pivot is None:
-            return combo
-        scale = mul[self.inv[v[pivot]]]
-        self.rows.append((pivot, [scale[a] for a in v],
-                          {m: scale[b] for m, b in combo.items()}))
-        return None
 
 
 def _successors(monos, leads):

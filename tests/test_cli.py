@@ -563,6 +563,55 @@ class TestSearchCommand:
         assert "search needs --family, --target and --ideal" in err
 
 
+class TestRefusals:
+    """Refusals no other test reaches, each pinned to its text and exit
+    code 2."""
+
+    P1 = "field GF(2)\nvars X0 X1\nideal:\nX0*X1\n"
+
+    @pytest.mark.parametrize("order, message", [
+        ("block:x", "bad block order 'block:x'"),
+        ("block:5", "block size 5 out of range 0..2"),
+        ("foo", "unknown order 'foo'")], ids=["block-x", "block-5", "foo"])
+    def test_bad_orders(self, tmp_path, capsys, order, message):
+        path = write_problem(tmp_path, self.P1)
+        assert run("gb", "--order", order, "--input", path,
+                   capsys=capsys) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("field GF(2)\nvars X0 X1\nvars X0\nideal:\nX0\n",
+         "{path}:3:1: duplicate vars line"),
+        ("field GF(2)\ncoeffs GF(2)\nvars X0 X1\nideal:\nX0\n",
+         "{path}: give either a field line or a coeffs/points pair"),
+        ("field GF(2)\nvars X0 X1\nideal:\nX0 $ X1\n",
+         "{path}:4:4: unexpected character '$'"),
+        ("field GF(4)\nvars X0 X1\nideal:\nX0 + (t + 1\n",
+         "{path}:4:6: unclosed parenthesis")],
+        ids=["vars", "field-and-coeffs", "dollar", "unclosed"])
+    def test_bad_problem_files(self, tmp_path, capsys, text, message):
+        path = write_problem(tmp_path, text)
+        assert run("gb", "--input", path, capsys=capsys) == (
+            2, "", f"error: {message.format(path=path)}\n")
+
+    def test_other_from_another_ring(self, tmp_path, capsys):
+        left = write_problem(tmp_path, self.P1, "left.null")
+        other = write_problem(
+            tmp_path, "field GF(3)\nvars X0 X1\nideal:\nX0\n", "o.null")
+        assert run("ideal-op", "--op", "sum", "--input", left, "--other",
+                   other, capsys=capsys) == (
+            2, "", "error: --other lives in a different ring\n")
+
+    def test_nonradical_needs_every_size(self, capsys):
+        assert run("search", "--nonradical", "--q", "2", capsys=capsys) == (
+            2, "", "error: --nonradical needs --q, --n and --maxdeg\n")
+
+    def test_search_emits_the_normalized_problem(self, capsys):
+        assert run("search", "--family", "r1", "--ideal",
+                   str(EXAMPLES / "counterexample.null"), "--target", "X1",
+                   "--emit-normalized", capsys=capsys) == (
+            0, "field GF(2)\nvars X1 X2\nideal:\nX1\n", "")
+
+
 class TestSuiteCommand:
     def test_pass(self, capsys):
         code, out, err = run("suite", "counterexample", capsys=capsys)

@@ -368,15 +368,60 @@ def test_saturation_rounds_with_t_leading_rows_over_gf9():
     (["X0^2*X1 + X1^2", "X0*X1^2"], ["X0", "X1"]),
 ], ids=["binomial-divisor", "inhomogeneous"])
 def test_saturation_keeps_the_loop(monkeypatch, I_gens, J_gens):
-    """Inputs outside the variable-power route run one quotient per
-    round and match the reference."""
+    """Inputs outside the variable-power route take Rabinowitsch's parts
+    and count their rounds from normal forms, with no quotient; basis
+    and round count match the loop of quotients."""
     calls = count_calls(monkeypatch, "ideal_quotient")
     vars = ("X0", "X1")
     I = Ideal.from_strings(F3, vars, I_gens)
     J = Ideal.from_strings(F3, vars, J_gens)
     S, rounds = ideal_saturate(I, J)
     assert (S.gb().gens, rounds) == reference_saturate(I, J)
-    assert len(calls) == rounds >= 2
+    assert calls == []
+    assert rounds >= 2
+
+
+def test_general_saturation_matches_reference(monkeypatch):
+    """I built from multiples of the divisors, made non-homogeneous in
+    half the examples by adding X0 to its first generator, saturated by
+    a binomial c*X_a + c'*X_b^k alone or mixed with single terms: basis
+    and round count agree with the loop of intersect-and-divide
+    quotients, and ideal_saturate runs no ideal_quotient."""
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    calls = count_calls(monkeypatch, "ideal_quotient")
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.randoms(use_true_random=False), st.sampled_from([F2, F3, F4]),
+           st.integers(2, 3), st.sampled_from(["binomial", "mixed"]),
+           st.booleans())
+    def check(rng, spec, n, shape, homogeneous):
+        vars = tuple(f"X{i}" for i in range(n))
+        units = enumerate_field(spec)[1:]
+
+        def term(j, k):
+            return Polynomial(spec, vars, {
+                tuple(k if i == j else 0 for i in range(n)):
+                rng.choice(units)})
+
+        a, b = rng.sample(range(n), 2)
+        J_gens = [term(a, 1) + term(b, rng.randint(1, 2))]
+        if shape == "mixed":
+            J_gens += [term(rng.randrange(n), rng.randint(1, 2))
+                       for _ in range(n - 1)]
+        gens = [random_poly(rng, spec, vars, rng.randint(1, 2),
+                            rng.randint(1, 3))
+                * rng.choice(J_gens) ** rng.randint(0, 2)
+                for _ in range(rng.randint(1, 3))]
+        if not homogeneous:
+            gens[0] = gens[0] + Polynomial.variable(spec, vars, "X0")
+        I, J = Ideal(spec, vars, gens), Ideal(spec, vars, J_gens)
+        S, rounds = ideal_saturate(I, J)
+        assert calls == []
+        assert (S.gb().gens, rounds) == reference_saturate(I, J)
+
+    check()
 
 
 def test_degree_83_saturation_runs_no_quotient(monkeypatch):

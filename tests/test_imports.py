@@ -7,7 +7,8 @@ used when the module reads it anywhere or lists it in __all__.  A
 module-level def or class counts as used when some module of the
 package reads it, as a Name or an Attribute, or an __all__ lists it;
 code that only the tests call belongs in the tests.  Every line of
-src/nullkit/*.py is at most MAX_LINE characters.
+src/nullkit/*.py is at most MAX_LINE characters.  A module's top-level
+relative imports name only modules below it in LAYERS.
 """
 
 import ast
@@ -18,6 +19,8 @@ import pytest
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "nullkit"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 MAX_LINE = 79
+LAYERS = ("errors", "field", "poly", "groebner", "ideals", "varieties",
+          "nullstellensatz", "conjectures", "cli")
 
 
 def _imported(tree):
@@ -114,3 +117,45 @@ def test_lines_fit_the_width(path):
     assert not long, "\n".join(
         f"{path.name}:{i}: {n} characters, more than {MAX_LINE}"
         for i, n in long)
+
+
+def layer_violations(module, source):
+    """(line, name) of each top-level relative import of module that
+    names a module not below it in LAYERS.  `from . import __version__`
+    reads the package, which cli may do; imports inside functions are
+    not checked."""
+    rank = LAYERS.index(module)
+    out = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, ast.ImportFrom) or not node.level:
+            continue
+        if node.module is None:
+            names = [a.name for a in node.names]
+            if module == "cli" and names == ["__version__"]:
+                continue
+        else:
+            names = [node.module]
+        out += [(node.lineno, name) for name in names
+                if name not in LAYERS[:rank]]
+    return out
+
+
+def test_layers_cover_the_modules():
+    assert sorted(p.stem for p in MODULES) == sorted(LAYERS)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_modules_import_only_lower_layers(path):
+    bad = layer_violations(path.stem, path.read_text(encoding="utf-8"))
+    assert not bad, "\n".join(
+        f"{path.name}:{line}: imports {name}, not below {path.stem}"
+        for line, name in bad)
+
+
+def test_the_walk_finds_an_upward_import():
+    source = ("from .errors import A\nfrom .ideals import B\n"
+              "from . import __version__\nfrom . import field\n"
+              "import os\n\ndef f():\n    from .cli import main\n")
+    assert layer_violations("poly", source) == [(2, "ideals"),
+                                                (3, "__version__")]
+    assert layer_violations("cli", source) == []

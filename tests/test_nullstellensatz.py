@@ -74,6 +74,25 @@ def test_gamma_shapes():
         ["X0^3", "X1^3"]
 
 
+@pytest.mark.parametrize("spec", [F2, F4, make_field(3, 2)], ids=str)
+@pytest.mark.parametrize("n", [1, 2, 3], ids=lambda n: f"P{n}")
+def test_gamma_ideals_equal_their_power_formulas(spec, n):
+    """Gamma_q, Gamma_q^* and the power ideal, built from exponent
+    tuples, have the generators of X_i^q - X_i, X_i^q X_j - X_j^q X_i
+    and X_i^d written as products of powers of variables."""
+    vars = tuple(f"X{i}" for i in range(n + 1))
+    cfg = NullConfig(spec, spec, vars)
+    q = spec.q
+    x = [Polynomial.variable(spec, vars, v) for v in vars]
+    assert gamma_q(cfg).gens == tuple(xi ** q - xi for xi in x)
+    assert gamma_q_star(cfg).gens == tuple(
+        x[i] ** q * x[j] - x[j] ** q * x[i]
+        for i in range(n + 1) for j in range(i + 1, n + 1))
+    for d in (0, 1, q + 1):
+        assert power_ideal(spec, vars, d).gens == tuple(
+            xi ** d for xi in x)
+
+
 def test_gamma_star_cuts_out_rational_points():
     """Gamma_q^* vanishes exactly on the K-rational projective points."""
     cfg = NullConfig(F4, F2, P1)

@@ -333,6 +333,36 @@ def test_permute_variables_round_trip():
     assert permute_variables(g, (2, 0, 1)) == f
 
 
+def test_permute_variables_refuses_a_non_permutation():
+    """A repeated or missing position is refused, not read as a ring
+    with a repeated variable."""
+    f = parse_polynomial("X + Y", XY, F2)
+    for perm in ((0, 0), (1,), (0, 1, 2), (0, 2)):
+        with pytest.raises(RingMismatch, match=(
+                r"is not a permutation of the positions 0\.\.1$")):
+            permute_variables(f, perm)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda f: drop_variable(f, 5), "no variable position 5 in "
+     "GF(2)[X,Y]; positions run 0..1"),
+    (lambda f: dehomogenize(f, 5), "no variable position 5 in "
+     "GF(2)[X,Y]; positions run 0..1"),
+    (lambda f: dehomogenize(f, -1), "no variable position -1 in "
+     "GF(2)[X,Y]; positions run 0..1"),
+    (lambda f: insert_variable(f, 9, "Z"), "no variable position 9 in "
+     "GF(2)[X,Y]; positions run 0..2"),
+], ids=["drop", "dehomogenize", "dehomogenize-negative", "insert"])
+def test_variable_positions_outside_the_ring_are_refused(call, message):
+    """A position outside the ring is a NullkitError naming it, not a
+    bare IndexError or a variable appended at the end."""
+    f = parse_polynomial("X + Y", XY, F2)
+    with pytest.raises(RingMismatch) as exc:
+        call(f)
+    assert str(exc.value) == message
+    assert insert_variable(f, 2, "Z").vars == ("X", "Y", "Z")
+
+
 def test_lift_preserves_evaluation():
     f = parse_polynomial("X^2 + X*Y + 1", XY, F2)
     g = lift(f, F4)
