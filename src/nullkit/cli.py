@@ -409,35 +409,31 @@ def _cmd_certify(args, rep):
     I = rep.problem.ideal
     d = certificate_degree(I, cfg)
     rep.line(f"d: {d}")
-    entries = []
     if args.poly is not None:
         f = parse_polynomial(args.poly, cfg.vars, I.spec)
         if args.j is not None and not 0 <= args.j < len(cfg.vars):
             raise DimensionMismatch(
                 f"index {args.j} outside 0..{len(cfg.vars) - 1}")
-        certs = certify_membership(f, I, cfg)
-        if args.j is not None:
-            certs = [c for c in certs if c.j == args.j]
-        for c in certs:
-            rep.line(f"j={c.j}: g = {c.g}, l = {c.l}")
+        certs = [c for c in certify_membership(f, I, cfg)
+                 if args.j in (None, c.j)]
+    else:
+        indices = [args.j] if args.j is not None else range(len(cfg.vars))
+        certs = make_certificates(I, indices, cfg)
+    entries = []
+    for c in certs:
+        rep.line(f"j={c.j}: g = {c.g}, l = {c.l}")
+        entries.append({"j": c.j, "d": c.d, "g": str(c.g), "l": str(c.l)})
+        if c.f is not None:  # a membership certificate carries f
             rep.line(f"  {cfg.vars[c.j]}^{c.d} * f = "
                      f"({c.g}) * f + ({c.l}) * f")
             rep.line(f"  g * f = {c.g_times_f}")
             rep.line(f"  l * f = {c.l_times_f}")
-            entries.append({
-                "j": c.j, "d": c.d, "g": str(c.g), "l": str(c.l),
-                "g_times_f": str(c.g_times_f),
-                "l_times_f": str(c.l_times_f),
-            })
+            entries[-1].update(g_times_f=str(c.g_times_f),
+                               l_times_f=str(c.l_times_f))
+    if args.poly is not None:
         rep.line("verified: yes")
         rep.set("poly", str(f))
         rep.set("verified", True)
-    else:
-        indices = [args.j] if args.j is not None else range(len(cfg.vars))
-        for c in make_certificates(I, indices, cfg):
-            rep.line(f"j={c.j}: g = {c.g}, l = {c.l}")
-            entries.append({"j": c.j, "d": c.d,
-                            "g": str(c.g), "l": str(c.l)})
     rep.set("d", d)
     rep.set("certificates", entries)
     return 0, ["certify", args.input]
@@ -583,15 +579,17 @@ def build_parser():
     p.add_argument("--ideal", help="problem file (.null)")
     p.add_argument("--bounds",
                    help="m=2,degp=4,degargs=2,chain=2,exp=3 (any subset)")
-    p.add_argument("--nonradical", action="store_true",
-                   help="search for a non-radical field-equation sum")
+    # --nonradical reads no problem for --emit-normalized to print
+    one = p.add_mutually_exclusive_group()
+    one.add_argument("--nonradical", action="store_true",
+                     help="search for a non-radical field-equation sum")
     p.add_argument("--q", type=int, help="field size for --nonradical")
     p.add_argument("--n", type=int,
                    help="projective dimension for --nonradical")
     p.add_argument("--maxdeg", type=int,
                    help="generator degree cap for --nonradical")
-    p.add_argument("--emit-normalized", action="store_true",
-                   help="reprint the parsed problem and exit")
+    one.add_argument("--emit-normalized", action="store_true",
+                     help="reprint the parsed problem and exit")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_search)
 

@@ -73,6 +73,7 @@ from .varieties import (
     AFFINE,
     PROJECTIVE,
     PointTable,
+    _space_size,
     oracle_vanishing_ideal,
     space_table,
     zero_set,
@@ -82,6 +83,10 @@ FAMILIES = ("r1", "r2", "r3")
 
 # Candidate coefficient vectors per enumeration are capped here.
 _ENUM_LIMIT = 2_000_000
+
+# The form join ANDs ceil(tails / 64) words per head and point in each of
+# two passes; 2^26 words took 0.6 s per pass on a 2-core x86-64 host.
+_JOIN_LIMIT = 1 << 26
 
 # A search may visit this many structures plus terms of the monomial
 # residues it builds, then raises SizeOverflow.  A search at the default
@@ -224,14 +229,24 @@ def _build_anisotropic_forms(K, m, d):
     the basis, listed monic or zero) and a tail, its value at a point
     theirs summed.  Bit t of mask[P][x] is set when tail t takes the value
     x at P; a monic head keeps the tails outside every mask[P][-head(P)],
-    the zero head the monic ones."""
-    monos = _monomial_basis(K.q, m + 1, [d],
-                            "{q}^{n} candidate forms exceed the search limit")
+    the zero head the monic ones.  The gates are on what is listed, not
+    on the q^N vectors: each half and the forms, counted before any is
+    built, at _ENUM_LIMIT, and the join's words at _JOIN_LIMIT."""
+    q, n = K.q, math.comb(m + d, d)
+    h = n - n // 2
+    _check_vectors(q, h, "{q}^{n} vectors on half a form basis exceed the "
+                         "search limit")
     if d <= m:  # Chevalley-Warning gives a nontrivial zero (d < m + 1)
         return ()
+    words = (((q ** h - 1) // (q - 1) + 1) * _space_size(q, m, PROJECTIVE)
+             * -(-q ** (n - h) // 64))
+    if words > _JOIN_LIMIT:
+        raise SizeOverflow(
+            f"the join of the forms of degree {d} in {m + 1} variables over "
+            f"{K} takes {words} words, past the search limit")
+    monos = _degree_monomials(m + 1, d)
     space = space_table(K, m, PROJECTIVE)
     cols = [space.monomial(mono) for mono in monos]
-    h = len(monos) - len(monos) // 2
     heads = _vector_values(K, cols[:h], space.size, monic=True)
     tails = _vector_values(K, cols[h:], space.size)
     masks = [{} for _ in range(space.size)]
@@ -241,11 +256,20 @@ def _build_anisotropic_forms(K, m, d):
     monic_tails = sum(1 << t for t, (vec, _) in enumerate(tails)
                       if next((c for c in vec if c), 0) == 1)
     full, neg, vars = (1 << len(tails)) - 1, K.neg, _yvars(m)
+
+    def join():
+        for head, values in heads:
+            keep = full if any(head) else monic_tails
+            for mask, x in zip(masks, values):
+                keep &= ~mask.get(neg[x], 0)
+            yield head, keep
+
+    if sum(keep.bit_count() for _, keep in join()) > _ENUM_LIMIT:
+        raise SizeOverflow(
+            f"the anisotropic forms of degree {d} in {m + 1} variables "
+            f"over {K} exceed the search limit of {_ENUM_LIMIT}")
     forms = []
-    for head, values in heads:
-        keep = full if any(head) else monic_tails
-        for mask, x in zip(masks, values):
-            keep &= ~mask.get(neg[x], 0)
+    for head, keep in join():
         while keep:
             low = keep & -keep
             keep ^= low
@@ -285,14 +309,18 @@ def argument_pool(spec, vars, max_deg):
 
 def _monomial_basis(q, nvars, degrees, too_many):
     """The monomials in nvars variables of the given degrees, each degree
-    descending in degrevlex, counted before they are listed: too_many is
-    the SizeOverflow message (with {q} and {n} for the field size and
-    basis length) raised when the q^n vectors over GF(q) pass _ENUM_LIMIT."""
-    n = sum(math.comb(nvars + d - 1, d) for d in degrees)
-    # q >= 2, so a basis past the limit's bit length needs no q^n.
+    descending in degrevlex, once _check_vectors(q, basis length,
+    too_many) has passed."""
+    _check_vectors(q, sum(math.comb(nvars + d - 1, d) for d in degrees),
+                   too_many)
+    return [m for d in degrees for m in _degree_monomials(nvars, d)]
+
+
+def _check_vectors(q, n, too_many):
+    """SizeOverflow(too_many.format(q=q, n=n)) when the q^n vectors of
+    length n pass _ENUM_LIMIT; past its bit length q^n is not formed."""
     if n > _ENUM_LIMIT.bit_length() or q ** n > _ENUM_LIMIT:
         raise SizeOverflow(too_many.format(q=q, n=n))
-    return [m for d in degrees for m in _degree_monomials(nvars, d)]
 
 
 def _vector_polys(spec, vars, monos, monic=False):
@@ -392,8 +420,7 @@ class _SearchContext:
     """
 
     def __init__(self, f, I, bounds):
-        if f.spec is not I.spec or f.vars != I.vars:
-            raise RingMismatch("target and ideal live in different rings")
+        I.check_polynomial(f)
         self.f = f
         self.ideal = I
         self.bounds = bounds

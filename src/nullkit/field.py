@@ -14,8 +14,11 @@ on them.
 One kernel of univariate polynomials, coefficient lists over a spec
 read through its tables, serves three callers: the arithmetic of an
 extension, as polynomials in t over its prime field; Rabin's
-irreducibility test for moduli; and upoly_roots, the roots in GF(q) of
-a polynomial, which the zero sets of varieties call per fibre.
+irreducibility test for moduli, made monic by _upoly_monic; and
+upoly_roots, the roots in GF(q) of a polynomial, which the zero sets
+of varieties call per fibre.  Two rules live here once: _power,
+square-and-multiply for polynomial, field and univariate powers, and
+fold_exponent, the fold of an exponent by x^q = x.
 
 _Echelon, vectors of encodings in row-echelon form, serves both
 Buchberger-Moller in varieties and the saturation round count in ideals.
@@ -119,6 +122,26 @@ def prime_power(q):
     return None
 
 
+def _power(a, k, mul):
+    """a^k for k >= 1 under the associative product mul, by
+    square-and-multiply from the low bit of k, with no square after the
+    top bit and no product with an identity."""
+    out = None
+    while True:
+        if k & 1:
+            out = a if out is None else mul(out, a)
+        k >>= 1
+        if not k:
+            return out
+        a = mul(a, a)
+
+
+def fold_exponent(k, q):
+    """The k' < q with x^k = x^k' at every x in GF(q): since x^q = x,
+    k >= 1 folds onto ((k - 1) mod (q - 1)) + 1, and 0 stays 0."""
+    return (k - 1) % (q - 1) + 1 if k else 0
+
+
 def _trim(coeffs):
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
@@ -170,14 +193,9 @@ def _upoly_mulmod(a, b, m, F):
 
 
 def _upoly_powmod(a, k, m, F):
-    """a^k modulo the monic m over F, for k >= 1, by square-and-multiply
-    from the leading bit of k."""
-    out = a = _upoly_mod(a, m, F)
-    for bit in bin(k)[3:]:
-        out = _upoly_mulmod(out, out, m, F)
-        if bit == "1":
-            out = _upoly_mulmod(out, a, m, F)
-    return out
+    """a^k modulo the monic m over F, for k >= 1."""
+    return _power(_upoly_mod(a, m, F), k,
+                  lambda x, y: _upoly_mulmod(x, y, m, F))
 
 
 def _upoly_monic(a, F):
@@ -386,6 +404,18 @@ def _table(fn, q):
     return rows
 
 
+def _binary(entry):
+    """A FieldElement operator: the element of encoding entry(spec, a, b)
+    for the encodings a and b of two elements of one spec."""
+    def op(self, other):
+        if not isinstance(other, FieldElement):
+            return NotImplemented
+        if self.spec is not other.spec:
+            raise FieldMismatch(f"{self.spec} vs {other.spec}")
+        return self.spec._at[entry(self.spec, self.idx, other.idx)]
+    return op
+
+
 class FieldElement:
     """One element of a FieldSpec, held as its integer encoding;
     immutable and hashable."""
@@ -401,12 +431,6 @@ class FieldElement:
         """Coefficients over GF(p) in the generator t, little endian."""
         return tuple(_digits(self.idx, self.spec.p, self.spec.e))
 
-    def _same(self, other):
-        if not isinstance(other, FieldElement):
-            raise TypeError(f"expected a field element, got {other!r}")
-        if self.spec is not other.spec:
-            raise FieldMismatch(f"{self.spec} vs {other.spec}")
-
     def __bool__(self):
         return self.idx != 0
 
@@ -418,30 +442,13 @@ class FieldElement:
     def __hash__(self):
         return hash((id(self.spec), self.idx))
 
-    def __add__(self, other):
-        if not isinstance(other, FieldElement):
-            return NotImplemented
-        self._same(other)
-        s = self.spec
-        return s._at[s.add[self.idx][other.idx]]
-
-    def __sub__(self, other):
-        if not isinstance(other, FieldElement):
-            return NotImplemented
-        self._same(other)
-        s = self.spec
-        return s._at[s.add[self.idx][s.neg[other.idx]]]
+    __add__ = _binary(lambda s, a, b: s.add[a][b])
+    __sub__ = _binary(lambda s, a, b: s.add[a][s.neg[b]])
+    __mul__ = _binary(lambda s, a, b: s.mul[a][b])
 
     def __neg__(self):
         s = self.spec
         return s._at[s.neg[self.idx]]
-
-    def __mul__(self, other):
-        if not isinstance(other, FieldElement):
-            return NotImplemented
-        self._same(other)
-        s = self.spec
-        return s._at[s.mul[self.idx][other.idx]]
 
     def __truediv__(self, other):
         if not isinstance(other, FieldElement):
@@ -542,19 +549,10 @@ class FieldSpec:
 
     def encoded_pow(self, a, k):
         """Encoding of a^k for an encoding a and an integer k >= 0."""
-        if k == 0:
-            return 1
-        if a == 0:
-            return 0
-        k = (k - 1) % (self.q - 1) + 1  # the unit group has order q - 1
+        if k == 0 or a == 0:
+            return 0 if k else 1
         mul = self.mul
-        out = 1
-        while k:
-            if k & 1:
-                out = mul[out][a]
-            a = mul[a][a]
-            k >>= 1
-        return out
+        return _power(a, fold_exponent(k, self.q), lambda x, y: mul[x][y])
 
     @property
     def zero(self):
@@ -635,9 +633,7 @@ def make_field(p, e=1, modulus=None):
         if len(m) - 1 != e:
             raise ReducibleModulus(
                 f"modulus must have degree {e}, got degree {len(m) - 1}")
-        if m[-1] != 1:
-            lead_inv = pow(m[-1], p - 2, p)
-            m = [(c * lead_inv) % p for c in m]
+        m = _upoly_monic(m, make_field(p))
         if not _is_irreducible(m, p):
             raise ReducibleModulus(f"{_format_t_poly(m)} is reducible mod {p}")
         key = (p, e, tuple(m))

@@ -3,13 +3,16 @@
 An Ideal keeps its generator list exactly as given (several results
 depend on the presentation) plus a per-order cache of reduced Groebner
 bases and the witness search's residue memos, which depend only on the
-reduced degrevlex basis and so live as long as the ideal.  Intersection
-adjoins a fresh scaling variable at position 0 of a block order and
-eliminates it.  Quotient intersects one part per divisor: for
-homogeneous generators and a divisor c*X_j^k the part is read off a
-degrevlex basis with X_j last (Bayer-Stillman 1987; Eisenbud,
-Commutative Algebra, Prop. 15.12), and any other part divides the
-intersection with the principal divisor exactly.
+reduced degrevlex basis and so live as long as the ideal.
+check_polynomial is the one test that a polynomial lives in its ring.
+_scaling_ring is the one ring with a fresh scaling variable T at
+position 0: intersection eliminates T, in a block order, from
+T*I + (1 - T)*J, and the Rabinowitsch ideal I + <1 - T*g> serves
+saturation and radical membership.  Quotient intersects one part per
+divisor: for homogeneous generators and a divisor c*X_j^k the part is
+read off a degrevlex basis with X_j last (Bayer-Stillman 1987;
+Eisenbud, Commutative Algebra, Prop. 15.12), and any other part
+divides the intersection with the principal divisor exactly.
 
 Saturation I : J^infinity intersects one part I : g^infinity per
 divisor g: I : X_j^infinity off the same permuted basis for
@@ -47,13 +50,9 @@ class Ideal:
     def __init__(self, spec, vars, gens):
         self.spec = spec
         self.vars = tuple(vars)
-        gens = tuple(gens)
-        for g in gens:
-            if g.spec is not spec or g.vars != self.vars:
-                raise RingMismatch(
-                    f"generator {g} does not live in "
-                    f"{spec}[{','.join(self.vars)}]")
-        self.gens = gens
+        self.gens = tuple(gens)
+        for g in self.gens:
+            self.check_polynomial(g)
         self._gb = {}
         # conjectures keeps the search's residues here, by name
         self._residues = {}
@@ -80,9 +79,14 @@ class Ideal:
         self._gb[basis.order] = basis
         return self
 
-    def contains(self, f):
+    def check_polynomial(self, f):
+        """Refuse a polynomial f outside this ideal's ring."""
         if f.spec is not self.spec or f.vars != self.vars:
-            raise RingMismatch(f"{f} is not in this ring")
+            raise RingMismatch(
+                f"{f} does not live in {self.spec}[{','.join(self.vars)}]")
+
+    def contains(self, f):
+        self.check_polynomial(f)
         return normal_form(f, self.gb()).is_zero
 
     def equals(self, other, order=DEGREVLEX):
@@ -128,13 +132,20 @@ def ideal_intersect(I, J):
     I._check_ring(J)
     if I.is_zero or J.is_zero:
         return Ideal(I.spec, I.vars, ())
+    tvars, T, one, lift = _scaling_ring(I)
+    gens = [T * lift(g) for g in I.gens if g]
+    gens += [(one - T) * lift(g) for g in J.gens if g]
+    return eliminate(Ideal(I.spec, tvars, gens), 1)
+
+
+def _scaling_ring(I):
+    """I's ring with a fresh variable T put first: its variables, T and 1
+    in it, and the map carrying a polynomial of I's ring into it."""
     t = fresh_var(I.vars)
     tvars = (t,) + I.vars
-    tpoly = Polynomial.variable(I.spec, tvars, t)
-    one = Polynomial.constant(I.spec, tvars, 1)
-    gens = [tpoly * insert_variable(g, 0, t) for g in I.gens if g]
-    gens += [(one - tpoly) * insert_variable(g, 0, t) for g in J.gens if g]
-    return eliminate(Ideal(I.spec, tvars, gens), 1)
+    return (tvars, Polynomial.variable(I.spec, tvars, t),
+            Polynomial.constant(I.spec, tvars, 1),
+            lambda g: insert_variable(g, 0, t))
 
 
 def eliminate(I, k):
@@ -157,13 +168,20 @@ def eliminate(I, k):
     return _from_basis(I.spec, I.vars[k:], GroebnerBasis(DEGREVLEX, kept))
 
 
-def _variable_power(g):
-    """(j, k) when g is a single term c*X_j^k with k >= 1, else None."""
-    if len(g.terms) != 1:
-        return None
-    (e,) = g.terms
-    support = [i for i, x in enumerate(e) if x]
-    return (support[0], e[support[0]]) if len(support) == 1 else None
+def _divisors(I, J, op):
+    """(g, (j, k) or None) per nonzero generator g of J: (j, k) when g is
+    c*X_j^k, k >= 1, and I's generators are homogeneous; op names a zero J."""
+    I._check_ring(J)
+    divisors = [g for g in J.gens if not g.is_zero]
+    if not divisors:
+        raise ZeroDivisorIdeal(f"{op} by the zero ideal")
+    homogeneous = all(g.is_homogeneous for g in I.gens)
+    out = []
+    for g in divisors:
+        support = [(i, x) for i, x in enumerate(next(iter(g.terms))) if x]
+        single = homogeneous and len(g.terms) == len(support) == 1
+        out.append((g, support[0] if single else None))
+    return out
 
 
 def _quotient_by_variable_power(I, j, k=None):
@@ -199,14 +217,8 @@ def ideal_quotient(I, J):
     the power of X_j it shares with X_j^k.  Any other part intersects I
     with <g> and divides the result exactly by g.
     """
-    I._check_ring(J)
-    divisors = [g for g in J.gens if not g.is_zero]
-    if not divisors:
-        raise ZeroDivisorIdeal("quotient by the zero ideal")
-    homogeneous = all(g.is_homogeneous for g in I.gens)
     result = None
-    for g in divisors:
-        power = _variable_power(g) if homogeneous else None
+    for g, power in _divisors(I, J, "quotient"):
         if power is not None:
             part = _quotient_by_variable_power(I, *power)
         else:
@@ -219,12 +231,9 @@ def ideal_quotient(I, J):
 
 def _rabinowitsch(I, f):
     """I + <1 - T*f> in the ring with a fresh variable T put first."""
-    t = fresh_var(I.vars)
-    tvars = (t,) + I.vars
-    tpoly = Polynomial.variable(I.spec, tvars, t)
-    one = Polynomial.constant(I.spec, tvars, 1)
-    gens = [insert_variable(g, 0, t) for g in I.gens if g]
-    gens.append(one - tpoly * insert_variable(f, 0, t))
+    tvars, T, one, lift = _scaling_ring(I)
+    gens = [lift(g) for g in I.gens if g]
+    gens.append(one - T * lift(f))
     return Ideal(I.spec, tvars, gens)
 
 
@@ -257,14 +266,9 @@ def ideal_saturate(I, J):
     I.gb() must be multiplied by the divisors, and reduced again, to
     vanish.  NF(g*NF(f)) = NF(g*f) makes this exact for any I.
     """
-    I._check_ring(J)
-    divisors = [g for g in J.gens if not g.is_zero]
-    if not divisors:
-        raise ZeroDivisorIdeal("saturation by the zero ideal")
-    homogeneous = all(g.is_homogeneous for g in I.gens)
+    divisors = _divisors(I, J, "saturation")
     parts = {}
-    for g in divisors:
-        power = _variable_power(g) if homogeneous else None
+    for g, power in divisors:
         if power is None:
             parts[g] = eliminate(_rabinowitsch(I, g), 1)
         elif power[0] not in parts:
@@ -275,7 +279,7 @@ def ideal_saturate(I, J):
     rounds = 1
     while span:
         span = _span(I, (normal_form(g * v, basis)
-                         for g in divisors for v in span))
+                         for g, _ in divisors for v in span))
         rounds += 1
     return sat, rounds
 
@@ -292,8 +296,7 @@ def is_homogeneous_ideal(I):
 
 def radical_membership(f, I):
     """Scaling-trick radical test: 1 in I + <1 - T*f>."""
-    if f.spec is not I.spec or f.vars != I.vars:
-        raise RingMismatch(f"{f} is not in this ring")
+    I.check_polynomial(f)
     return _rabinowitsch(I, f).gb(block_order(1)).is_unit
 
 

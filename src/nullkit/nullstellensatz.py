@@ -45,7 +45,7 @@ from .errors import (
     SizeOverflow,
     ZeroGeneratorCount,
 )
-from .field import is_subfield
+from .field import fold_exponent, is_subfield
 from .ideals import Ideal, ideal_quotient, ideal_saturate, ideal_sum, reduced
 from .groebner import normal_form
 from .poly import Polynomial
@@ -159,8 +159,7 @@ def gamma_q_star(cfg):
 
 
 def irrelevant_ideal(spec, vars):
-    return Ideal(spec, vars, tuple(
-        Polynomial.variable(spec, vars, v) for v in vars))
+    return power_ideal(spec, vars, 1)
 
 
 def power_ideal(spec, vars, d):
@@ -170,12 +169,12 @@ def power_ideal(spec, vars, d):
 
 
 def _fold_exponents(g, q):
-    """g with each exponent e >= 1 replaced by ((e - 1) mod (q - 1)) + 1,
-    which X_i^q - X_i allows: the two differ by an element of Gamma_q."""
+    """g with each exponent folded below q by field.fold_exponent, which
+    X_i^q - X_i allows: the two differ by an element of Gamma_q."""
     add = g.spec.add
     terms = {}
     for exps, c in g.terms.items():
-        e = tuple((x - 1) % (q - 1) + 1 if x else 0 for x in exps)
+        e = tuple(fold_exponent(x, q) for x in exps)
         terms[e] = add[terms[e]][c] if e in terms else c
     return Polynomial(g.spec, g.vars, terms)
 
@@ -375,8 +374,7 @@ def certify_membership(f, I, cfg):
     side collapses to zero and the l side carries everything.
     """
     _check_projective(I, cfg)
-    if f.spec is not cfg.k_spec or f.vars != cfg.vars:
-        raise RingMismatch(f"{f} does not live in the configured ring")
+    I.check_polynomial(f)
     _check_homogeneous([f])
     if any(h.is_zero for h in I.gens):
         raise ZeroGeneratorCount("stored generators must be nonzero")

@@ -5,11 +5,14 @@ nonzero coefficients (see field), with its ring context (coefficient
 spec, ordered variable names); the ring operations run on the spec's
 tables.  FieldElements enter through the constructor and the scalars
 of constant, scale and dehomogenize, and leave through leading,
-sorted_terms and evaluate.  Monomials are plain tuples.  Printing is
-canonical: terms descend in the active monomial order and coefficients
-stay in their canonical form, so equal polynomials print identically.
+sorted_terms and evaluate.  Powers run field._power, and evaluate,
+compose and dehomogenize one substitution loop.  Monomials are plain
+tuples.  Printing is canonical: terms descend in the active monomial
+order and coefficients stay in their canonical form, so equal
+polynomials print identically.
 """
 
+import operator
 import re
 from dataclasses import dataclass
 
@@ -21,7 +24,7 @@ from .errors import (
     RingMismatch,
     UnknownVariable,
 )
-from .field import FieldElement, common_spec, embed, is_subfield
+from .field import FieldElement, _power, common_spec, embed, is_subfield
 
 
 # ---------------------------------------------------------------- monomials
@@ -192,15 +195,9 @@ class Polynomial:
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a non-negative integer")
-        out = Polynomial.constant(self.spec, self.vars, 1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
+        if k == 0:
+            return Polynomial.constant(self.spec, self.vars, 1)
+        return _power(self, k, operator.mul)
 
     def total_degree(self):
         """Maximal term degree, or -1 for the zero polynomial."""
@@ -241,18 +238,7 @@ class Polynomial:
         for a in point:
             target = common_spec(target, a.spec)
         coords = [embed(a, target) for a in point]
-        pows = [{0: target.one} for _ in coords]
-        total = target.zero
-        for exps, c in self.terms.items():
-            v = target.element(c)
-            for i, e in enumerate(exps):
-                if e:
-                    cache = pows[i]
-                    if e not in cache:
-                        cache[e] = coords[i] ** e
-                    v = v * cache[e]
-            total = total + v
-        return total
+        return self._substitute(coords, target.zero, target.element)
 
     def compose(self, args):
         """Substitute args[i] for the i-th variable."""
@@ -265,14 +251,19 @@ class Polynomial:
         for g in args[1:]:
             ring._same_ring(g)
         target = common_spec(self.spec, ring.spec)
-        if target is not ring.spec:
-            args = [lift(g, target) for g in args]
-            ring = args[0]
+        args = [lift(g, target) for g in args]
         const = (0,) * len(ring.vars)
-        pows = [{0: Polynomial(target, ring.vars, {const: 1})} for _ in args]
-        total = Polynomial.zero(target, ring.vars)
+        return self._substitute(
+            args, Polynomial.zero(target, ring.vars),
+            lambda c: Polynomial(target, ring.vars, {const: c}))
+
+    def _substitute(self, args, zero, constant):
+        """zero plus constant(c) * prod args[i]^e over the terms c*X^e;
+        each power of an argument is formed once."""
+        pows = [{} for _ in args]
+        total = zero
         for exps, c in self.terms.items():
-            v = Polynomial(target, ring.vars, {const: c})
+            v = constant(c)
             for i, e in enumerate(exps):
                 if e:
                     cache = pows[i]
@@ -381,21 +372,10 @@ def homogenize(f, position=0, name=None):
 def dehomogenize(f, position, value=1):
     """Substitute the scalar value for one variable and remove it."""
     _check_position(f, position, len(f.vars))
-    spec = f.spec
-    c = _scalar(spec, value)
-    add, mul = spec.add, spec.mul
-    out = {}
-    for e, v in f.terms.items():
-        w = mul[v][spec.encoded_pow(c, e[position])]
-        key = e[:position] + e[position + 1:]
-        prev = out.get(key)
-        if prev is None:
-            out[key] = w
-        elif s := add[prev][w]:
-            out[key] = s
-        else:
-            del out[key]
-    return Polynomial(spec, f.vars[:position] + f.vars[position + 1:], out)
+    vars = f.vars[:position] + f.vars[position + 1:]
+    args = [Polynomial.variable(f.spec, vars, v) for v in vars]
+    args.insert(position, Polynomial.constant(f.spec, vars, value))
+    return f.compose(args)
 
 
 # ------------------------------------------------------------------ parser

@@ -40,10 +40,10 @@ from .errors import (
     NonHomogeneousProjective,
     SizeOverflow,
 )
-from .field import (_Echelon, common_spec, embed, is_subfield, upoly_eval,
-                    upoly_roots)
+from .field import (_Echelon, common_spec, embed, fold_exponent, is_subfield,
+                    upoly_eval, upoly_roots)
 from .groebner import GroebnerBasis
-from .ideals import Ideal, is_homogeneous_ideal
+from .ideals import Ideal, _from_basis, is_homogeneous_ideal
 from .poly import DEGREVLEX, Polynomial, mono_divides
 
 SIZE_LIMIT = 10 ** 6
@@ -218,14 +218,12 @@ def enumerate_space(spec, n, kind):
 def _fibre_columns(table, g, q, spec):
     """g as a polynomial in its last variable, with coefficients in the
     others evaluated at the points of table: {k: the value column over
-    spec of the coefficient of X_n^k}.  x^q = x on GF(q), so exponents
-    k >= q fold onto 1, ..., q - 1."""
+    spec of the coefficient of X_n^k}, with k folded below q by
+    field.fold_exponent."""
     add, mul = spec.add, spec.mul
     cols = {}
     for exps, c in g.terms.items():
-        k = exps[-1]
-        if k >= q:
-            k = (k - 1) % (q - 1) + 1
+        k = fold_exponent(exps[-1], q)
         v, row, col = table.monomial(exps[:-1]), mul[c], cols.get(k)
         cols[k] = ([row[a] for a in v] if col is None
                    else [add[t][row[a]] for t, a in zip(col, v)])
@@ -474,5 +472,4 @@ def oracle_vanishing_ideal(V, spec=None, vars=None):
     table = PointTable.of_points(V.spec, V.points, nvars)
     combos = _buchberger_moller(table, spec, nvars, V.kind == PROJECTIVE)
     gens = [Polynomial(spec, vars, combo) for combo in combos]
-    basis = GroebnerBasis(DEGREVLEX, gens)
-    return Ideal(spec, vars, basis.gens).seed_gb(basis)
+    return _from_basis(spec, vars, GroebnerBasis(DEGREVLEX, gens))

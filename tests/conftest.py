@@ -12,10 +12,17 @@ exhausting the machine: a soft RLIMIT_AS of TEST_MEMORY_BYTES (or the
 lower limit already in force) holds during each test and the previous
 limit comes back after it.  The whole suite peaks near 660 MB of
 address space.  It holds where the resource module exists.
+
+The suite runs from a clean checkout, with no install: src comes first
+on sys.path, and first on PYTHONPATH for the CLI subprocesses that
+some tests start.
 """
 
+import os
 import signal
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +30,12 @@ try:
     import resource
 except ImportError:  # not on every platform
     resource = None
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+sys.path[:] = [SRC] + [p for p in sys.path if p != SRC]
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    [SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep)
+             if p and p != SRC])
 
 TEST_BUDGET_S = 120.0
 TEST_MEMORY_BYTES = 2 << 30

@@ -481,6 +481,32 @@ class TestSearchCommand:
         assert code == 0
         assert out == "result: found\nideal: X2^2\nwitness: X2\n"
 
+    def test_nonradical_none(self, capsys):
+        """No ideal with linear generators in P^2(GF(2)) has a
+        non-radical I + Gamma_q^*."""
+        assert run("search", "--nonradical", "--q", "2", "--n", "2",
+                   "--maxdeg", "1", capsys=capsys) == (0, "result: none\n",
+                                                       "")
+
+    @pytest.mark.time_budget(10)
+    @pytest.mark.parametrize("family", ["r1", "r2", "r3"])
+    def test_gf3_default_bounds_reach_the_search_budget(self, tmp_path,
+                                                        capsys, family):
+        """Over GF(3) the default bounds list the 36,999 forms up to
+        degree 4 in 3 variables, and each family then spends the search
+        budget on <X1> with target X2^3 - X2."""
+        path = write_problem(tmp_path,
+                             "field GF(3)\nvars X1 X2\nideal:\nX1\n")
+        start = time.perf_counter()
+        code, out, err = run("search", "--family", family, "--ideal", path,
+                             "--target", "X2^3 - X2", capsys=capsys)
+        assert time.perf_counter() - start < 3
+        assert (code, out) == (2, "")
+        assert err == ("error: the search passed its budget of 20000 "
+                       "structures and monomial residue terms at m<=2 "
+                       "degp<=4 degargs<=2 chain<=2 exp<=3; lower exp or "
+                       "the other bounds\n")
+
     @pytest.mark.time_budget(10)
     @pytest.mark.parametrize("family, target, head", [
         ("r1", "X1", "result: witness"),
@@ -604,6 +630,22 @@ class TestRefusals:
     def test_nonradical_needs_every_size(self, capsys):
         assert run("search", "--nonradical", "--q", "2", capsys=capsys) == (
             2, "", "error: --nonradical needs --q, --n and --maxdeg\n")
+
+    def test_nonradical_takes_no_emit_normalized(self, capsys):
+        """search --nonradical reads no problem, so the parser refuses
+        --emit-normalized with it instead of running the search."""
+        code, out, err = run("search", "--nonradical", "--q", "2", "--n",
+                             "2", "--maxdeg", "2", "--emit-normalized",
+                             capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err.endswith("\nnullkit search: error: argument "
+                            "--emit-normalized: not allowed with argument "
+                            "--nonradical\n")
+
+    def test_nonradical_needs_a_prime_power(self, capsys):
+        assert run("search", "--nonradical", "--q", "6", "--n", "2",
+                   "--maxdeg", "1", capsys=capsys) == (
+            2, "", "error: 6 is not a prime power\n")
 
     def test_search_emits_the_normalized_problem(self, capsys):
         assert run("search", "--family", "r1", "--ideal",

@@ -139,9 +139,34 @@ class TestFormEnumeration:
             ["y0", "y0^2"]
 
     def test_refuses_past_the_limit(self):
+        """Each half of the basis is gated, not the q^N vectors over all
+        of it: the 3 binary quadratic monomials split 2 and 1, and 1423^2
+        passes the limit."""
         with pytest.raises(SizeOverflow) as err:
-            enumerate_forms(make_field(3), 2, 4)
-        assert str(err.value) == "3^15 candidate forms exceed the search limit"
+            enumerate_forms(make_field(1423), 1, 2)
+        assert str(err.value) == ("1423^2 vectors on half a form basis "
+                                  "exceed the search limit")
+
+    def test_lists_forms_whose_halves_fit(self):
+        """Over GF(3) at m=2 the 3^15 vectors of degree 4 pass the limit,
+        but the join lists 3,281 monic heads and 2,187 tails."""
+        forms = enumerate_forms(make_field(3), 2, 4)
+        assert len(forms) == 36_999
+        assert sum(p.total_degree() == 4 for p in forms) == 36_855
+
+    @pytest.mark.parametrize("q, m, d, message", [
+        (4, 2, 4, "the join of the forms of degree 4 in 3 variables over "
+                  "GF(2^2) takes 117444096 words, past the search limit"),
+        (2, 2, 6, "the anisotropic forms of degree 6 in 3 variables over "
+                  "GF(2) exceed the search limit of 2000000")],
+        ids=["join", "forms"])
+    def test_refuses_a_join_or_a_list_past_its_limit(self, q, m, d, message):
+        """The join's words are counted before any half is listed, and
+        the forms before any is built: there are 2,097,152 of degree 6
+        in 3 variables over GF(2)."""
+        with pytest.raises(SizeOverflow) as err:
+            enumerate_forms(make_field(*prime_power(q)), m, d)
+        assert str(err.value) == message
 
 
 FORM_CASES = ([(2, m, d) for m in range(3) for d in range(1, 5)]
@@ -189,6 +214,11 @@ class TestPositiveSearches:
             assert [str(p) for p in w.forms] == \
                 {"r1": ["y0"], "r2": ["y0", "y0"], "r3": ["y0"]}[family]
             assert w.args == ()
+
+    def test_an_unknown_family_is_refused(self):
+        with pytest.raises(ValueError) as exc:
+            search_witness(poly("X1"), ideal(["X1"]), "r4")
+        assert str(exc.value) == f"family must be one of {FAMILIES}"
 
     def test_square_needs_the_inner_exponent(self):
         w = search_witness(poly("X1"), ideal(["X1^2"]), "r1")

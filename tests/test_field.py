@@ -1,6 +1,7 @@
 """Field construction, arithmetic axioms and literals, exhaustively small."""
 
 import itertools
+import operator
 import os
 import random
 import subprocess
@@ -24,9 +25,11 @@ from nullkit.errors import (
 from nullkit.field import (
     _is_irreducible,
     _is_prime,
+    _power,
     common_spec,
     embed,
     enumerate_field,
+    fold_exponent,
     is_subfield,
     make_field,
     parse_field_literal,
@@ -462,3 +465,74 @@ def test_prime_subfield_embedding(small, big):
             assert embed(a * b, big) == image * embed(b, big)
     others = [big.element(i) for i in range(small.p, big.q, 7)][:200]
     assert not any(in_subfield_image(c, small) for c in others)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 8, 13, 64, 255, 256])
+def test_power_forms_no_square_after_the_top_bit(k):
+    """Square-and-multiply from the low bit takes bit_length - 1 squares
+    and popcount - 1 products: no square after the top bit and no
+    product with an identity.  An additive product makes a^k = k*a."""
+    calls = []
+
+    def mul(x, y):
+        calls.append((x, y))
+        return x + y
+
+    assert _power(1, k, mul) == k
+    assert len(calls) == k.bit_length() - 1 + bin(k).count("1") - 1
+
+
+@pytest.mark.parametrize("literal", ["GF(2)", "GF(3)", "GF(4)", "GF(5)",
+                                     "GF(9)"])
+def test_fold_exponent_keeps_every_power(literal):
+    """x^k = x^fold_exponent(k, q) at every x of GF(q), the folded
+    exponent lies in 0..q-1, and only 0 folds onto 0."""
+    spec = parse_field_literal(literal)
+    q = spec.q
+    for k in range(4 * q):
+        folded = fold_exponent(k, q)
+        assert 0 <= folded < q and (folded == 0) == (k == 0)
+        for a in enumerate_field(spec):
+            assert a ** k == a ** folded, (a, k)
+
+
+def test_element_refuses_another_field_and_wide_encodings():
+    """An element of another field is a FieldMismatch; an extension
+    encoding of q or more is refused, while a prime field reads an
+    integer modulo p."""
+    F2, F4 = make_field(2), make_field(2, 2)
+    with pytest.raises(FieldMismatch, match=r"^GF\(2\) vs GF\(2\^2\)$"):
+        F4.element(F2.one)
+    assert F4.element(F4.one) is F4.one
+    with pytest.raises(ValueError,
+                       match=r"^encoding 4 out of range for GF\(2\^2\)$"):
+        F4.element(4)
+    assert F2.element(5) is F2.one
+
+
+def test_a_non_monic_modulus_is_made_monic():
+    """2t^2 + 2 over GF(3) is 2(t^2 + 1), so it names the default
+    GF(3^2), spec and all."""
+    assert parse_field_literal("GF(3^2; m=2*t^2+2)") is make_field(3, 2)
+    assert make_field(3, 2, (2, 0, 2)) is make_field(3, 2)
+
+
+def test_enumerate_field_past_the_table_limit():
+    """GF(257) interns no elements, so enumerate_field builds them."""
+    spec = make_field(257)
+    assert spec.elements is None
+    elements = enumerate_field(spec)
+    assert [a.idx for a in elements] == list(range(257))
+    assert all(a.spec is spec for a in elements)
+
+
+@pytest.mark.parametrize("op", ["__add__", "__sub__", "__mul__"])
+def test_operators_take_elements_of_one_field(op):
+    """Every binary operator refuses an element of another field with a
+    FieldMismatch, and leaves a non-element to Python (TypeError)."""
+    F2, F4 = make_field(2), make_field(2, 2)
+    with pytest.raises(FieldMismatch, match=r"^GF\(2\^2\) vs GF\(2\)$"):
+        getattr(F4.one, op)(F2.one)
+    assert getattr(F4.one, op)(1) is NotImplemented
+    with pytest.raises(TypeError):
+        getattr(operator, op.strip("_"))(F4.one, 1)

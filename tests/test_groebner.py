@@ -144,6 +144,13 @@ def test_divide_exact():
         divide_exact(parse_polynomial("X^2 + 1", XY, F3), f, DEGREVLEX)
 
 
+def test_divide_exact_by_zero():
+    f = parse_polynomial("X^2 + Y", XY, F3)
+    with pytest.raises(ZeroDivisionError,
+                       match="^division by the zero polynomial$"):
+        divide_exact(f, Polynomial.zero(F3, XY), DEGREVLEX)
+
+
 def test_divide_exact_checks_the_ring():
     """A divisor from another ring is refused, not read by exponents."""
     f = parse_polynomial("X0*X1", ("X0", "X1", "X2"), F2)

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from nullkit.conjectures import search_witness
 from nullkit.errors import RingMismatch, ZeroDivisorIdeal
 from nullkit.field import enumerate_field, make_field
 from nullkit.groebner import divide_exact, normal_form
@@ -20,6 +21,7 @@ from nullkit.ideals import (
     radical_membership,
     reduced,
 )
+from nullkit.nullstellensatz import NullConfig, certify_membership
 from nullkit.poly import Polynomial, parse_polynomial
 
 from helpers import count_calls, random_poly
@@ -58,6 +60,29 @@ def test_ring_check():
     J = Ideal.from_strings(F3, XY, ["X"])
     with pytest.raises(RingMismatch):
         ideal_sum(I, J)
+
+
+P2 = ("X0", "X1", "X2")
+
+
+@pytest.mark.parametrize("call", [
+    lambda I, f: Ideal(I.spec, I.vars, [f]),
+    lambda I, f: I.contains(f),
+    lambda I, f: radical_membership(f, I),
+    lambda I, f: search_witness(f, I, "r1"),
+    lambda I, f: certify_membership(f, I, NullConfig(I.spec, I.spec, I.vars)),
+], ids=["generator", "contains", "radical", "search", "certify"])
+@pytest.mark.parametrize("spec, vars", [(F3, P2), (F2, ("Y0", "Y1", "Y2"))],
+                         ids=["field", "vars"])
+def test_polynomials_from_another_ring_are_refused(call, spec, vars):
+    """Every entry point that takes a polynomial with an ideal refuses
+    one from another ring through Ideal.check_polynomial, with one
+    message."""
+    I = Ideal.from_strings(F2, P2, ["X0"])
+    f = parse_polynomial(vars[1], vars, spec)
+    with pytest.raises(RingMismatch) as exc:
+        call(I, f)
+    assert str(exc.value) == f"{vars[1]} does not live in GF(2)[X0,X1,X2]"
 
 
 @pytest.mark.parametrize("spec, vars", [
@@ -453,3 +478,13 @@ def test_colon_intersection_budget(monkeypatch):
     assert [str(g) for g in result.gens] == [
         "X1*X2 + X2^2", "X0*X2 + X2^2", "X0*X1 + X2^2"]
     assert len(calls) <= 2
+
+
+@pytest.mark.parametrize("k", [-1, 2, 5])
+def test_eliminate_refuses_k_outside_the_ring(k):
+    """k = 0 returns I; k must leave at least one variable."""
+    I = ideal(["X*Y"])
+    assert eliminate(I, 0) is I
+    with pytest.raises(ValueError,
+                       match=f"^cannot eliminate {k} of 2 variables$"):
+        eliminate(I, k)

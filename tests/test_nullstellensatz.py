@@ -586,3 +586,10 @@ def test_certificate_size_limit():
     big = Ideal.from_strings(F3, P0, [f"X0^{CERTIFICATE_LIMIT}"])
     with pytest.raises(SizeOverflow):
         certificate_degree(big, NullConfig(F3, F3, P0))
+
+
+def test_projective_vanishing_refuses_an_unknown_method():
+    I = Ideal.from_strings(F2, P2, ["X0"])
+    with pytest.raises(ValueError) as exc:
+        projective_vanishing(I, cfg_for(F2, P2), "bogus")
+    assert str(exc.value) == f"method must be one of {METHODS}"

@@ -461,3 +461,25 @@ def test_parse_accepts_spaces_and_signs():
         parse_polynomial("2*X", XY, F3)
     assert parse_polynomial("X^2+Y", XY, F3) == \
         parse_polynomial("X^2 + Y", XY, F3)
+
+
+def test_negative_powers_are_refused():
+    f = parse_polynomial("X^2 + (t)*X*Y + 1", XY, F4)
+    with pytest.raises(ValueError,
+                       match="^exponent must be a non-negative integer$"):
+        f ** -1
+
+
+def test_compose_lifts_arguments_into_the_form_field():
+    """A form over GF(4) composed on arguments over GF(2) lives over
+    GF(4), and agrees with evaluation at every point of GF(2)^2."""
+    p = parse_polynomial("y0^2 + (t)*y0*y1 + y1^3", ("y0", "y1"), F4)
+    args = [parse_polynomial(s, XY, F2) for s in ("X + 1", "X*Y")]
+    h = p.compose(args)
+    assert h.spec is F4 and h.vars == XY
+    assert h == parse_polynomial("X^3*Y^3 + (t)*X^2*Y + X^2 + (t)*X*Y + 1",
+                                 XY, F4)
+    for a in enumerate_field(F2):
+        for b in enumerate_field(F2):
+            inner = [g.evaluate((a, b)) for g in args]
+            assert h.evaluate((a, b)) == p.evaluate(inner)
