@@ -9,7 +9,10 @@ pair (i, j) is also discarded by Buchberger's chain criterion when some
 other element k has LM(g_k) dividing lcm(LM(g_i), LM(g_j)) and neither
 (i, k) nor (j, k) is still pending: the S-polynomial of (i, j) is then
 a combination of those of (i, k) and (j, k), which are already treated.
-The reduced basis is unique, so neither rule changes the output.  The
+The reduced basis is unique, so neither rule changes the output.
+Pending pairs are bitmasks, bit j of pend[i] set while (i, j) is
+pending and bit i always, so the chain test is one divisibility and
+one bit test per member, which k = i, j fail.  The
 computation aborts once any intermediate polynomial passes total degree
 64 or the working basis passes 4096 elements.
 
@@ -34,6 +37,11 @@ the computation then starts over on a packing twice as wide.  W is
 sized from the data, to hold the inputs' degree and never less than
 2 * MAX_DEGREE, so the S-polynomials of basis members always fit.
 MAX_DEGREE is checked on exponent tuples before they are packed.
+The lcm of two leads is the field-wise max of their x(), by the guard
+bits of g = (x(a) | guards) - x(b) and the mask g - (g >> W), with
+each degree field from one product.  Reducer tuples (x(lead), lead,
+other terms) stay with their monic polynomials, in buchberger and in
+GroebnerBasis, and are rebuilt in a wider packing.
 """
 
 import heapq
@@ -80,6 +88,23 @@ class _Ring:
                 self.exps |= self.top << shift
                 self.guards |= 1 << (shift + w)
         self.flip = self.one = 0 if sign > 0 else self.exps
+        self.segments = [  # (fields, spread, top field, degree field)
+            (sum(self.top << self.fields[i] for i in item),
+             sum(1 << k * (w + 1) for k in range(len(item))),
+             max(self.fields[i] for i in item), pos * (w + 1))
+            for pos, item in enumerate(layout)
+            if isinstance(item, range) and item]
+
+    def lcm(self, a, b):
+        """(degree, packing) of the lcm of the monomials with x() a, b."""
+        g = ((a | self.guards) - b) & self.guards
+        x = b ^ ((a ^ b) & (g - (g >> self.width)))
+        m, degree = x ^ self.flip, 0
+        for sel, spread, low, shift in self.segments:
+            d = (x & sel) * spread >> low & self.top
+            m += d << shift
+            degree += d
+        return degree, m
 
     def pack_mono(self, exps):
         return sum(map(_times, exps, self.weights), self.one)
@@ -132,14 +157,12 @@ class _Packed:
                                             for m, c in self.terms.items()})
 
     def reducer(self):
-        """(x(lead), lead, other terms, lead exponents) of a monic
-        polynomial, x(m) being m's exponent fields with the complements
-        undone."""
+        """(x(lead), lead, other terms) of a monic polynomial, x(m)
+        being m's exponent fields with the complements undone."""
         if self._reducer is None:
             ring, lm = self.ring, max(self.terms)
             tail = [(m, c) for m, c in self.terms.items() if m != lm]
-            self._reducer = ((lm ^ ring.flip) & ring.exps, lm, tail,
-                             ring.unpack_mono(lm))
+            self._reducer = ((lm ^ ring.flip) & ring.exps, lm, tail)
         return self._reducer
 
 
@@ -151,20 +174,21 @@ class GroebnerBasis:
     def __init__(self, order, gens, packed=None):
         self.order = order
         self.gens = tuple(gens)
-        self._packed = packed  # (ring, packed monic members), made on use
+        self._packed = packed  # (ring, members' reducer tuples), on use
 
     def _reducers(self, f):
-        """(ring, packed members) in a ring that also holds f; the basis
-        must not be empty."""
+        """(ring, members' reducer tuples) in a ring that also holds f;
+        the basis must not be empty."""
         self.gens[0]._same_ring(f)
         if self._packed is None:
             ring = _Ring(self.order, f.spec, len(f.vars),
                          max(g.total_degree() for g in self.gens))
-            self._packed = (ring, [ring.pack(g).monic() for g in self.gens])
+            self._packed = (ring, [ring.pack(g).monic().reducer()
+                                   for g in self.gens])
         ring, reducers = self._packed
         if f.total_degree() >> (ring.width - 1):
-            ring = _Ring(self.order, f.spec, len(f.vars), f.total_degree())
-            reducers = [g.repack(ring) for g in reducers]
+            wide = _Ring(self.order, f.spec, len(f.vars), f.total_degree())
+            return wide, _repack(reducers, ring, wide)
         return ring, reducers
 
     def __iter__(self):
@@ -187,7 +211,7 @@ class GroebnerBasis:
 
 
 def _reduce(f, reducers, quotient=None):
-    """Remainder of the packed f by packed monic reducers.
+    """Remainder of the packed f by reducer tuples in f's ring.
 
     Pops the largest remaining monomial from a heap, skipping entries
     whose term has cancelled, and tries reducers in their stored
@@ -199,7 +223,6 @@ def _reduce(f, reducers, quotient=None):
     ring = f.ring
     guards, flip, exps, trip = ring.guards, ring.flip, ring.exps, ring.trip
     add, mul, neg = ring.spec.add, ring.spec.mul, ring.spec.neg
-    reducers = [g.reducer() for g in reducers]
     work = dict(f.terms)
     heap = [-m for m in work]
     heapq.heapify(heap)
@@ -210,7 +233,7 @@ def _reduce(f, reducers, quotient=None):
         if not c:
             continue
         x = ((m ^ flip) & exps) | guards
-        for key, lm, tail, _ in reducers:
+        for key, lm, tail in reducers:
             if (x - key) & guards == guards:  # lm divides m
                 delta = m - lm
                 if quotient is not None:
@@ -237,14 +260,20 @@ def _reduce(f, reducers, quotient=None):
     return _Packed(ring, done)
 
 
+def _repack(reducers, ring, wide):
+    """Reducer tuples of ring rebuilt in the ring wide."""
+    return [_Packed(ring, dict([(lm, 1), *tail])).repack(wide).reducer()
+            for _, lm, tail in reducers]
+
+
 def _widen(f, reducers):
     ring = _Ring(f.ring.order, f.ring.spec, f.ring.n, 1 << 2 * f.ring.width)
-    return f.repack(ring), [g.repack(ring) for g in reducers]
+    return f.repack(ring), _repack(reducers, f.ring, ring)
 
 
 def _reduce_full(f, reducers):
-    """Full normal form of the packed f against packed monic reducers,
-    in f's ring or a wider one."""
+    """Full normal form of the packed f against reducer tuples, in f's
+    ring or a wider one."""
     while True:
         try:
             return _reduce(f, reducers)
@@ -271,8 +300,8 @@ def s_polynomial(f, g, order):
                             order).unpack(f.vars)
     ring = f.ring
     add, neg = ring.spec.add, ring.spec.neg
-    (_, lf, _, ef), (_, lg, _, eg) = f.reducer(), g.reducer()
-    l = ring.pack_mono(tuple(map(max, ef, eg)))
+    (kf, lf, _), (kg, lg, _) = f.reducer(), g.reducer()
+    _, l = ring.lcm(kf, kg)
     out = {m + l - lf: c for m, c in f.terms.items()}
     for m, c in g.terms.items():
         t, d = m + l - lg, neg[c]
@@ -298,29 +327,24 @@ def buchberger(gens, order=DEGREVLEX):
     # Members stay within MAX_DEGREE, so their S-polynomials fit.
     ring = _Ring(order, spec, len(vars), 0)
     guards, flip, exps = ring.guards, ring.flip, ring.exps
-    G, keys, leads = [], [], []  # packed monic members, x() of their
-    heap = []                    # leads, and their lead exponents
-    pending = set()
+    G, R, keys = [], [], []  # packed monic members, their reducer
+    heap, pend = [], []      # tuples and the x() of their leads
 
     def push_pairs(j):
-        lead = leads[j]
-        nonzero = (keys[j] + exps) & guards  # a guard per nonzero exponent
+        key = keys[j]
+        nonzero = (key + exps) & guards  # a guard per nonzero exponent
         for i in range(j):
             if (keys[i] + exps) & nonzero:
-                l = tuple(map(max, leads[i], lead))
-                heapq.heappush(heap, (sum(l), ring.pack_mono(l), i, j))
-                pending.add((i, j))
+                heapq.heappush(heap, (*ring.lcm(keys[i], key), i, j))
+                pend[i] |= 1 << j
+                pend[j] |= 1 << i
 
     def chain_redundant(i, j, l):
         # Buchberger's chain criterion (see the module docstring); coprime
         # pairs are never pending, so they count as treated.
-        x = ((l ^ flip) & exps) | guards
-        for k, key in enumerate(keys):
-            if (k != i and k != j and (x - key) & guards == guards
-                    and (min(i, k), max(i, k)) not in pending
-                    and (min(j, k), max(j, k)) not in pending):
-                return True
-        return False
+        x, both = ((l ^ flip) & exps) | guards, 1 << i | 1 << j
+        return any((x - key) & guards == guards and not pend[k] & both
+                   for k, key in enumerate(keys))
 
     def add(g, degree):
         """Add the polynomial or packed g; True when it is a constant."""
@@ -331,9 +355,9 @@ def buchberger(gens, order=DEGREVLEX):
                 f"intermediate degree {degree} exceeds {MAX_DEGREE}")
         g = (ring.pack(g) if isinstance(g, Polynomial) else g.repack(ring))
         G.append(g.monic())
-        key, _, _, lead = G[-1].reducer()
-        keys.append(key)
-        leads.append(lead)
+        R.append(G[-1].reducer())
+        keys.append(R[-1][0])
+        pend.append(1 << len(keys) - 1)
         if len(G) > MAX_BASIS:
             raise DegreeOverflow(f"basis exceeds {MAX_BASIS} elements")
         push_pairs(len(G) - 1)
@@ -344,31 +368,32 @@ def buchberger(gens, order=DEGREVLEX):
             return unit
     while heap:
         _, l, i, j = heapq.heappop(heap)
-        pending.remove((i, j))
+        pend[i] ^= 1 << j
+        pend[j] ^= 1 << i
         if chain_redundant(i, j, l):
             continue
         s = s_polynomial(G[i], G[j], order)
         if s.is_zero:
             continue
-        r = _reduce_full(s, G)
+        r = _reduce_full(s, R)
         if not r.is_zero and add(r, r.degree()):
             return unit
 
     # Minimalize: drop members whose leading monomial another one divides.
     minimal = []
-    for g in sorted(G, key=lambda g: g.reducer()[1]):
-        x = g.reducer()[0] | guards
-        if not any((x - h.reducer()[0]) & guards == guards for h in minimal):
-            minimal.append(g)
+    for i in sorted(range(len(G)), key=lambda i: R[i][1]):
+        x = keys[i] | guards
+        if not any((x - keys[k]) & guards == guards for k in minimal):
+            minimal.append(i)
 
     # Interreduce each member against the others.  No other lead divides
     # its own, so its monic leading term survives and the order holds.
-    polys = [_reduce_full(g, minimal[:i] + minimal[i + 1:])
-             for i, g in enumerate(minimal)]
+    polys = [_reduce_full(G[i], [R[k] for k in minimal if k != i])
+             for i in minimal]
     ring = max((p.ring for p in polys), key=lambda r: r.width)
     polys = [p.repack(ring) for p in polys]
     return GroebnerBasis(order, [p.unpack(vars) for p in polys],
-                         (ring, polys))
+                         (ring, [p.reducer() for p in polys]))
 
 
 def divide_exact(f, g, order=DEGREVLEX):
@@ -381,13 +406,14 @@ def divide_exact(f, g, order=DEGREVLEX):
     ring = _Ring(order, f.spec, len(f.vars),
                  max(f.total_degree(), g.total_degree()))
     num, den = ring.pack(f), ring.pack(g)
+    reducers = [den.monic().reducer()]
     while True:
         quotient = {}
         try:
-            rest = _reduce(num, [den.monic()], quotient)
+            rest = _reduce(num, reducers, quotient)
             break
         except _Overflow:
-            num, (den,) = _widen(num, [den])
+            num, reducers = _widen(num, reducers)
     if rest is None:
         raise ValueError(f"{g} does not divide {f}")
     # f = quotient * g / lc(g)

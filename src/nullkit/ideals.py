@@ -8,7 +8,9 @@ check_polynomial is the one test that a polynomial lives in its ring.
 _scaling_ring is the one ring with a fresh scaling variable T at
 position 0: intersection eliminates T, in a block order, from
 T*I + (1 - T)*J, and the Rabinowitsch ideal I + <1 - T*g> serves
-saturation and radical membership.  Quotient intersects one part per
+saturation and radical membership.  It builds T*g and (1 - T)*g with
+no product: g's terms are re-keyed with T's exponent 1, or 0 and 1 with
+the T-terms negated through spec.neg.  Quotient intersects one part per
 divisor: for homogeneous generators and a divisor c*X_j^k the part is
 read off a degrevlex basis with X_j last (Bayer-Stillman 1987;
 Eisenbud, Commutative Algebra, Prop. 15.12), and any other part
@@ -37,7 +39,6 @@ from .poly import (
     Polynomial,
     block_order,
     drop_variable,
-    insert_variable,
     permute_variables,
 )
 
@@ -132,20 +133,20 @@ def ideal_intersect(I, J):
     I._check_ring(J)
     if I.is_zero or J.is_zero:
         return Ideal(I.spec, I.vars, ())
-    tvars, T, one, lift = _scaling_ring(I)
-    gens = [T * lift(g) for g in I.gens if g]
-    gens += [(one - T) * lift(g) for g in J.gens if g]
+    tvars, lift = _scaling_ring(I)
+    gens = [lift(g, (0, 1)) for g in I.gens if g]
+    gens += [lift(g, (1, -1)) for g in J.gens if g]
     return eliminate(Ideal(I.spec, tvars, gens), 1)
 
 
 def _scaling_ring(I):
-    """I's ring with a fresh variable T put first: its variables, T and 1
-    in it, and the map carrying a polynomial of I's ring into it."""
-    t = fresh_var(I.vars)
-    tvars = (t,) + I.vars
-    return (tvars, Polynomial.variable(I.spec, tvars, t),
-            Polynomial.constant(I.spec, tvars, 1),
-            lambda g: insert_variable(g, 0, t))
+    """I's ring with a fresh variable T put first: its variables, and
+    lift(g, u), the re-keying of g of I's ring to u(T) * g for u the
+    coefficients of 1, T, ... in {-1, 0, 1}."""
+    tvars, neg = (fresh_var(I.vars),) + I.vars, I.spec.neg
+    return tvars, lambda g, u: Polynomial(I.spec, tvars, {
+        (k, *e): c if s > 0 else neg[c]
+        for k, s in enumerate(u) if s for e, c in g.terms.items()})
 
 
 def eliminate(I, k):
@@ -194,7 +195,6 @@ def _quotient_by_variable_power(I, j, k=None):
     """
     n = len(I.vars)
     perm = tuple(i for i in range(n) if i != j) + (j,)
-    back = tuple(perm.index(i) for i in range(n))
     basis = I.gb() if j == n - 1 else buchberger(
         [permute_variables(g, perm) for g in I.gens])
     parts = []
@@ -202,8 +202,9 @@ def _quotient_by_variable_power(I, j, k=None):
         v = min(e[-1] for e in g.terms)
         if k is not None:
             v = min(k, v)
-        parts.append(permute_variables(Polynomial(g.spec, g.vars, {
-            e[:-1] + (e[-1] - v,): c for e, c in g.terms.items()}), back))
+        # Divide by X_j^v and move X_j back to position j in one re-keying.
+        parts.append(Polynomial(I.spec, I.vars, {
+            (*e[:j], e[-1] - v, *e[j:-1]): c for e, c in g.terms.items()}))
     return Ideal(I.spec, I.vars, tuple(parts))
 
 
@@ -231,9 +232,9 @@ def ideal_quotient(I, J):
 
 def _rabinowitsch(I, f):
     """I + <1 - T*f> in the ring with a fresh variable T put first."""
-    tvars, T, one, lift = _scaling_ring(I)
-    gens = [lift(g) for g in I.gens if g]
-    gens.append(one - T * lift(f))
+    tvars, lift = _scaling_ring(I)
+    gens = [lift(g, (1,)) for g in I.gens if g]
+    gens.append(lift(f, (0, -1)) + Polynomial.constant(I.spec, tvars, 1))
     return Ideal(I.spec, tvars, gens)
 
 

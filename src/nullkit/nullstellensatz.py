@@ -31,6 +31,7 @@ of varieties.
 import math
 import time
 from dataclasses import dataclass, field as dc_field
+from functools import reduce
 
 from .errors import (
     ClassificationFailure,
@@ -302,11 +303,10 @@ def _certificate_parts(I, d, cfg, indices):
     parts = {}
     for j in indices:
         xj = Polynomial.variable(spec, vars, vars[j])
-        prod = Polynomial.constant(spec, vars, 1)
-        for a, power in factors:
-            prod = prod * (xj ** a - power)
+        prod = reduce(Polynomial.__mul__,
+                      [xj ** a - power for a, power in factors], xj)
         head = xj ** d
-        g = head - xj * prod
+        g = head - prod
         parts[j] = (g, head - g)
     return parts
 

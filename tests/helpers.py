@@ -308,7 +308,9 @@ def ref_divide_exact(f, g, order):
 
 def ref_buchberger(gens, order):
     """Reduced monic Groebner basis, ascending by leading monomial, by
-    textbook Buchberger: every pair, no criteria, ref_reduce_full."""
+    textbook Buchberger: every pair, no criteria, ref_reduce_full.
+    Pairs are treated in the order they were formed; newest first can
+    grow the basis past 260 members on three dense GF(257) generators."""
     gens = [g for g in gens if not g.is_zero]
     if not gens:
         return []
@@ -327,7 +329,7 @@ def ref_buchberger(gens, order):
     basis = [monic(g) for g in gens]
     pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
     while pairs:
-        i, j = pairs.pop()
+        i, j = pairs.pop(0)
         a, b = lead(basis[i]), lead(basis[j])
         lcm = tuple(map(max, a, b))
         s = (basis[i] * Polynomial.monomial(spec, vars, mono_div(lcm, a))

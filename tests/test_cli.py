@@ -647,6 +647,17 @@ class TestRefusals:
                    "--maxdeg", "1", capsys=capsys) == (
             2, "", "error: 6 is not a prime power\n")
 
+    @pytest.mark.time_budget(1)
+    def test_oracle_refuses_past_its_point_budget(self, tmp_path, capsys):
+        """The conic over GF(1009) has 1,010 points; Buchberger-Moller
+        on them ran for minutes, and the budget refuses it within 1 s."""
+        path = write_problem(tmp_path, "field GF(1009)\nvars X0 X1 X2\n"
+                             "ideal:\nX0^2 + X1^2 - X2^2\n")
+        assert run("vanishing", "--projective", "--method", "oracle",
+                   "--input", path, capsys=capsys) == (
+            2, "", "error: the oracle takes at most 128 points; the zero "
+            "set has 1010\n")
+
     def test_search_emits_the_normalized_problem(self, capsys):
         assert run("search", "--family", "r1", "--ideal",
                    str(EXAMPLES / "counterexample.null"), "--target", "X1",

@@ -35,6 +35,7 @@ F2 = make_field(2)
 F3 = make_field(3)
 XY = ("X", "Y")
 XYZ = ("X", "Y", "Z")
+P2 = ("X0", "X1", "X2")
 
 
 def gb(strings, vars=XY, spec=F2, order=DEGREVLEX):
@@ -274,6 +275,51 @@ def test_chain_criterion_bounds_the_s_pairs(monkeypatch):
     assert len(reductions) == 68
 
 
+def _count_pairs_and_reductions(monkeypatch):
+    from nullkit import groebner
+
+    return (count_calls(monkeypatch, "s_polynomial", module=groebner),
+            count_calls(monkeypatch, "_reduce_full", module=groebner))
+
+
+def test_intersection_pairs_and_reductions(monkeypatch):
+    """One ideal_intersect: a block(1) elimination of T from
+    T*I + (1 - T)*J in GF(3)[T, X0, X1, X2].  The counts, 12 S-pairs and
+    18 reductions, were read from the code before pairs were kept in
+    bitmasks and the lifts re-keyed; they pin the pair decisions."""
+    from nullkit.ideals import ideal_intersect
+
+    formed, reductions = _count_pairs_and_reductions(monkeypatch)
+    I = Ideal.from_strings(F3, P2, ["X0^2 - X1*X2", "X1^2 + X0*X2"])
+    J = Ideal.from_strings(F3, P2, ["X0*X1 - X2^2", "X0 + X1 + X2"])
+    meet = ideal_intersect(I, J)
+    assert [str(g) for g in meet.gb().gens] == [
+        "X0^2 + 2*X1*X2",
+        "X0*X1^2 + X1^3 + X0*X1*X2 + X1^2*X2 + X0*X2^2 + X1*X2^2",
+        "X1^4 + 2*X1*X2^3"]
+    assert (len(formed), len(reductions)) == (12, 18)
+
+
+def test_permuted_quotient_pairs_and_reductions(monkeypatch):
+    """One _quotient_by_variable_power with j = 1 < n - 1: a degrevlex
+    run with X1 moved last.  The counts, 20 S-pairs and 29 reductions,
+    were read from the code before pairs were kept in bitmasks and the
+    quotient re-keyed in one step; they pin the pair decisions."""
+    from nullkit.ideals import _quotient_by_variable_power, reduced
+
+    formed, reductions = _count_pairs_and_reductions(monkeypatch)
+    vars = P2 + ("X3",)
+    I = Ideal.from_strings(F3, vars, [
+        "X0^2*X1 - X2^3", "X0*X1^2 + X1*X2^2", "X1^3 + X3^3",
+        "X0*X3^2 - X1^2*X2"])
+    part = _quotient_by_variable_power(I, 1, 2)
+    assert (len(formed), len(reductions)) == (20, 29)
+    assert len(part.gens) == 10
+    for g in part.gens:  # X1^2 * g lies in I
+        assert I.contains(g * parse_polynomial("X1^2", vars, F3))
+    assert not reduced(part).equals(I)
+
+
 # Exponents past the packed field width: each check takes well under 1 s.
 
 def test_lex_normal_form_grows_past_the_field_width():
@@ -357,3 +403,91 @@ def test_kernel_matches_the_tuple_references():
             assert divide_exact(rest, g, order) == expected
 
     check()
+
+
+def _lead_power(rng, spec, i, a):
+    """X_i^a plus terms of lower degree in the variables after X_i: the
+    lead is X_i^a in each of ORDERS, so such leads are coprime."""
+    vars = XYZ[i + 1:]
+    rest = _dense(rng, spec, vars, a - 1, 2) if vars else Polynomial(
+        spec, (), {(): rng.randrange(spec.q)})
+    return Polynomial(spec, XYZ, {
+        (0,) * i + (a,) + (0,) * len(vars): 1,
+        **{(0,) * (i + 1) + e: c for e, c in rest.terms.items()}})
+
+
+def _binomial_chain():
+    """m_k + 2*m_(k+1) over GF(3) for the 66 monomials m_k of degree 10
+    in X, Y, Z: 65 basis members before the first S-pair."""
+    monos = [e for e in itertools.product(range(11), repeat=3)
+             if sum(e) == 10]
+    return [Polynomial(F3, XYZ, {a: 1, b: 2})
+            for a, b in zip(monos, monos[1:])]
+
+
+def test_pair_bookkeeping_matches_the_reference():
+    """buchberger, with its packed pair lcms, pending-pair bitmasks and
+    chain criterion, gives ref_buchberger's basis (every pair, no
+    criteria) on lex, degrevlex, block(1) and block(2) over GF(2), GF(3)
+    and GF(4).  Inputs repeat generators, add monomial multiples of
+    them and add generators with pairwise coprime leads.  The explicit
+    example holds 65 binomials over the degree-10 monomials, so the
+    basis has more than 64 members and the bitmasks pass one machine
+    word."""
+    pytest.importorskip("hypothesis")
+    from hypothesis import example, given, settings, strategies as st
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.randoms(use_true_random=False), st.sampled_from(ORDERS),
+           st.sampled_from(FIELDS[:3]), st.just(None))
+    @example(random.Random(0), LEX, F3, _binomial_chain())
+    def check(rng, order, spec, gens):
+        if gens is None:
+            gens = [_dense(rng, spec, XYZ, rng.randint(1, 3),
+                           rng.randint(1, 3))
+                    for _ in range(rng.randint(1, 3))]
+            for _ in range(rng.randint(1, 4)):
+                g, kind = rng.choice(gens), rng.randrange(3)
+                if kind == 0:
+                    gens.append(g)
+                elif kind == 1:
+                    exps = tuple(rng.randint(0, 2) for _ in XYZ)
+                    gens.append(g * Polynomial.monomial(spec, XYZ, exps))
+                else:
+                    gens.append(_lead_power(rng, spec, rng.randrange(3),
+                                            rng.randint(1, 3)))
+            rng.shuffle(gens)
+        assert list(buchberger(gens, order).gens) == ref_buchberger(
+            gens, order)
+
+    check()
+
+
+def test_pending_bitmasks_pass_one_machine_word(monkeypatch):
+    """The degrevlex run on _binomial_chain() keeps pairs of members past
+    index 64 pending.  Its counts, 127 S-pairs and 93 reductions, were
+    read from the code before pending pairs became bitmasks, when they
+    were a set of index pairs; bitmasks cut to 64 bits form 118."""
+    formed, reductions = _count_pairs_and_reductions(monkeypatch)
+    assert len(buchberger(_binomial_chain())) == 65
+    assert (len(formed), len(reductions)) == (127, 93)
+
+
+@pytest.mark.parametrize("order", ORDERS + [block_order(3)],
+                         ids=["lex", "degrevlex", "block1", "block2",
+                              "block3"])
+def test_packed_lcm_is_the_fieldwise_max(order):
+    """_Ring.lcm equals the packing of the exponent-wise max, with the
+    lcm's degree, for every layout and in a ring widened by _widen."""
+    from nullkit.groebner import _Packed, _Ring, _widen
+
+    rng = random.Random(7)
+    ring = _Ring(order, F3, 3, 0)
+    wide = _widen(_Packed(ring, {}), [])[0].ring
+    for r, top in ((ring, 64), (wide, 1 << 20)):
+        for _ in range(200):
+            a, b = ([rng.randint(0, top // 3) for _ in range(3)]
+                    for _ in range(2))
+            x, y = ((r.pack_mono(e) ^ r.flip) & r.exps for e in (a, b))
+            m = tuple(map(max, a, b))
+            assert r.lcm(x, y) == (sum(m), r.pack_mono(m))

@@ -219,6 +219,19 @@ def test_oracle_empty_rejected():
         oracle_vanishing_ideal(V, spec=F2, vars=vars)
 
 
+def test_oracle_point_budget():
+    """A^7(GF(2)) has ORACLE_POINT_LIMIT = 128 points and answers;
+    A^8(GF(2)), with 256, is refused before any echelon is built."""
+    from nullkit.varieties import ORACLE_POINT_LIMIT
+
+    assert ORACLE_POINT_LIMIT >= 128
+    got = oracle_vanishing_ideal(enumerate_space(F2, 7, AFFINE))
+    assert len(got.gens) == 7
+    with pytest.raises(SizeOverflow, match="^the oracle takes at most 128 "
+                       "points; the zero set has 256$"):
+        oracle_vanishing_ideal(enumerate_space(F2, 8, AFFINE))
+
+
 def test_oracle_is_membership_exact():
     """f is in the oracle ideal iff f vanishes on every point."""
     vars = ("X", "Y")
