@@ -8,9 +8,7 @@ check_polynomial is the one test that a polynomial lives in its ring.
 _scaling_ring is the one ring with a fresh scaling variable T at
 position 0: intersection eliminates T, in a block order, from
 T*I + (1 - T)*J, and the Rabinowitsch ideal I + <1 - T*g> serves
-saturation and radical membership.  It builds T*g and (1 - T)*g with
-no product: g's terms are re-keyed with T's exponent 1, or 0 and 1 with
-the T-terms negated through spec.neg.  Quotient intersects one part per
+saturation and radical membership.  Quotient intersects one part per
 divisor: for homogeneous generators and a divisor c*X_j^k the part is
 read off a degrevlex basis with X_j last (Bayer-Stillman 1987;
 Eisenbud, Commutative Algebra, Prop. 15.12), and any other part
@@ -22,6 +20,11 @@ homogeneous generators and a divisor c*X_j^k, once per distinct j, and
 otherwise T eliminated from I + <1 - T*g> (Rabinowitsch).  It reports
 r* + 1 rounds, r* the least r with J^r * I^sat inside I, found from
 normal forms modulo I's basis on field._Echelon.
+
+Each ring change here is one re-keying of the term dict, with no
+polynomial product: T put first (T*g and (1 - T)*g take T's exponent
+1, or 0 and 1 with the T-terms negated through spec.neg), X_j moved
+last and back, the first k variables dropped.
 """
 
 from functools import reduce
@@ -35,12 +38,7 @@ from .groebner import (
     divide_exact,
     normal_form,
 )
-from .poly import (
-    Polynomial,
-    block_order,
-    drop_variable,
-    permute_variables,
-)
+from .poly import Polynomial, block_order
 
 
 class Ideal:
@@ -158,15 +156,10 @@ def eliminate(I, k):
     basis = I.gb(block_order(k))
     # A reduced block-order basis restricts to a reduced degrevlex basis
     # of the elimination ideal, so the cache can be seeded directly.
-    kept = []
-    for g in basis:
-        if any(any(e[:k]) for e in g.terms):
-            continue
-        h = g
-        for _ in range(k):
-            h = drop_variable(h, 0)
-        kept.append(h)
-    return _from_basis(I.spec, I.vars[k:], GroebnerBasis(DEGREVLEX, kept))
+    vars = I.vars[k:]
+    kept = [Polynomial(I.spec, vars, {e[k:]: c for e, c in g.terms.items()})
+            for g in basis if not any(any(e[:k]) for e in g.terms)]
+    return _from_basis(I.spec, vars, GroebnerBasis(DEGREVLEX, kept))
 
 
 def _divisors(I, J, op):
@@ -195,8 +188,11 @@ def _quotient_by_variable_power(I, j, k=None):
     """
     n = len(I.vars)
     perm = tuple(i for i in range(n) if i != j) + (j,)
-    basis = I.gb() if j == n - 1 else buchberger(
-        [permute_variables(g, perm) for g in I.gens])
+    pvars = tuple(I.vars[i] for i in perm)
+    basis = I.gb() if j == n - 1 else buchberger([
+        Polynomial(I.spec, pvars, {tuple(e[i] for i in perm): c
+                                   for e, c in g.terms.items()})
+        for g in I.gens])
     parts = []
     for g in basis:
         v = min(e[-1] for e in g.terms)

@@ -323,38 +323,6 @@ def _check_position(f, position, end):
             f"; positions run 0..{end - 1}")
 
 
-def insert_variable(f, position, name):
-    """Adjoin a fresh variable (exponent 0 everywhere) at position."""
-    _check_position(f, position, len(f.vars) + 1)
-    if name in f.vars:
-        raise RingMismatch(f"{name} already is a ring variable")
-    vars = f.vars[:position] + (name,) + f.vars[position:]
-    terms = {e[:position] + (0,) + e[position:]: c
-             for e, c in f.terms.items()}
-    return Polynomial(f.spec, vars, terms)
-
-
-def drop_variable(f, position):
-    """Remove a variable the polynomial does not use."""
-    _check_position(f, position, len(f.vars))
-    if any(e[position] for e in f.terms):
-        raise RingMismatch(
-            f"{f.vars[position]} occurs in {f}; cannot drop it")
-    vars = f.vars[:position] + f.vars[position + 1:]
-    terms = {e[:position] + e[position + 1:]: c for e, c in f.terms.items()}
-    return Polynomial(f.spec, vars, terms)
-
-
-def permute_variables(f, perm):
-    """The same polynomial with variable perm[i] moved to position i."""
-    if sorted(perm) != list(range(len(f.vars))):
-        raise RingMismatch(f"{tuple(perm)} is not a permutation of the "
-                           f"positions 0..{len(f.vars) - 1}")
-    vars = tuple(f.vars[i] for i in perm)
-    terms = {tuple(e[i] for i in perm): c for e, c in f.terms.items()}
-    return Polynomial(f.spec, vars, terms)
-
-
 def homogenize(f, position=0, name=None):
     """Homogenize with a fresh variable inserted at position."""
     if name is None:
@@ -362,11 +330,14 @@ def homogenize(f, position=0, name=None):
         while f"X{i}" in f.vars:
             i += 1
         name = f"X{i}"
-    g = insert_variable(f, position, name)
+    _check_position(f, position, len(f.vars) + 1)
+    if name in f.vars:
+        raise RingMismatch(f"{name} already is a ring variable")
     d = f.total_degree()
-    terms = {e[:position] + (d - sum(e),) + e[position + 1:]: c
-             for e, c in g.terms.items()}
-    return Polynomial(f.spec, g.vars, terms)
+    vars = f.vars[:position] + (name,) + f.vars[position:]
+    terms = {e[:position] + (d - sum(e),) + e[position:]: c
+             for e, c in f.terms.items()}
+    return Polynomial(f.spec, vars, terms)
 
 
 def dehomogenize(f, position, value=1):

@@ -16,6 +16,12 @@ address space.  It holds where the resource module exists.
 The suite runs from a clean checkout, with no install: src comes first
 on sys.path, and first on PYTHONPATH for the CLI subprocesses that
 some tests start.
+
+Derandomized hypothesis tests draw the same data whatever the literals
+of src and tests: hypothesis (6.155) otherwise mixes the constants of
+every loaded local module into its draws, so editing any literal would
+re-draw every such test.  Where hypothesis has that hook, no module
+counts as local.
 """
 
 import os
@@ -30,6 +36,13 @@ try:
     import resource
 except ImportError:  # not on every platform
     resource = None
+
+try:
+    from hypothesis.internal.conjecture import providers
+except ImportError:  # hypothesis is optional
+    providers = None
+if hasattr(providers, "is_local_module_file"):
+    providers.is_local_module_file = lambda path: False
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 sys.path[:] = [SRC] + [p for p in sys.path if p != SRC]

@@ -2,8 +2,10 @@
 
 Field lines valid and junk, t-coefficients, moduli and generator soup
 go through gb, gb --emit-normalized, points --affine and vanishing
---affine.  Every run must end in an answer (exit 0) or in exit 2 with
-an error: line, and no exception may escape.
+--affine.  Well-formed problems over small fields and tower pairs go
+through the projective commands: points, vanishing with each method,
+compare, certify and ideal-op.  Every run must end in an answer
+(exit 0) or in exit 2 with an error: line, and no exception may escape.
 """
 
 import pytest
@@ -82,5 +84,83 @@ def test_generated_problems_answer_or_exit_2(tmp_path_factory, capsys):
         assert code in (0, 2), (text, command, code, err)
         if code == 2:
             assert err.startswith("error:"), (text, command, err)
+
+    check()
+
+
+# (header, coefficients beyond the integers) per field or tower pair
+PROJECTIVE_FIELDS = [
+    ("field GF(2)", []), ("field GF(3)", []), ("field GF(4)", ["(t)"]),
+    ("field GF(5)", []), ("field GF(9)", ["(t)", "(t+1)"]),
+    ("coeffs GF(4)\npoints GF(2)", ["(t)"]),
+    ("coeffs GF(2)\npoints GF(4)", [])]
+OPS = ["sum", "intersect", "quotient", "saturate"]
+PROJECTIVE_COMMANDS = (
+    [["points", "--projective"], ["compare"], ["certify"],
+     ["certify", "--j", "1"], ["certify", "--poly", "X0*X1"],
+     ["ideal-op", "--op", "eliminate", "--k", "1"]]
+    + [["vanishing", "--projective", "--method", m]
+       for m in ("colon", "saturation", "oracle")]
+    + [["ideal-op", "--op", op] for op in OPS])
+
+
+def _projective_problems(st):
+    """(problem, other) texts in one ring: 2-3 variables, generators of
+    degree at most 3, mostly homogeneous."""
+
+    @st.composite
+    def problems(draw):
+        header, extra = draw(st.sampled_from(PROJECTIVE_FIELDS))
+        n = draw(st.integers(2, 3))
+        coeffs = ["1", "2"] + extra
+
+        def generator():
+            homogeneous = draw(st.integers(0, 3))
+            d = draw(st.integers(1, 3))
+            terms = []
+            for _ in range(draw(st.integers(1, 3))):
+                degree = d if homogeneous else draw(st.integers(0, 3))
+                mono = "*".join(f"X{draw(st.integers(0, n - 1))}"
+                                for _ in range(degree))
+                coef = draw(st.sampled_from(coeffs))
+                terms.append(f"{coef}*{mono}" if mono else coef)
+            return " + ".join(terms)
+
+        def text():
+            gens = "; ".join(generator()
+                             for _ in range(draw(st.integers(1, 3))))
+            return (f"{header}\nvars {' '.join(f'X{i}' for i in range(n))}"
+                    f"\nideal:\n{gens}\n")
+
+        return text(), text()
+
+    return problems()
+
+
+def test_generated_projective_problems_answer_or_exit_2(tmp_path_factory,
+                                                        capsys):
+    """Points, the three projective methods, compare, certify and the
+    ideal operations on generated problems over small fields and both
+    tower pairs: an answer or exit 2 with an error: line.  Exit 1, a
+    disagreement between the methods, fails."""
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    folder = tmp_path_factory.mktemp("fuzz")
+    path, other = folder / "fuzz.null", folder / "other.null"
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_projective_problems(st), st.sampled_from(PROJECTIVE_COMMANDS))
+    def check(texts, command):
+        path.write_text(texts[0])
+        other.write_text(texts[1])
+        argv = command + ["--input", str(path)]
+        if command[-1] in OPS:
+            argv += ["--other", str(other)]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 2), (texts, command, code, err)
+        if code == 2:
+            assert err.startswith("error:"), (texts, command, err)
 
     check()

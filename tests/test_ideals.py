@@ -191,6 +191,17 @@ def test_eliminate():
     assert eliminate(I, 0) is I
 
 
+def test_eliminate_two_variables():
+    """Eliminating S and T from the monomial parametrization
+    (X, Y, Z) = (S^2, S*T, T^2) leaves the one relation Y^2 - X*Z, in
+    (X, Y, Z)."""
+    vars = ("S", "T", "X", "Y", "Z")
+    I = Ideal.from_strings(F3, vars, ["X - S^2", "Y - S*T", "Z - T^2"])
+    E = eliminate(I, 2)
+    assert E.vars == ("X", "Y", "Z")
+    assert [str(g) for g in reduced(E).gens] == ["Y^2 + 2*X*Z"]
+
+
 def test_saturation_worked_example():
     vars = ("X0", "X1")
     I = Ideal.from_strings(F2, vars, ["X0*X1", "X0^2"])

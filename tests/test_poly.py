@@ -20,12 +20,9 @@ from nullkit.poly import (
     Polynomial,
     block_order,
     dehomogenize,
-    drop_variable,
     homogenize,
-    insert_variable,
     lift,
     parse_polynomial,
-    permute_variables,
 )
 
 from helpers import ref_add, ref_dehomogenize, ref_mul, ref_scale
@@ -316,43 +313,14 @@ def test_homogenize_refuses_a_ring_variable_name():
             homogenize(parse_polynomial(f, ("X0",), F2), 0, "X0")
 
 
-def test_drop_variable_guard():
-    f = parse_polynomial("X + Y", XY, F2)
-    with pytest.raises(RingMismatch):
-        drop_variable(f, 1)
-    g = drop_variable(parse_polynomial("X^2 + 1", XY, F2), 1)
-    assert g.vars == ("X",)
-
-
-def test_permute_variables_round_trip():
-    vars = ("X0", "X1", "X2")
-    f = parse_polynomial("X0^2*X1 + 2*X1*X2^3 + 1", vars, F3)
-    g = permute_variables(f, (1, 2, 0))
-    assert g.vars == ("X1", "X2", "X0")
-    assert g == parse_polynomial("X0^2*X1 + 2*X1*X2^3 + 1", g.vars, F3)
-    assert permute_variables(g, (2, 0, 1)) == f
-
-
-def test_permute_variables_refuses_a_non_permutation():
-    """A repeated or missing position is refused, not read as a ring
-    with a repeated variable."""
-    f = parse_polynomial("X + Y", XY, F2)
-    for perm in ((0, 0), (1,), (0, 1, 2), (0, 2)):
-        with pytest.raises(RingMismatch, match=(
-                r"is not a permutation of the positions 0\.\.1$")):
-            permute_variables(f, perm)
-
-
 @pytest.mark.parametrize("call, message", [
-    (lambda f: drop_variable(f, 5), "no variable position 5 in "
-     "GF(2)[X,Y]; positions run 0..1"),
     (lambda f: dehomogenize(f, 5), "no variable position 5 in "
      "GF(2)[X,Y]; positions run 0..1"),
     (lambda f: dehomogenize(f, -1), "no variable position -1 in "
      "GF(2)[X,Y]; positions run 0..1"),
-    (lambda f: insert_variable(f, 9, "Z"), "no variable position 9 in "
+    (lambda f: homogenize(f, 9, "Z"), "no variable position 9 in "
      "GF(2)[X,Y]; positions run 0..2"),
-], ids=["drop", "dehomogenize", "dehomogenize-negative", "insert"])
+], ids=["dehomogenize", "dehomogenize-negative", "insert"])
 def test_variable_positions_outside_the_ring_are_refused(call, message):
     """A position outside the ring is a NullkitError naming it, not a
     bare IndexError or a variable appended at the end."""
@@ -360,7 +328,7 @@ def test_variable_positions_outside_the_ring_are_refused(call, message):
     with pytest.raises(RingMismatch) as exc:
         call(f)
     assert str(exc.value) == message
-    assert insert_variable(f, 2, "Z").vars == ("X", "Y", "Z")
+    assert homogenize(f, 2, "Z").vars == ("X", "Y", "Z")
 
 
 def test_lift_preserves_evaluation():

@@ -1,5 +1,6 @@
 """The per-test budgets of conftest.py turn a hang or a runaway
-allocation into a failure."""
+allocation into a failure, and its hypothesis hook keeps the literals
+of src out of the draws."""
 
 import os
 import shutil
@@ -44,3 +45,15 @@ def test_a_test_runs_under_the_memory_budget():
     resource = pytest.importorskip("resource")
     soft, _ = resource.getrlimit(resource.RLIMIT_AS)
     assert soft != resource.RLIM_INFINITY and soft <= TEST_MEMORY_BYTES
+
+
+def test_src_literals_stay_out_of_hypothesis_draws():
+    """With no module local, no nullkit constant, such as the search
+    budget 20,000 or the oracle's point limit 128, reaches the draws."""
+    providers = pytest.importorskip("hypothesis.internal.conjecture.providers")
+    if not hasattr(providers, "is_local_module_file"):
+        pytest.skip("this hypothesis has no local-constants hook")
+    from nullkit.conjectures import _SEARCH_BUDGET
+    from nullkit.varieties import ORACLE_POINT_LIMIT
+    integers = set(providers._get_local_constants().integers)
+    assert not integers & {_SEARCH_BUDGET, ORACLE_POINT_LIMIT}
