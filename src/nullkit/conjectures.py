@@ -23,12 +23,15 @@ forces every argument to vanish on the zero set of I, and membership
 only depends on argument residues modulo I, so distinct arguments with
 equal residues share one composition test.
 
-The set-up per ideal and argument degree bound is (pool size, first
-polynomial per residue, vanishing ids, zero table).  Swapping a pool
-polynomial for the first one with its residue gives an earlier tuple
-with the same residues, so the first passing pool tuple is made of
-first polynomials; the vanishing ids run in their pool order, so the
-first passing combination of ids in product order names that tuple.
+The set-up per ideal and argument degree bound is the zero table, the
+pool size q^N by arithmetic, and the first polynomial per residue and
+the vanishing ids, built from the pool when first read: only a search
+whose target vanishes reads them, at its first structure that takes
+arguments.  Swapping a pool polynomial for the first one with its
+residue gives an earlier tuple with the same residues, so the first
+passing pool tuple is made of first polynomials; the vanishing ids run
+in their pool order, so the first passing combination of ids in
+product order names that tuple.
 
 Residues are composed from memos, on int ids: each residue modulo I is
 interned once, and a composition vanishes when its id is the zero
@@ -83,6 +86,7 @@ FAMILIES = ("r1", "r2", "r3")
 
 # Candidate coefficient vectors per enumeration are capped here.
 _ENUM_LIMIT = 2_000_000
+_POOL_TOO_MANY = "{q}^{n} argument candidates exceed the limit"
 
 # The form join ANDs ceil(tails / 64) words per head and point in each of
 # two passes; 2^26 words took 0.6 s per pass on a 2-core x86-64 host.
@@ -303,7 +307,7 @@ def argument_pool(spec, vars, max_deg):
     """Every polynomial of total degree <= max_deg, zero first, in
     canonical vector order over the descending monomial basis."""
     monos = _monomial_basis(spec.q, len(vars), range(max_deg, -1, -1),
-                            "{q}^{n} argument candidates exceed the limit")
+                            _POOL_TOO_MANY)
     return tuple(_vector_polys(spec, vars, monos))
 
 
@@ -345,7 +349,8 @@ class _Residues:
 
     Every entry is a pure value, so concurrent searches at worst
     compute one twice.  Interning checks, then appends, so it holds
-    the lock; a set-up is built whole and published by one setdefault.
+    the lock; a set-up is published by one setdefault, and its pool
+    part is kept on it at the first read.
     """
 
     def __init__(self, I):
@@ -388,25 +393,40 @@ class _Form:
         self.memo = {}
 
 
-def _shared_setup(I, res, max_deg):
-    """(pool size, first, vanishing ids, zero table) for I and max_deg.
+class _Setup:
+    """The set-up that depends only on an ideal and max_deg, kept in
+    _Residues.setups; it holds neither, so it makes no reference cycle.
 
-    The pool is argument_pool of degree max_deg.  first maps the id of
-    each residue of the pool to the first pool polynomial with that
-    residue, in pool order.  Only residues vanishing on the affine zero
-    set can take part in a membership, since the composed form kills
+    table is the PointTable of the affine zero set, and npool the size
+    of argument_pool of degree max_deg.  pool(res) builds (first,
+    vanishing ids) from the pool at its first call.  first maps the id
+    of each residue of the pool to the first pool polynomial with that
+    residue, in pool order.  Only residues vanishing on the zero set
+    can take part in a membership, since the composed form kills
     nonzero argument values: vanishing ids holds those, in the order of
-    first.  zero table is the PointTable of that zero set.
+    first.
     """
-    zeros = zero_set(I, I.spec, AFFINE)
-    table = PointTable.of_points(I.spec, zeros.points, zeros.n)
-    pool = argument_pool(I.spec, I.vars, max_deg)
-    first = {}
-    for g in pool:
-        first.setdefault(res.intern(normal_form(g, res.basis)), g)
-    vanishing = tuple(i for i in first
-                      if not any(table.evaluate(res.polys[i])[0]))
-    return len(pool), first, vanishing, table
+
+    def __init__(self, I, max_deg):
+        self.spec, self.vars, self.max_deg = I.spec, I.vars, max_deg
+        zeros = zero_set(I, I.spec, AFFINE)
+        self.table = PointTable.of_points(I.spec, zeros.points, zeros.n)
+        q, nvars = I.spec.q, len(I.vars)
+        n = sum(math.comb(nvars + d - 1, d) for d in range(max_deg + 1))
+        _check_vectors(q, n, _POOL_TOO_MANY)
+        self.npool = q ** n
+        self._pool = None
+
+    def pool(self, res):
+        """(first, vanishing ids) for the _Residues res of the ideal."""
+        if self._pool is None:
+            first = {}
+            for g in argument_pool(self.spec, self.vars, self.max_deg):
+                first.setdefault(res.intern(normal_form(g, res.basis)), g)
+            self._pool = first, tuple(
+                i for i in first
+                if not any(self.table.evaluate(res.polys[i])[0]))
+        return self._pool
 
 
 class _SearchContext:
@@ -415,8 +435,8 @@ class _SearchContext:
     The residues, their memos and the set-up that depends only on the
     ideal and max_deg_args live on the ideal (the _Residues in
     Ideal._residues), not here; a context reads npool, first and
-    vanishing_ids from that set-up (see _shared_setup) and adds the
-    target's residue id and the forms of its bounds.
+    vanishing_ids from that _Setup and adds the target's residue id and
+    the forms of its bounds.
     """
 
     def __init__(self, f, I, bounds):
@@ -428,14 +448,17 @@ class _SearchContext:
         D = bounds.max_deg_args
         res = self.residues = (I._residues.get("search") or
                                I._residues.setdefault("search", _Residues(I)))
-        self.npool, self.first, self.vanishing_ids, zero_pts = (
-            res.setups.get(D) or
-            res.setups.setdefault(D, _shared_setup(I, res, D)))
-        self.f_vanishes = not any(zero_pts.evaluate(f)[0])
+        self.setup = (res.setups.get(D) or
+                      res.setups.setdefault(D, _Setup(I, D)))
+        self.npool = self.setup.npool
+        self.f_vanishes = not any(self.setup.table.evaluate(f)[0])
         self.f_id = res.intern(normal_form(f, res.basis))
         self.forms = {m: enumerate_forms(K, m, bounds.max_deg_p)
                       for m in range(bounds.max_m + 1)}
         self.spent = 0
+
+    first = property(lambda self: self.setup.pool(self.residues)[0])
+    vanishing_ids = property(lambda self: self.setup.pool(self.residues)[1])
 
     def spend(self, cost):
         """Count cost against _SEARCH_BUDGET; SizeOverflow past it."""
@@ -548,7 +571,8 @@ def search_witness(f, I, family, bounds=None):
             continue
         forms, breakpoints = w.chain()
         links = tuple(zip(map(ctx.form, forms), breakpoints))
-        for combo in itertools.product(ctx.vanishing_ids, repeat=nargs):
+        ids = ctx.vanishing_ids if nargs else ()
+        for combo in itertools.product(ids, repeat=nargs):
             h = ctx.f_id
             prev = 0
             for form, stop in links:

@@ -33,6 +33,7 @@ so GF(4) enumerates as 0, 1, t, t+1.
 
 import re
 import threading
+from functools import partial
 
 from .errors import (
     DivisionByZero,
@@ -476,39 +477,16 @@ class FieldElement:
         return f"{self} in {self.spec}"
 
 
-class _Computed:
-    """Stand-in for a table of an untabled field: entry [a] is fn(a),
-    computed when read."""
+class _Computed(partial):
+    """Stand-in for a table of an untabled field: entry [a] of
+    _Computed(fn, *bound) is fn(*bound, a), computed when read.  The add
+    and mul tables are _Computed(_Computed, fn), whose row [a] is the
+    stand-in of fn(a, b) over b."""
 
-    __slots__ = ("fn",)
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def __getitem__(self, a):
-        return self.fn(a)
-
-
-class _ComputedRows:
-    """Stand-in for the add or mul table of an untabled field: row [a]
-    is a _ComputedRow, whose entry [b] is fn(a, b), computed when read."""
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn):
-        self.fn = fn
+    __slots__ = ()
 
     def __getitem__(self, a):
-        row = _ComputedRow.__new__(_ComputedRow)
-        row.fn, row.a = self.fn, a
-        return row
-
-
-class _ComputedRow:
-    __slots__ = ("fn", "a")
-
-    def __getitem__(self, b):
-        return self.fn(self.a, b)
+        return self(a)
 
 
 class FieldSpec:
@@ -540,12 +518,11 @@ class FieldSpec:
             self.elements = tuple(FieldElement(self, a) for a in r)
             self._at = self.elements
         else:
-            self.add = _ComputedRows(add)
-            self.mul = _ComputedRows(mul)
-            self.neg = _Computed(neg)
-            self.inv = _Computed(inv)
+            self.add = _Computed(_Computed, add)
+            self.mul = _Computed(_Computed, mul)
+            self.neg, self.inv = _Computed(neg), _Computed(inv)
             self.elements = None
-            self._at = _Computed(lambda a: FieldElement(self, a))
+            self._at = _Computed(FieldElement, self)
 
     def encoded_pow(self, a, k):
         """Encoding of a^k for an encoding a and an integer k >= 0."""

@@ -289,15 +289,9 @@ def normal_form(f, basis):
     return _reduce_full(ring.pack(f), reducers).unpack(f.vars)
 
 
-def s_polynomial(f, g, order):
-    """S-polynomial of two polynomials, or of two monic ones packed in
-    one ring, as buchberger passes its members."""
-    if isinstance(f, Polynomial):
-        f._same_ring(g)
-        ring = _Ring(order, f.spec, len(f.vars),
-                     f.total_degree() + g.total_degree())
-        return s_polynomial(ring.pack(f).monic(), ring.pack(g).monic(),
-                            order).unpack(f.vars)
+def s_polynomial(f, g):
+    """S-polynomial of two monic polynomials packed in one ring, as
+    buchberger passes its members."""
     ring = f.ring
     add, neg = ring.spec.add, ring.spec.neg
     (kf, lf, _), (kg, lg, _) = f.reducer(), g.reducer()
@@ -372,7 +366,7 @@ def buchberger(gens, order=DEGREVLEX):
         pend[j] ^= 1 << i
         if chain_redundant(i, j, l):
             continue
-        s = s_polynomial(G[i], G[j], order)
+        s = s_polynomial(G[i], G[j])
         if s.is_zero:
             continue
         r = _reduce_full(s, R)
@@ -406,17 +400,17 @@ def divide_exact(f, g, order=DEGREVLEX):
     ring = _Ring(order, f.spec, len(f.vars),
                  max(f.total_degree(), g.total_degree()))
     num, den = ring.pack(f), ring.pack(g)
-    reducers = [den.monic().reducer()]
-    while True:
-        quotient = {}
-        try:
-            rest = _reduce(num, reducers, quotient)
-            break
-        except _Overflow:
-            num, reducers = _widen(num, reducers)
+    # When g divides f, every term formed is t*m for a term t of the
+    # quotient and m of g, of degree at most deg f, which the ring holds:
+    # an overflow means that g does not divide f.
+    quotient = {}
+    try:
+        rest = _reduce(num, [den.monic().reducer()], quotient)
+    except _Overflow:
+        rest = None
     if rest is None:
         raise ValueError(f"{g} does not divide {f}")
     # f = quotient * g / lc(g)
     row = f.spec.mul[f.spec.inv[den.terms[max(den.terms)]]]
-    return _Packed(num.ring, {m: row[c] for m, c in quotient.items()}
+    return _Packed(ring, {m: row[c] for m, c in quotient.items()}
                    ).unpack(f.vars)

@@ -2,9 +2,9 @@
 reference point fold, the brute-force zero set, a schoolbook reference
 for finite-field arithmetic, the subfield-image test, projective
 normalization, FieldElement references for polynomial arithmetic, and
-tuple-monomial references for normal forms, exact division and reduced
-Groebner bases, the brute-force anisotropic form list and the
-pool-product witness search."""
+tuple-monomial references for normal forms, exact division,
+S-polynomials and reduced Groebner bases, the brute-force anisotropic
+form list and the pool-product witness search."""
 
 import itertools
 
@@ -304,6 +304,18 @@ def ref_divide_exact(f, g, order):
             else:
                 del work[tgt]
     return Polynomial(f.spec, f.vars, quot)
+
+
+def ref_s_polynomial(f, g, order):
+    """S-polynomial of f and g on Polynomial arithmetic: each lifted to
+    the lcm of the leading monomials with leading coefficient 1 there,
+    then subtracted."""
+    (a, ca), (b, cb) = f.leading(order), g.leading(order)
+    lcm = tuple(map(max, a, b))
+    return (f * Polynomial.monomial(f.spec, f.vars, mono_div(lcm, a),
+                                    ca.inv().idx)
+            - g * Polynomial.monomial(g.spec, g.vars, mono_div(lcm, b),
+                                      cb.inv().idx))
 
 
 def ref_buchberger(gens, order):

@@ -525,6 +525,26 @@ class TestSearchCommand:
         assert time.perf_counter() - start < 1
         assert code == 0 and out.startswith(head + "\n"), out + err
 
+    @pytest.mark.time_budget(5)
+    def test_set_up_builds_no_pool_the_search_does_not_read(self, tmp_path,
+                                                            capsys):
+        """On <X2> over GF(4) in X0 X1 X2 the argument pool at degargs=2
+        has 4^10 polynomials.  The target X0^2 + X0 does not vanish on
+        the zero set, so no candidate is tested with pool arguments,
+        and each search answers in under a second."""
+        path = write_problem(tmp_path,
+                             "field GF(4)\nvars X0 X1 X2\nideal:\nX2\n")
+        for family, bounds, candidates in [("r1", "m=0,degp=1", 3),
+                                           ("r2", "m=1,degp=2", 25165828)]:
+            start = time.perf_counter()
+            code, out, err = run("search", "--family", family, "--ideal",
+                                 path, "--target", "X0^2 + X0", "--bounds",
+                                 bounds, capsys=capsys)
+            assert time.perf_counter() - start < 1
+            assert (code, err) == (0, "")
+            assert out.splitlines()[:2] == ["result: exhausted",
+                                            f"candidates: {candidates}"]
+
     @pytest.mark.time_budget(10)
     def test_huge_inner_exponent_exits_2(self, capsys):
         """r1 on a target that vanishes on the zero set builds the

@@ -28,7 +28,7 @@ from nullkit.conjectures import (
     search_witness,
     verify_kradical_witness,
 )
-from nullkit.errors import SizeOverflow
+from nullkit.errors import RingMismatch, SizeOverflow
 from nullkit.field import make_field, prime_power
 from nullkit.groebner import normal_form
 from nullkit.ideals import Ideal, radical_membership
@@ -60,6 +60,13 @@ def form(text, nvars):
 
 
 class TestFormClasses:
+    def test_a_form_over_a_larger_field_is_refused(self):
+        p = parse_polynomial("y0^2 + y0*y1 + y1^2", ("y0", "y1"),
+                             make_field(2, 2))
+        with pytest.raises(RingMismatch,
+                           match=r"^GF\(2\^2\) does not embed into GF\(2\)$"):
+            check_form_class(p, "P_K0", F2)
+
     def test_single_variable_is_both(self):
         y0 = form("y0", 1)
         assert check_form_class(y0, "P_K", F2)

@@ -65,6 +65,12 @@ def test_construction_errors():
         make_field(3, 1, (1, 1))
 
 
+def test_a_modulus_of_the_wrong_degree_is_refused():
+    with pytest.raises(ReducibleModulus,
+                       match=r"^modulus must have degree 2, got degree 1$"):
+        make_field(2, 2, (1, 1))
+
+
 def test_specs_are_interned():
     assert make_field(2) is make_field(2)
     assert make_field(2, 2) is make_field(2, 2)

@@ -13,7 +13,6 @@ from nullkit.groebner import (
     buchberger,
     divide_exact,
     normal_form,
-    s_polynomial,
 )
 from nullkit.ideals import Ideal
 from nullkit.poly import (
@@ -29,6 +28,7 @@ from helpers import (
     ref_buchberger,
     ref_divide_exact,
     ref_reduce_full,
+    ref_s_polynomial,
 )
 
 F2 = make_field(2)
@@ -51,7 +51,7 @@ def test_buchberger_closes_s_polynomials():
     for f in gens:
         assert normal_form(f, basis).is_zero
     for g, h in itertools.combinations(list(basis), 2):
-        assert normal_form(s_polynomial(g, h, DEGREVLEX), basis).is_zero
+        assert normal_form(ref_s_polynomial(g, h, DEGREVLEX), basis).is_zero
 
 
 def test_reduced_basis_shape():
@@ -160,6 +160,31 @@ def test_divide_exact_checks_the_ring():
         divide_exact(f, g)
 
 
+def test_divide_exact_refuses_a_quotient_past_the_packing():
+    """X^3 + 1 over GF(2) in lex: reducing by X + Y^100 reaches Y^300,
+    past the packing sized for degree 100, which no exact quotient
+    does."""
+    f = parse_polynomial("X^3 + 1", XY, F2)
+    g = parse_polynomial("X + Y^100", XY, F2)
+    with pytest.raises(ValueError,
+                       match=r"^Y\^100 \+ X does not divide X\^3 \+ 1$"):
+        divide_exact(f, g, LEX)
+
+
+@pytest.mark.parametrize("order", [LEX, DEGREVLEX, block_order(1)],
+                         ids=["lex", "degrevlex", "block1"])
+def test_exact_quotient_fits_the_packing_of_f(monkeypatch, order):
+    """Every term the division forms has degree at most deg f = 250, so
+    it runs in f's packing and never widens."""
+    from nullkit import groebner
+
+    widened = count_calls(monkeypatch, "_widen", module=groebner)
+    g = parse_polynomial("X + 2*Y^100", XY, F3)
+    f = g * parse_polynomial("X^2 + Y^150", XY, F3)
+    assert str(divide_exact(f, g, order)) == "Y^150 + X^2"
+    assert not widened
+
+
 def test_divide_exact_by_a_t_leading_divisor_over_gf9():
     """The quotient is scaled by 1/lc(g) = 2*t in GF(9) = GF(3)[t]/(t^2 + 1),
     whose encoding 6 is 0 when read as an integer modulo 3."""
@@ -236,7 +261,8 @@ def test_reduced_basis_properties_hold_on_random_inputs():
                 for _ in range(n)]
         basis = buchberger(gens)
         for g, h in itertools.combinations(list(basis), 2):
-            assert normal_form(s_polynomial(g, h, DEGREVLEX), basis).is_zero
+            s = ref_s_polynomial(g, h, DEGREVLEX)
+            assert normal_form(s, basis).is_zero
         shuffled = gens[:]
         rng.shuffle(shuffled)
         scaled = [f.scale(F3.element(rng.choice((1, 2)))) for f in shuffled]
@@ -258,9 +284,9 @@ def test_chain_criterion_bounds_the_s_pairs(monkeypatch):
     formed = []
     real = groebner.s_polynomial
 
-    def counting(f, g, order):
+    def counting(*args):
         formed.append(1)
-        return real(f, g, order)
+        return real(*args)
 
     monkeypatch.setattr(groebner, "s_polynomial", counting)
     reductions = count_calls(monkeypatch, "_reduce_full", module=groebner)

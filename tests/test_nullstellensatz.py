@@ -15,6 +15,7 @@ from nullkit.errors import (
     NonHomogeneousGenerator,
     NotInVanishingIdeal,
     NullkitError,
+    RingMismatch,
     SizeOverflow,
     ZeroGeneratorCount,
 )
@@ -409,6 +410,32 @@ def test_altered_certificate_is_refused():
     with pytest.raises(NullkitError, match="l_1 does not vanish at"):
         _verify_certificate(I, d, {**parts, 1: (g + shift, l - shift)}, V,
                             cfg)
+
+
+def test_altered_splits_fail_the_degree_and_membership_checks():
+    """Moving a constant from l to g keeps the split but leaves g
+    inhomogeneous; moving X0^d, which lies outside I, keeps g
+    homogeneous of degree d but takes it out of I."""
+    cfg = NullConfig(F3, F3, P2)
+    I = Ideal.from_strings(F3, P2, ["X0*X1 + X2^2"])
+    V = zero_set(I, F3, PROJECTIVE)
+    d = degree_bound(I, 3)
+    parts = _certificate_parts(I, d, cfg, [0, 1])
+    g, l = parts[1]
+    for moved, message in [
+            ("1", f"^g_1 is not homogeneous of degree {d}$"),
+            (f"X0^{d}", "^g_1 fell outside the input ideal$")]:
+        m = parse_polynomial(moved, P2, F3)
+        assert not I.contains(m)
+        with pytest.raises(NullkitError, match=message):
+            _verify_certificate(I, d, {**parts, 1: (g + m, l - m)}, V, cfg)
+
+
+def test_an_ideal_from_another_ring_is_refused():
+    I = Ideal.from_strings(F3, P2, ["X0"])
+    with pytest.raises(RingMismatch,
+                       match=r"^<X0> does not live in GF\(2\)\[X0,X1,X2\]$"):
+        projective_vanishing(I, NullConfig(F2, F2, P2))
 
 
 def test_certify_membership_enumerates_once(monkeypatch):

@@ -341,6 +341,27 @@ def test_lift_preserves_evaluation():
                 (F4.element(a.idx), F4.element(b.idx))))
 
 
+def test_the_zero_polynomial_has_no_leading_term():
+    with pytest.raises(ValueError,
+                       match="^the zero polynomial has no leading term$"):
+        Polynomial.zero(F2, XY).leading()
+
+
+def test_compose_needs_an_argument():
+    """A polynomial in no variables takes no arguments, and composing
+    it with none is refused."""
+    with pytest.raises(ArityMismatch,
+                       match="^composition needs at least one argument$"):
+        Polynomial.constant(F2, (), 1).compose([])
+
+
+def test_lift_refuses_a_field_without_an_embedding():
+    f = parse_polynomial("X + 2", XY, F3)
+    with pytest.raises(FieldMismatch,
+                       match=r"^no embedding of GF\(3\) into GF\(2\)$"):
+        lift(f, F2)
+
+
 def test_hash_consistency():
     f = parse_polynomial("X + Y^2", XY, F2)
     g = parse_polynomial("Y^2 + X", XY, F2)

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from nullkit.errors import (
+    DimensionMismatch,
     EmptyVariety,
     FieldMismatch,
     NonHomogeneousProjective,
@@ -192,6 +193,18 @@ def test_projective_point_ideal():
             vanishes = all(g.evaluate(other.coords).idx == 0
                            for g in I.gens)
             assert vanishes == (other == pt)
+
+
+def test_vars_must_match_the_point_coordinates():
+    """Two variable names for points of P^2, which have 3 coordinates,
+    are refused by the oracle and by point_ideal."""
+    V = enumerate_space(F2, 2, PROJECTIVE)
+    with pytest.raises(DimensionMismatch,
+                       match="^2 variables for points with 3 coordinates$"):
+        oracle_vanishing_ideal(V, vars=("X0", "X1"))
+    with pytest.raises(DimensionMismatch,
+                       match="^2 variables for a point with 3 coordinates$"):
+        point_ideal(V.points[0], vars=("X0", "X1"))
 
 
 def test_oracle_single_point():
