@@ -23,15 +23,15 @@ forces every argument to vanish on the zero set of I, and membership
 only depends on argument residues modulo I, so distinct arguments with
 equal residues share one composition test.
 
-The set-up per ideal and argument degree bound is the zero table, the
-pool size q^N by arithmetic, and the first polynomial per residue and
-the vanishing ids, built from the pool when first read: only a search
-whose target vanishes reads them, at its first structure that takes
-arguments.  Swapping a pool polynomial for the first one with its
-residue gives an earlier tuple with the same residues, so the first
-passing pool tuple is made of first polynomials; the vanishing ids run
-in their pool order, so the first passing combination of ids in
-product order names that tuple.
+The zero table is built once per ideal, and the pool size q^N by
+arithmetic.  The first polynomial per residue and the vanishing ids
+are built from the pool once per argument degree bound, when first
+read: only a search whose target vanishes reads them, at its first
+structure that takes arguments.  Swapping a pool polynomial for the
+first one with its residue gives an earlier tuple with the same
+residues, so the first passing pool tuple is made of first
+polynomials; the vanishing ids run in their pool order, so the first
+passing combination of ids in product order names that tuple.
 
 Residues are composed from memos, on int ids: each residue modulo I is
 interned once, and a composition vanishes when its id is the zero
@@ -40,10 +40,10 @@ built from the one with a single exponent lowered, by one product and
 one normal form.  A composition p(args) is the sum of c times the
 monomial residue over the terms c*y^e of p, one memoized partial sum at
 a time; normal form is linear, so the sum is already reduced.  The
-memos, and the set-up that depends only on I and the argument degree
-bound, are kept on the Ideal: every search over the same Ideal object
-(the suite's six, or a caller's repeats) shares them, under a lock for
-interning, and a freshly built Ideal starts empty.
+memos, the zero table and the pools are kept in one store on the
+Ideal: every search over the same Ideal object (the suite's six, or a
+caller's repeats) shares them, under a lock for interning, and a
+freshly built Ideal starts empty.
 
 The fourth family from the same source is stated over an infinite
 product and has no finite candidate enumeration at these bounds, so it
@@ -55,6 +55,7 @@ bounded witness places X2^2 - X2 there, while the easy member X1 is
 witnessed immediately.
 """
 
+import functools
 import itertools
 import math
 import threading
@@ -337,29 +338,52 @@ def _vector_polys(spec, vars, monos, monic=False):
 
 
 class _Residues:
-    """Residues modulo one ideal, shared by every search over it.
+    """What the search derives from one ideal, for every search over it.
 
-    Kept in Ideal._residues["search"].  Each residue polynomial is
-    interned once: ids maps it to a small int and polys maps the int
-    back, so the searches hash and compare ints.  monomials maps the
-    (argument id, exponent) pairs of an argument monomial to the id of
-    its residue, sums maps (a, c, b) to the id of a + c*b, forms maps a
-    form to its _Form, and setups maps an argument degree bound to the
-    set-up that depends only on the ideal and that bound.
+    Kept in Ideal._residues["search"]; it holds no reference to the
+    Ideal, so it makes no reference cycle.  basis is the Groebner basis
+    and table the PointTable of the affine zero set.  Each residue
+    polynomial is interned once: ids maps it to a small int and polys
+    maps the int back, so the searches hash and compare ints.
+    monomials maps the (argument id, exponent) pairs of an argument
+    monomial to the id of its residue, sums maps (a, c, b) to the id of
+    a + c*b, forms maps a form to its _Form, and pools maps an argument
+    degree bound to what pool() returns for it.
 
     Every entry is a pure value, so concurrent searches at worst
     compute one twice.  Interning checks, then appends, so it holds
-    the lock; a set-up is published by one setdefault, and its pool
-    part is kept on it at the first read.
+    the lock; a pool is published by one setdefault.
     """
 
     def __init__(self, I):
         self.spec, self.vars = I.spec, I.vars
         self.basis = I.gb()
+        zeros = zero_set(I, I.spec, AFFINE)
+        self.table = PointTable.of_points(I.spec, zeros.points, zeros.n)
         self.lock = threading.Lock()
         self.ids, self.polys = {}, []
-        self.monomials, self.sums, self.forms, self.setups = {}, {}, {}, {}
+        self.monomials, self.sums, self.forms, self.pools = {}, {}, {}, {}
         self.zero_id = self.intern(Polynomial.zero(I.spec, I.vars))
+
+    def pool(self, max_deg):
+        """(first, vanishing ids) of argument_pool of degree max_deg,
+        built from the pool at the first call for max_deg.
+
+        first maps the id of each residue of the pool to the first pool
+        polynomial with that residue, in pool order.  Only residues
+        vanishing on the zero set can take part in a membership, since
+        the composed form kills nonzero argument values: vanishing ids
+        holds those, in the pool order of their first polynomials.
+        """
+        out = self.pools.get(max_deg)
+        if out is None:
+            first = {}
+            for g in argument_pool(self.spec, self.vars, max_deg):
+                first.setdefault(self.intern(normal_form(g, self.basis)), g)
+            out = self.pools.setdefault(max_deg, (first, tuple(
+                i for i in first
+                if not any(self.table.evaluate(self.polys[i])[0]))))
+        return out
 
     def intern(self, r):
         """The id of the residue polynomial r."""
@@ -393,50 +417,12 @@ class _Form:
         self.memo = {}
 
 
-class _Setup:
-    """The set-up that depends only on an ideal and max_deg, kept in
-    _Residues.setups; it holds neither, so it makes no reference cycle.
-
-    table is the PointTable of the affine zero set, and npool the size
-    of argument_pool of degree max_deg.  pool(res) builds (first,
-    vanishing ids) from the pool at its first call.  first maps the id
-    of each residue of the pool to the first pool polynomial with that
-    residue, in pool order.  Only residues vanishing on the zero set
-    can take part in a membership, since the composed form kills
-    nonzero argument values: vanishing ids holds those, in the order of
-    first.
-    """
-
-    def __init__(self, I, max_deg):
-        self.spec, self.vars, self.max_deg = I.spec, I.vars, max_deg
-        zeros = zero_set(I, I.spec, AFFINE)
-        self.table = PointTable.of_points(I.spec, zeros.points, zeros.n)
-        q, nvars = I.spec.q, len(I.vars)
-        n = sum(math.comb(nvars + d - 1, d) for d in range(max_deg + 1))
-        _check_vectors(q, n, _POOL_TOO_MANY)
-        self.npool = q ** n
-        self._pool = None
-
-    def pool(self, res):
-        """(first, vanishing ids) for the _Residues res of the ideal."""
-        if self._pool is None:
-            first = {}
-            for g in argument_pool(self.spec, self.vars, self.max_deg):
-                first.setdefault(res.intern(normal_form(g, res.basis)), g)
-            self._pool = first, tuple(
-                i for i in first
-                if not any(self.table.evaluate(res.polys[i])[0]))
-        return self._pool
-
-
 class _SearchContext:
-    """Shared state for one bounded search over one target and ideal.
-
-    The residues, their memos and the set-up that depends only on the
-    ideal and max_deg_args live on the ideal (the _Residues in
-    Ideal._residues), not here; a context reads npool, first and
-    vanishing_ids from that _Setup and adds the target's residue id and
-    the forms of its bounds.
+    """One bounded search over one target and ideal: the target's
+    residue id, the forms of its bounds and the pool size npool, q^N for
+    the N = C(nvars + D, D) monomials of degree at most D = max_deg_args,
+    beside the ideal's _Residues, whose pool at D gives first and
+    vanishing_ids, each read once per context.
     """
 
     def __init__(self, f, I, bounds):
@@ -445,20 +431,21 @@ class _SearchContext:
         self.ideal = I
         self.bounds = bounds
         K = I.spec
-        D = bounds.max_deg_args
         res = self.residues = (I._residues.get("search") or
                                I._residues.setdefault("search", _Residues(I)))
-        self.setup = (res.setups.get(D) or
-                      res.setups.setdefault(D, _Setup(I, D)))
-        self.npool = self.setup.npool
-        self.f_vanishes = not any(self.setup.table.evaluate(f)[0])
+        n = math.comb(len(I.vars) + bounds.max_deg_args, len(I.vars))
+        _check_vectors(K.q, n, _POOL_TOO_MANY)
+        self.npool = K.q ** n
+        self.f_vanishes = not any(res.table.evaluate(f)[0])
         self.f_id = res.intern(normal_form(f, res.basis))
         self.forms = {m: enumerate_forms(K, m, bounds.max_deg_p)
                       for m in range(bounds.max_m + 1)}
         self.spent = 0
 
-    first = property(lambda self: self.setup.pool(self.residues)[0])
-    vanishing_ids = property(lambda self: self.setup.pool(self.residues)[1])
+    first = functools.cached_property(
+        lambda self: self.residues.pool(self.bounds.max_deg_args)[0])
+    vanishing_ids = functools.cached_property(
+        lambda self: self.residues.pool(self.bounds.max_deg_args)[1])
 
     def spend(self, cost):
         """Count cost against _SEARCH_BUDGET; SizeOverflow past it."""

@@ -6,9 +6,11 @@ the argument count), so a silent change in enumeration order or pool
 construction shows up as a count mismatch before anything subtler.
 """
 
+import gc
 import random
 import sys
 import threading
+import weakref
 
 import pytest
 
@@ -553,6 +555,58 @@ def test_family_searches_share_the_residue_memo(monkeypatch):
     assert len(inside) > asked
     assert search_witness(f, ideal(["X1"]), "r3").candidates == 9936852
     assert sum(inside) == 2 * filled
+
+
+def test_one_zero_set_per_ideal_across_degree_bounds(monkeypatch):
+    """Searches at argument degree bounds 1, 2, 2 and 1 on one Ideal
+    enumerate its zero set once and build one pool per bound, and each
+    counts the candidates a fresh Ideal counts at that bound."""
+    f = poly("X2^2 - X2")
+    degrees = (1, 2, 2, 1)
+    want = [search_witness(f, ideal(["X1"]), "r1",
+                           SearchBounds(max_deg_args=D)).candidates
+            for D in degrees]
+    zeros = count_calls(monkeypatch, "zero_set", conjectures)
+    pools = count_calls(monkeypatch, "argument_pool", conjectures)
+    I = ideal(["X1"])
+    got = [search_witness(f, I, "r1", SearchBounds(max_deg_args=D))
+           .candidates for D in degrees]
+    assert got == want
+    assert len(zeros) == 1
+    assert [call[2] for call in pools] == [1, 2]
+
+
+def test_the_search_store_is_freed_by_reference_counting():
+    """The store a search leaves on its Ideal refers to nothing that
+    refers back to the Ideal, so dropping the Ideal frees it with the
+    cycle collector off."""
+    gc.disable()
+    try:
+        I = ideal(["X1"])
+        search_witness(poly("X2^2 - X2"), I, "r1")
+        store = weakref.ref(I._residues["search"])
+        del I
+        assert store() is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.time_budget(10)
+def test_counterexample_counts_over_larger_fields():
+    """On I = <X1> in GF(q)[X1, X2] the target X2^q - X2 lies in I(Z),
+    and r1, r2 and r3 exhaust at m=1, degp=4, degargs=2 with these
+    counts over GF(3), GF(4) and GF(5)."""
+    bounds = SearchBounds(max_m=1, max_deg_p=4, max_deg_args=2)
+    want = {3: [76557, 204136, 229655],
+            4: [1314828, 3506192, 3944468],
+            5: [11953137, 31875016, 35859395]}
+    for q, counts in want.items():
+        K = make_field(*prime_power(q))
+        I = ideal(["X1"], spec=K)
+        f = poly(f"X2^{q} - X2", spec=K)
+        outs = [search_witness(f, I, family, bounds) for family in FAMILIES]
+        assert all(isinstance(out, Exhausted) for out in outs)
+        assert [out.candidates for out in outs] == counts
 
 
 def test_threads_share_one_ideal():
