@@ -38,7 +38,6 @@ from .conjectures import (
 )
 from .errors import (
     ClassificationFailure,
-    DimensionMismatch,
     EmptyVariety,
     NullkitError,
     ParseError,
@@ -409,15 +408,11 @@ def _cmd_certify(args, rep):
     I = rep.problem.ideal
     d = certificate_degree(I, cfg)
     rep.line(f"d: {d}")
+    indices = [args.j] if args.j is not None else range(len(cfg.vars))
     if args.poly is not None:
         f = parse_polynomial(args.poly, cfg.vars, I.spec)
-        if args.j is not None and not 0 <= args.j < len(cfg.vars):
-            raise DimensionMismatch(
-                f"index {args.j} outside 0..{len(cfg.vars) - 1}")
-        certs = [c for c in certify_membership(f, I, cfg)
-                 if args.j in (None, c.j)]
+        certs = certify_membership(f, I, cfg, indices)
     else:
-        indices = [args.j] if args.j is not None else range(len(cfg.vars))
         certs = make_certificates(I, indices, cfg)
     entries = []
     for c in certs:

@@ -37,13 +37,20 @@ Residues are composed from memos, on int ids: each residue modulo I is
 interned once, and a composition vanishes when its id is the zero
 residue's.  The residue of an argument monomial prod args[i]^e[i] is
 built from the one with a single exponent lowered, by one product and
-one normal form.  A composition p(args) is the sum of c times the
-monomial residue over the terms c*y^e of p, one memoized partial sum at
-a time; normal form is linear, so the sum is already reduced.  The
-memos, the zero table and the pools are kept in one store on the
-Ideal: every search over the same Ideal object (the suite's six, or a
-caller's repeats) shares them, under a lock for interning, and a
-freshly built Ideal starts empty.
+one normal form, and memoized in one row per tuple args under the
+exponent tuple e, so a form's term is looked up by the exponent tuple
+it holds.  A composition p(args) is the sum of c times the monomial
+residue over the terms c*y^e of p, one memoized partial sum at a time;
+normal form is linear, so the sum is already reduced.  The memos, the
+zero table and the pools are kept in one store on the Ideal: every
+search over the same Ideal object (the suite's six, or a caller's
+repeats) shares them, under a lock for interning, and a freshly built
+Ideal starts empty.
+
+A structure is its forms, breakpoints and inner exponent, with no
+witness: the walk resolves each form, and each inner power y0^n of r1,
+to its memo at first use, and builds an RWitness only for a
+combination whose composition vanishes.
 
 The fourth family from the same source is stated over an infinite
 product and has no finite candidate enumeration at these bounds, so it
@@ -96,14 +103,15 @@ _JOIN_LIMIT = 1 << 26
 # A search may visit this many structures plus terms of the monomial
 # residues it builds, then raises SizeOverflow.  A search at the default
 # bounds spends at most 2,714 and one at degargs=3 over GF(2) 4,786;
-# r1 with huge inner exponents reaches the budget in about 0.2 s.
+# r1 with huge inner exponents reaches the budget in about 0.1 s.
 _SEARCH_BUDGET = 20_000
 
 
 @dataclass(frozen=True)
 class SearchBounds:
     """Caps for the candidate enumeration.  At the defaults the whole
-    counterexample suite runs in about 0.1 s."""
+    counterexample suite runs in about 0.04 s, up to 0.07 s at its first
+    call in a process."""
 
     max_m: int = 2
     max_deg_p: int = 4
@@ -115,6 +123,11 @@ class SearchBounds:
         return (f"m<={self.max_m} degp<={self.max_deg_p} "
                 f"degargs<={self.max_deg_args} chain<={self.max_chain} "
                 f"exp<={self.max_inner_exp}")
+
+
+def _inner_power(spec, n):
+    """y0^n, the inner form of an r1 witness."""
+    return Polynomial.monomial(spec, ("y0",), (n,))
 
 
 @dataclass
@@ -146,8 +159,8 @@ class RWitness:
         if self.family != "r1":
             return self.forms, self.breakpoints
         p = self.forms[0]
-        inner = Polynomial.monomial(p.spec, ("y0",), (self.inner_exp,))
-        return (inner, p), (0, self.breakpoints[0])
+        return ((_inner_power(p.spec, self.inner_exp), p),
+                (0, self.breakpoints[0]))
 
     def composition(self):
         """The chain composed on (target, *args), one form at a time."""
@@ -345,14 +358,16 @@ class _Residues:
     and table the PointTable of the affine zero set.  Each residue
     polynomial is interned once: ids maps it to a small int and polys
     maps the int back, so the searches hash and compare ints.
-    monomials maps the (argument id, exponent) pairs of an argument
-    monomial to the id of its residue, sums maps (a, c, b) to the id of
-    a + c*b, forms maps a form to its _Form, and pools maps an argument
-    degree bound to what pool() returns for it.
+    monomials maps a tuple args of argument ids to its row, which maps
+    an exponent tuple e to the id of the residue of prod args[i]^e[i];
+    sums maps (a, c, b) to the id of a + c*b, forms maps a form to its
+    _Form, and pools maps an argument degree bound to what pool()
+    returns for it.
 
     Every entry is a pure value, so concurrent searches at worst
     compute one twice.  Interning checks, then appends, so it holds
-    the lock; a pool is published by one setdefault.
+    the lock; a pool and a monomial row are each published by one
+    setdefault.
     """
 
     def __init__(self, I):
@@ -393,6 +408,11 @@ class _Residues:
                 self.polys.append(r)
                 i = self.ids[r] = len(self.polys) - 1
         return i
+
+    def row(self, args):
+        """The monomial memo row of the argument ids args, published by
+        one setdefault."""
+        return self.monomials.get(args) or self.monomials.setdefault(args, {})
 
     def add_scaled(self, a, c, b):
         """The id of the residue a + c*b, for residue ids a and b and a
@@ -461,29 +481,32 @@ class _SearchContext:
         forms = self.residues.forms
         return forms.get(p) or forms.setdefault(p, _Form(p))
 
-    def _monomial_mod(self, key):
-        """Id of the residue of the product of a^e over the (residue id,
-        exponent) pairs (a, e) of key.  A key with zero exponents is an
-        alias of the one without them; otherwise the residue comes from
-        the one with the last exponent lowered by one."""
+    def _monomial_mod(self, args, exps):
+        """Id of the residue of the product of a^e over the residue ids a
+        and exponents e of zip(args, exps).  A monomial with zero
+        exponents is an alias of the one without them and their ids;
+        otherwise the residue comes from the one with the last exponent
+        lowered by one."""
         res = self.residues
-        out = res.monomials.get(key)
+        row = res.row(args)
+        out = row.get(exps)
         if out is None:
-            canon = tuple(pair for pair in key if pair[1])
-            if canon != key:
-                out = self._monomial_mod(canon)
-            elif key:
-                a, e = key[-1]
-                rest = key[:-1] + ((a, e - 1),) if e > 1 else key[:-1]
-                r = normal_form(
-                    res.polys[self._monomial_mod(rest)] * res.polys[a],
-                    res.basis)
+            if 0 in exps:
+                out = self._monomial_mod(
+                    tuple(a for a, e in zip(args, exps) if e),
+                    tuple(e for e in exps if e))
+            elif exps:
+                lower = (self._monomial_mod(args, exps[:-1] + (exps[-1] - 1,))
+                         if exps[-1] > 1 else
+                         self._monomial_mod(args[:-1], exps[:-1]))
+                r = normal_form(res.polys[lower] * res.polys[args[-1]],
+                                res.basis)
                 self.spend(len(r.terms))
                 out = res.intern(r)
             else:
                 out = res.intern(normal_form(
                     Polynomial.constant(res.spec, res.vars, 1), res.basis))
-            res.monomials[key] = out
+            row[exps] = out
         return out
 
     def compose_mod(self, form, args):
@@ -491,18 +514,18 @@ class _SearchContext:
         form is a _Form and args a tuple of residue ids.
 
         A miss sums c times the monomial residue over the terms c*y^e of
-        the form; normal form is linear, so the sum is already reduced.
-        Each partial sum is one memoized step of _Residues.add_scaled."""
+        the form, each read from the memo row of args by e; normal form
+        is linear, so the sum is already reduced.  Each partial sum is
+        one memoized step of _Residues.add_scaled."""
         out = form.memo.get(args)
         if out is None:
             res = self.residues
-            monomials, sums = res.monomials, res.sums
+            row, sums = res.row(args), res.sums
             out = res.zero_id
             for exps, c in form.terms:
-                key = tuple(zip(args, exps))
-                mono = monomials.get(key)
+                mono = row.get(exps)
                 if mono is None:
-                    mono = self._monomial_mod(key)
+                    mono = self._monomial_mod(args, exps)
                 step = (out, c, mono)
                 out = sums.get(step)
                 if out is None:
@@ -512,27 +535,27 @@ class _SearchContext:
 
 
 def _structures(ctx, family):
-    """The family's witnesses without arguments, in canonical order."""
-    f, I, b, forms = ctx.f, ctx.ideal, ctx.bounds, ctx.forms
+    """(forms, breakpoints, inner_exp) of each of the family's witnesses
+    without arguments, in canonical order; inner_exp is None outside r1."""
+    b, forms = ctx.bounds, ctx.forms
     if family == "r1":
         for m in range(b.max_m + 1):
             for p in forms[m]:
                 for nexp in range(1, b.max_inner_exp + 1):
-                    yield RWitness("r1", (p,), (m,), (), f, I,
-                                   inner_exp=nexp)
+                    yield (p,), (m,), nexp
     elif family == "r2":
         for total in range(b.max_m + 1):
             for n_in in range(total + 1):
                 for s in forms[n_in]:
                     for p in forms[total - n_in]:
-                        yield RWitness("r2", (s, p), (n_in, total), (), f, I)
+                        yield (s, p), (n_in, total), None
     else:
         for chain_len in range(1, b.max_chain + 1):
             for bps in itertools.combinations_with_replacement(
                     range(b.max_m + 1), chain_len):
                 slots = [stop - start for start, stop in zip((0,) + bps, bps)]
                 for chain in itertools.product(*[forms[s] for s in slots]):
-                    yield RWitness("r3", chain, bps, (), f, I)
+                    yield chain, bps, None
 
 
 def search_witness(f, I, family, bounds=None):
@@ -549,24 +572,31 @@ def search_witness(f, I, family, bounds=None):
     bounds = bounds or SearchBounds()
     ctx = _SearchContext(f, I, bounds)
     compose_mod, zero_id = ctx.compose_mod, ctx.residues.zero_id
+    links, powers = {}, {}  # each form's _Form, and each y0^n's by n
     count = 0
-    for w in _structures(ctx, family):
+    for forms, breakpoints, inner_exp in _structures(ctx, family):
         ctx.spend(1)
-        nargs = w.breakpoints[-1]
+        nargs = breakpoints[-1]
         count += ctx.npool ** nargs
         if not ctx.f_vanishes:
             continue
-        forms, breakpoints = w.chain()
-        links = tuple(zip(map(ctx.form, forms), breakpoints))
+        chain = tuple(zip([links.get(p) or links.setdefault(p, ctx.form(p))
+                           for p in forms], breakpoints))
+        if inner_exp is not None:
+            power = powers.get(inner_exp) or powers.setdefault(
+                inner_exp, ctx.form(_inner_power(I.spec, inner_exp)))
+            chain = ((power, 0), *chain)
         ids = ctx.vanishing_ids if nargs else ()
         for combo in itertools.product(ids, repeat=nargs):
             h = ctx.f_id
             prev = 0
-            for form, stop in links:
+            for form, stop in chain:
                 h = compose_mod(form, (h, *combo[prev:stop]))
                 prev = stop
             if h == zero_id:
-                w.args = tuple(ctx.first[i] for i in combo)
+                w = RWitness(family, forms, breakpoints,
+                             tuple(ctx.first[i] for i in combo), f, I,
+                             inner_exp)
                 if verify_kradical_witness(w):
                     return w
                 break

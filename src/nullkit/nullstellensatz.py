@@ -311,15 +311,19 @@ def _certificate_parts(I, d, cfg, indices):
     return parts
 
 
+def _check_indices(indices, cfg):
+    for j in indices:
+        if not 0 <= j < len(cfg.vars):
+            raise DimensionMismatch(
+                f"index {j} outside 0..{len(cfg.vars) - 1}")
+
+
 def make_certificates(I, indices, cfg):
     """Certificate pairs for the indices, in order, verified before they
     are returned.  The zero set, the powers h_i^{q-1} and the evaluation
     pass are shared by all of them."""
     _check_projective(I, cfg)
-    for j in indices:
-        if not 0 <= j < len(cfg.vars):
-            raise DimensionMismatch(
-                f"index {j} outside 0..{len(cfg.vars) - 1}")
+    _check_indices(indices, cfg)
     live = [h for h in I.gens if not h.is_zero]
     if not live or len(live) != len(I.gens):
         raise ZeroGeneratorCount(
@@ -364,15 +368,19 @@ def _verify_certificate(I, d, parts, V, cfg):
                 raise NullkitError(f"{name}_{j} does not vanish at {p}")
 
 
-def certify_membership(f, I, cfg):
-    """Explicit identities placing f in the colon result, one per index.
+def certify_membership(f, I, cfg, indices=None):
+    """Explicit identities placing f in the colon result, one per index
+    of indices (every index by default), in order.
 
     Membership in I(V) is decided by evaluating f on the zero set V,
     which the colon result equals; the certificates then prove the colon
     membership.  Only a refused f pays for the colon, which the error
     message prints.  Accepts the degenerate zero ideal, where every g
-    side collapses to zero and the l side carries everything.
+    side collapses to zero and the l side carries everything.  The
+    indices are checked first.
     """
+    indices = range(len(cfg.vars)) if indices is None else indices
+    _check_indices(indices, cfg)
     _check_projective(I, cfg)
     I.check_polynomial(f)
     _check_homogeneous([f])
@@ -387,7 +395,7 @@ def certify_membership(f, I, cfg):
         vanishing = reduced(_colon(I, cfg)[0])
         raise NotInVanishingIdeal(f"{f} is not in {vanishing}")
     gamma_star_basis = gamma_q_star(cfg).gb()
-    parts = _certificate_parts(I, d, cfg, range(len(cfg.vars)))
+    parts = _certificate_parts(I, d, cfg, indices)
     _verify_certificate(I, d, parts, V, cfg)
     certs = []
     for j, (g, l) in parts.items():

@@ -10,6 +10,7 @@ import itertools
 
 from nullkit.conjectures import (
     Exhausted,
+    RWitness,
     _monomial_basis,
     _SearchContext,
     _structures,
@@ -398,7 +399,8 @@ def ref_search_witness(f, I, family, bounds):
             for g in argument_pool(I.spec, I.vars, bounds.max_deg_args)]
     ids = tuple(dict.fromkeys(i for _, i in pool))
     count = 0
-    for w in _structures(ctx, family):
+    for forms, breakpoints, inner_exp in _structures(ctx, family):
+        w = RWitness(family, forms, breakpoints, (), f, I, inner_exp)
         nargs = w.breakpoints[-1]
         count += len(pool) ** nargs
         forms, breakpoints = w.chain()

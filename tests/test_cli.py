@@ -281,6 +281,20 @@ class TestCommands:
             "g_times_f": "X1^2*X2^2", "l_times_f": "X1^2*X2^2 + X1*X2^3",
         }]
 
+    def test_certify_builds_only_the_asked_index(self, monkeypatch,
+                                                 capsys):
+        """certify --poly f --j J builds the certificate of index J
+        alone, not every index to print one."""
+        from helpers import count_calls
+        from nullkit import nullstellensatz
+
+        parts = count_calls(monkeypatch, "_certificate_parts",
+                            module=nullstellensatz)
+        code, out, err = run("certify", "--input", str(EXAMPLES / "p1.null"),
+                             "--poly", "X0", "--j", "1", capsys=capsys)
+        assert (code, err) == (0, "")
+        assert [list(call[3]) for call in parts] == [[1]]
+
     def test_certify_needs_a_nonempty_zero_set(self, capsys):
         code, out, err = run("certify", "--input",
                              str(EXAMPLES / "irrelevant2.null"),

@@ -34,7 +34,7 @@ from nullkit.errors import RingMismatch, SizeOverflow
 from nullkit.field import make_field, prime_power
 from nullkit.groebner import normal_form
 from nullkit.ideals import Ideal, radical_membership
-from nullkit.poly import parse_polynomial
+from nullkit.poly import Polynomial, parse_polynomial
 from nullkit.varieties import AFFINE, zero_set
 
 from helpers import (
@@ -493,6 +493,12 @@ def test_compose_mod_is_the_normal_form_of_the_composition():
         expected = normal_form(p.compose([polys[a] for a in args]), I.gb())
         got = ctx.compose_mod(ctx.form(p), args)
         assert polys[got] == expected
+        # every memoized monomial of args is the normal form of its product
+        for exps, mono in ctx.residues.monomials[args].items():
+            product = Polynomial.constant(I.spec, I.vars, 1)
+            for a, e in zip(args, exps):
+                product *= polys[a] ** e
+            assert polys[mono] == normal_form(product, I.gb())
         # a second context on the same ideal reads the memo
         again = _SearchContext(I.gens[0], I, bounds)
         assert again.form(p).memo[args] == got
@@ -555,6 +561,23 @@ def test_family_searches_share_the_residue_memo(monkeypatch):
     assert len(inside) > asked
     assert search_witness(f, ideal(["X1"]), "r3").candidates == 9936852
     assert sum(inside) == 2 * filled
+
+
+def test_an_exhausting_search_builds_nothing_per_structure(monkeypatch):
+    """r1 and r2 exhaust for X2^2 - X2 without building an RWitness, and
+    resolve each of the 275 forms in y0..ym, m <= 2, to its _Form once,
+    r1 each inner power y0^n, n <= 3, once more.  The structures number
+    825 in r1 and 2,233 in r2, two forms each as chains."""
+    witnesses = count_calls(monkeypatch, "RWitness", conjectures)
+    resolved = count_calls(monkeypatch, "form", _SearchContext)
+    for family, count, forms in (("r1", 3245388, 275 + 3),
+                                 ("r2", 8855056, 275)):
+        before = len(resolved)
+        assert search_witness(poly("X2^2 - X2"), ideal(["X1"]),
+                              family).candidates == count
+        assert len(resolved) - before == forms
+    assert len({p for _, p in resolved[-275:]}) == 275
+    assert witnesses == []
 
 
 def test_one_zero_set_per_ideal_across_degree_bounds(monkeypatch):
