@@ -41,7 +41,9 @@ The lcm of two leads is the field-wise max of their x(), by the guard
 bits of g = (x(a) | guards) - x(b) and the mask g - (g >> W), with
 each degree field from one product.  Reducer tuples (x(lead), lead,
 other terms) stay with their monic polynomials, in buchberger and in
-GroebnerBasis, and are rebuilt in a wider packing.
+GroebnerBasis, and are rebuilt in a wider packing.  Each packing is
+built once per (order, spec, n, width) and shared.  A reduction in which
+no lead divides a term of f returns f itself, with no copy and no heap.
 """
 
 import heapq
@@ -56,6 +58,15 @@ MAX_BASIS = 4096
 
 class _Overflow(Exception):
     """A monomial outgrew its packing."""
+
+
+_RINGS = {}  # (order, spec, n, width) -> the one _Ring; specs are interned
+
+
+def _ring(order, spec, n, degree):
+    key = (order, spec, n, max(degree, 2 * MAX_DEGREE).bit_length())
+    return _RINGS.get(key) or _RINGS.setdefault(  # one winner per key
+        key, _Ring(order, spec, n, degree))
 
 
 class _Ring:
@@ -181,13 +192,13 @@ class GroebnerBasis:
         the basis must not be empty."""
         self.gens[0]._same_ring(f)
         if self._packed is None:
-            ring = _Ring(self.order, f.spec, len(f.vars),
+            ring = _ring(self.order, f.spec, len(f.vars),
                          max(g.total_degree() for g in self.gens))
             self._packed = (ring, [ring.pack(g).monic().reducer()
                                    for g in self.gens])
         ring, reducers = self._packed
         if f.total_degree() >> (ring.width - 1):
-            wide = _Ring(self.order, f.spec, len(f.vars), f.total_degree())
+            wide = _ring(self.order, f.spec, len(f.vars), f.total_degree())
             return wide, _repack(reducers, ring, wide)
         return ring, reducers
 
@@ -217,9 +228,12 @@ def _reduce(f, reducers, quotient=None):
     whose term has cancelled, and tries reducers in their stored
     sequence, which makes the result deterministic.  Given a quotient
     dict, the quotient by the one reducer goes there, and the result is
-    None once a term is not divisible.  Raises _Overflow when a monomial
-    outgrows f's ring.
+    None once a term is not divisible.  Without one, f itself is returned
+    when no lead divides any of its terms.  Raises _Overflow when a
+    monomial outgrows f's ring.
     """
+    if quotient is None and not _divisible(f, reducers):
+        return f
     ring = f.ring
     guards, flip, exps, trip = ring.guards, ring.flip, ring.exps, ring.trip
     add, mul, neg = ring.spec.add, ring.spec.mul, ring.spec.neg
@@ -260,6 +274,17 @@ def _reduce(f, reducers, quotient=None):
     return _Packed(ring, done)
 
 
+def _divisible(f, reducers):
+    """True when a reducer's lead divides a term of the packed f."""
+    guards, flip, exps = f.ring.guards, f.ring.flip, f.ring.exps
+    for m in f.terms:
+        x = ((m ^ flip) & exps) | guards
+        for key, _, _ in reducers:
+            if (x - key) & guards == guards:
+                return True
+    return False
+
+
 def _repack(reducers, ring, wide):
     """Reducer tuples of ring rebuilt in the ring wide."""
     return [_Packed(ring, dict([(lm, 1), *tail])).repack(wide).reducer()
@@ -267,7 +292,7 @@ def _repack(reducers, ring, wide):
 
 
 def _widen(f, reducers):
-    ring = _Ring(f.ring.order, f.ring.spec, f.ring.n, 1 << 2 * f.ring.width)
+    ring = _ring(f.ring.order, f.ring.spec, f.ring.n, 1 << 2 * f.ring.width)
     return f.repack(ring), _repack(reducers, f.ring, ring)
 
 
@@ -317,9 +342,8 @@ def buchberger(gens, order=DEGREVLEX):
     spec, vars = gens[0].spec, gens[0].vars
     for g in gens[1:]:
         gens[0]._same_ring(g)
-    unit = GroebnerBasis(order, (Polynomial.constant(spec, vars, 1),))
     # Members stay within MAX_DEGREE, so their S-polynomials fit.
-    ring = _Ring(order, spec, len(vars), 0)
+    ring = _ring(order, spec, len(vars), 0)
     guards, flip, exps = ring.guards, ring.flip, ring.exps
     G, R, keys = [], [], []  # packed monic members, their reducer
     heap, pend = [], []      # tuples and the x() of their leads
@@ -337,8 +361,10 @@ def buchberger(gens, order=DEGREVLEX):
         # Buchberger's chain criterion (see the module docstring); coprime
         # pairs are never pending, so they count as treated.
         x, both = ((l ^ flip) & exps) | guards, 1 << i | 1 << j
-        return any((x - key) & guards == guards and not pend[k] & both
-                   for k, key in enumerate(keys))
+        for k, key in enumerate(keys):
+            if (x - key) & guards == guards and not pend[k] & both:
+                return True
+        return False
 
     def add(g, degree):
         """Add the polynomial or packed g; True when it is a constant."""
@@ -357,10 +383,8 @@ def buchberger(gens, order=DEGREVLEX):
         push_pairs(len(G) - 1)
         return False
 
-    for g in gens:
-        if add(g, g.total_degree()):
-            return unit
-    while heap:
+    unit = any(add(g, g.total_degree()) for g in gens)
+    while heap and not unit:
         _, l, i, j = heapq.heappop(heap)
         pend[i] ^= 1 << j
         pend[j] ^= 1 << i
@@ -370,8 +394,9 @@ def buchberger(gens, order=DEGREVLEX):
         if s.is_zero:
             continue
         r = _reduce_full(s, R)
-        if not r.is_zero and add(r, r.degree()):
-            return unit
+        unit = not r.is_zero and add(r, r.degree())
+    if unit:
+        return GroebnerBasis(order, (Polynomial.constant(spec, vars, 1),))
 
     # Minimalize: drop members whose leading monomial another one divides.
     minimal = []
@@ -397,7 +422,7 @@ def divide_exact(f, g, order=DEGREVLEX):
         raise ZeroDivisionError("division by the zero polynomial")
     if f.is_zero:
         return f
-    ring = _Ring(order, f.spec, len(f.vars),
+    ring = _ring(order, f.spec, len(f.vars),
                  max(f.total_degree(), g.total_degree()))
     num, den = ring.pack(f), ring.pack(g)
     # When g divides f, every term formed is t*m for a term t of the

@@ -7,7 +7,8 @@ reduced degrevlex basis and so live as long as the ideal.
 check_polynomial is the one test that a polynomial lives in its ring.
 _scaling_ring is the one ring with a fresh scaling variable T at
 position 0: intersection eliminates T, in a block order, from
-T*I + (1 - T)*J, and the Rabinowitsch ideal I + <1 - T*g> serves
+T*I + (1 - T)*J, where a generator g of both enters once, as g, since
+<T*g, (1 - T)*g> = <g>.  The Rabinowitsch ideal I + <1 - T*g> serves
 saturation and radical membership.  Quotient intersects one part per
 divisor: for homogeneous generators and a divisor c*X_j^k the part is
 read off a degrevlex basis with X_j last (Bayer-Stillman 1987;
@@ -22,12 +23,13 @@ r* + 1 rounds, r* the least r with J^r * I^sat inside I, found from
 normal forms modulo I's basis on field._Echelon.
 
 Each ring change here is one re-keying of the term dict, with no
-polynomial product: T put first (T*g and (1 - T)*g take T's exponent
-1, or 0 and 1 with the T-terms negated through spec.neg), X_j moved
+polynomial product: T put first (g, T*g and (1 - T)*g take T's exponent
+0, 1, or 0 and 1 with the T-terms negated through spec.neg), X_j moved
 last and back, the first k variables dropped.
 """
 
 from functools import reduce
+from operator import itemgetter
 
 from .errors import RingMismatch, ZeroDivisorIdeal
 from .field import _Echelon
@@ -127,13 +129,16 @@ def ideal_sum(I, J):
 
 
 def ideal_intersect(I, J):
-    """I cap J through the scaling-variable elimination."""
+    """I cap J through the scaling-variable elimination.  A generator g
+    of both enters once, first and untagged: <T*g, (1 - T)*g> = <g>."""
     I._check_ring(J)
     if I.is_zero or J.is_zero:
         return Ideal(I.spec, I.vars, ())
     tvars, lift = _scaling_ring(I)
-    gens = [lift(g, (0, 1)) for g in I.gens if g]
-    gens += [lift(g, (1, -1)) for g in J.gens if g]
+    shared = set(J.gens).intersection(I.gens)
+    gens = [lift(g, (1,)) for g in I.gens if g in shared]
+    gens += [lift(g, (0, 1)) for g in I.gens if g and g not in shared]
+    gens += [lift(g, (1, -1)) for g in J.gens if g and g not in shared]
     return eliminate(Ideal(I.spec, tvars, gens), 1)
 
 
@@ -187,11 +192,11 @@ def _quotient_by_variable_power(I, j, k=None):
     the quotient.  k=None divides by X_j^v and gives I : X_j^infinity.
     """
     n = len(I.vars)
-    perm = tuple(i for i in range(n) if i != j) + (j,)
-    pvars = tuple(I.vars[i] for i in perm)
+    # Called only when j < n - 1, perm has two indices and gives tuples.
+    perm = itemgetter(*(i for i in range(n) if i != j), j)
     basis = I.gb() if j == n - 1 else buchberger([
-        Polynomial(I.spec, pvars, {tuple(e[i] for i in perm): c
-                                   for e, c in g.terms.items()})
+        Polynomial(I.spec, perm(I.vars), {perm(e): c
+                                          for e, c in g.terms.items()})
         for g in I.gens])
     parts = []
     for g in basis:

@@ -3,8 +3,9 @@ reference point fold, the brute-force zero set, a schoolbook reference
 for finite-field arithmetic, the subfield-image test, projective
 normalization, FieldElement references for polynomial arithmetic, and
 tuple-monomial references for normal forms, exact division,
-S-polynomials and reduced Groebner bases, the brute-force anisotropic
-form list and the pool-product witness search."""
+S-polynomials and reduced Groebner bases, the translation to sympy with
+sympy's bases, intersections and quotients over prime fields, the
+brute-force anisotropic form list and the pool-product witness search."""
 
 import itertools
 
@@ -22,7 +23,7 @@ from nullkit.errors import FieldMismatch
 from nullkit.field import FieldElement, embed, enumerate_field, is_subfield
 from nullkit.groebner import normal_form
 from nullkit.ideals import ideal_intersect
-from nullkit.poly import Polynomial, mono_divides
+from nullkit.poly import DEGREVLEX, Polynomial, mono_divides
 from nullkit.varieties import (
     AFFINE,
     PROJECTIVE,
@@ -358,6 +359,62 @@ def ref_buchberger(gens, order):
             minimal.append(g)
     return [reduce(g, minimal[:i] + minimal[i + 1:])
             for i, g in enumerate(minimal)]
+
+
+def to_sympy(f, syms):
+    """f over a prime field as a sympy expression in the symbols syms."""
+    import sympy
+
+    return sympy.Add(*(c * sympy.prod(s ** k for s, k in zip(syms, e))
+                       for e, c in f.terms.items()))
+
+
+def sympy_basis(exprs, syms, p):
+    """sympy's reduced grevlex basis mod p of the expressions, each
+    member the frozenset of its monic terms (exponents, coefficient),
+    as basis_terms gives nullkit's."""
+    import sympy
+
+    out = set()
+    for q in sympy.groebner(exprs, *syms, modulus=p, order="grevlex"):
+        terms = {e: int(c) % p for e, c in
+                 sympy.Poly(q, *syms, modulus=p).terms()}
+        lead = max(terms, key=DEGREVLEX.key)
+        inv = pow(terms[lead], p - 2, p)
+        out.add(frozenset((e, c * inv % p) for e, c in terms.items() if c))
+    return out
+
+
+def basis_terms(basis):
+    return {frozenset(g.terms.items()) for g in basis}
+
+
+def sympy_intersect(I, J, syms, p):
+    """Generators of <I> cap <J> for lists of sympy expressions: a lex
+    basis of t*I + (1 - t)*J, t first, keeping the members free of t."""
+    import sympy
+
+    t = sympy.Dummy("t")
+    lifted = [t * f for f in I] + [(1 - t) * g for g in J]
+    return [q for q in sympy.groebner(lifted, t, *syms, modulus=p,
+                                      order="lex").exprs if not q.has(t)]
+
+
+def sympy_quotient(I, J, syms, p):
+    """Generators of <I> : <J>: the parts (I cap <g>) / g, intersected
+    over the generators g of J, all nonzero."""
+    import sympy
+
+    result = None
+    for g in J:
+        part = []
+        for w in sympy_intersect(I, [g], syms, p):
+            q, r = sympy.div(w, g, *syms, modulus=p)
+            assert r == 0
+            part.append(q)
+        result = part if result is None else sympy_intersect(
+            result, part, syms, p)
+    return result
 
 
 def ref_anisotropic_forms(K, m, d):

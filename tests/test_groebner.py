@@ -3,6 +3,8 @@
 import itertools
 import random
 import re
+import sys
+import threading
 
 import pytest
 
@@ -24,11 +26,14 @@ from nullkit.poly import (
 )
 
 from helpers import (
+    basis_terms,
     count_calls,
     ref_buchberger,
     ref_divide_exact,
     ref_reduce_full,
     ref_s_polynomial,
+    sympy_basis,
+    to_sympy,
 )
 
 F2 = make_field(2)
@@ -233,19 +238,8 @@ def test_reduced_basis_matches_sympy(p):
         gens = [g for g in gens if not g.is_zero]
         if not gens:
             continue
-        ours = {frozenset(g.terms.items())
-                for g in buchberger(gens)}
-        exprs = [sum(c * sympy.prod(s ** k for s, k in zip(syms, e))
-                     for e, c in g.terms.items()) for g in gens]
-        theirs = set()
-        for q in sympy.groebner(exprs, *syms, modulus=p, order="grevlex"):
-            terms = {e: int(c) % p for e, c in
-                     sympy.Poly(q, *syms, modulus=p).terms()}
-            lead = max(terms, key=lambda e: DEGREVLEX.key(e))
-            inv = pow(terms[lead], p - 2, p)
-            theirs.add(frozenset((e, c * inv % p)
-                                 for e, c in terms.items() if c))
-        assert ours == theirs, [str(g) for g in gens]
+        theirs = sympy_basis([to_sympy(g, syms) for g in gens], syms, p)
+        assert basis_terms(buchberger(gens)) == theirs, [str(g) for g in gens]
 
 
 def test_reduced_basis_properties_hold_on_random_inputs():
@@ -276,7 +270,9 @@ def test_chain_criterion_bounds_the_s_pairs(monkeypatch):
 
     That is half of what the coprime rule alone forms (746).  Buchberger
     calls s_polynomial once per formed pair and _reduce_full once per
-    reduction, so the counts are exact: 41 pairs and 68 reductions.
+    reduction, so the counts are exact: 37 pairs and 65 reductions.  Both
+    intersections of the run have a generator in both ideals, which
+    enters the elimination once, untagged.
     """
     from nullkit import groebner
     from nullkit.nullstellensatz import NullConfig, projective_vanishing
@@ -297,8 +293,8 @@ def test_chain_criterion_bounds_the_s_pairs(monkeypatch):
     assert [str(g) for g in result.gens] == [
         "X1*X2 + X2^2", "X0*X2 + X2^2", "X0*X1 + X2^2"]
     assert len(formed) <= 373
-    assert len(formed) == 41
-    assert len(reductions) == 68
+    assert len(formed) == 37
+    assert len(reductions) == 65
 
 
 def _count_pairs_and_reductions(monkeypatch):
@@ -517,3 +513,44 @@ def test_packed_lcm_is_the_fieldwise_max(order):
             x, y = ((r.pack_mono(e) ^ r.flip) & r.exps for e in (a, b))
             m = tuple(map(max, a, b))
             assert r.lcm(x, y) == (sum(m), r.pack_mono(m))
+
+
+def _ring_gens():
+    return [parse_polynomial(s, XYZ, F3) for s in ("X^2 - Y*Z", "Y^2 + X*Z")]
+
+
+def test_one_ring_per_key(monkeypatch):
+    """Two buchberger runs on the same GF(3) input build one _Ring: a ring
+    is cached by order, spec, arity and field width."""
+    from nullkit import groebner
+
+    monkeypatch.setattr(groebner, "_RINGS", {}, raising=False)
+    built = count_calls(monkeypatch, "__init__", module=groebner._Ring)
+    gens = _ring_gens()
+    assert buchberger(gens) == buchberger(gens)
+    assert len(built) == 1
+
+
+def test_ring_cache_is_thread_safe(monkeypatch):
+    """Eight threads running buchberger on one GF(3) input at once get
+    identical bases, all packed in the one ring published for the key."""
+    from nullkit import groebner
+
+    monkeypatch.setattr(groebner, "_RINGS", {}, raising=False)
+    gens, bases = _ring_gens(), []
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=lambda: bases.append(
+            buchberger(gens))) for _ in range(8)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    assert len(bases) == 8
+    assert all(b == bases[0] for b in bases)
+    (ring,) = groebner._RINGS.values()
+    assert all(b._packed[0] is ring for b in bases)

@@ -24,7 +24,15 @@ from nullkit.ideals import (
 from nullkit.nullstellensatz import NullConfig, certify_membership
 from nullkit.poly import Polynomial, parse_polynomial
 
-from helpers import count_calls, random_poly
+from helpers import (
+    basis_terms,
+    count_calls,
+    random_poly,
+    sympy_basis,
+    sympy_intersect,
+    sympy_quotient,
+    to_sympy,
+)
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -145,6 +153,70 @@ def test_intersect_deterministic_across_input_order():
         if ref is None:
             ref = got
         assert got == ref
+
+
+def test_shared_generator_enters_the_intersection_once(monkeypatch):
+    """A generator g of both I and J is lifted once, as g itself:
+    <T*g, (1 - T)*g> = <g>.  The basis equals that of the intersection
+    with 2*g in J, which shares nothing, and forms fewer S-pairs."""
+    from nullkit import groebner
+
+    formed = count_calls(monkeypatch, "s_polynomial", module=groebner)
+    I = ideal(["X0*X1 - X2^2", "X0^2 + X1*X2"], P2, F3)
+    counts, bases = [], []
+    for g in ("X0*X1 - X2^2", "2*X0*X1 - 2*X2^2"):
+        del formed[:]
+        J = ideal([g, "X1^2 - X0*X2"], P2, F3)
+        bases.append(ideal_intersect(I, J).gb().gens)
+        counts.append(len(formed))
+    assert bases[0] == bases[1]
+    assert counts[0] < counts[1], counts
+
+
+@pytest.mark.time_budget(30)
+def test_intersection_and_quotient_match_sympy():
+    """A second route outside nullkit: ideal_intersect and ideal_quotient
+    over GF(2), GF(3), GF(5) and GF(7) against sympy, which eliminates t
+    from t*I + (1 - t)*J by a lex basis and divides the parts of the
+    quotient itself.  The draws share generators between I and J, mix
+    homogeneous and other generators, and take single-variable powers
+    c*X_j^k among the divisors, the Bayer-Stillman route for a
+    homogeneous I."""
+    sympy = pytest.importorskip("sympy")
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    syms = sympy.symbols(P2)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.randoms(use_true_random=False), st.sampled_from([2, 3, 5, 7]),
+           st.booleans())
+    def check(rng, p, homogeneous):
+        spec = make_field(p)
+
+        def draws(count):  # nonzero: a variable stands in for zero
+            return [random_poly(rng, spec, P2, rng.randint(1, 2),
+                                rng.randint(1, 3), homogeneous)
+                    or Polynomial.variable(spec, P2, rng.choice(P2))
+                    for _ in range(count)]
+
+        shared = draws(rng.randint(0, 2))
+        I = Ideal(spec, P2, draws(rng.randint(1, 2)) + shared)
+        J = Ideal(spec, P2, shared[::-1] + draws(rng.randint(0, 1)))
+        if J.is_zero:
+            J = Ideal(spec, P2, draws(1))
+        j, k = rng.randrange(3), rng.randint(1, 3)
+        power = Polynomial(spec, P2, {tuple(k if i == j else 0
+                                            for i in range(3)): p - 1})
+        K = Ideal(spec, P2, [power] + draws(rng.randint(0, 1)))
+        I_s, J_s, K_s = ([to_sympy(f, syms) for f in X.gens]
+                         for X in (I, J, K))
+        assert basis_terms(ideal_intersect(I, J).gb()) == sympy_basis(
+            sympy_intersect(I_s, J_s, syms, p), syms, p)
+        assert basis_terms(ideal_quotient(I, K).gb()) == sympy_basis(
+            sympy_quotient(I_s, K_s, syms, p), syms, p)
+
+    check()
 
 
 def test_quotient_monomials():
