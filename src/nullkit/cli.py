@@ -42,7 +42,6 @@ from .errors import (
     NullkitError,
     ParseError,
     RingMismatch,
-    SuiteFailure,
 )
 from .field import parse_field_literal
 from .ideals import (
@@ -97,10 +96,6 @@ def _syntax(name, lineno, col, msg):
     raise ParseError(f"{name}:{lineno}:{col}: {msg}")
 
 
-def _strip_position(msg):
-    return re.sub(r" \(at position \d+\)$", "", msg)
-
-
 # The slot each field directive fills, as "duplicate <slot> line" names it.
 _FIELD_SLOTS = {"field": "field", "coeffs": "coeffs",
                 "points": "points/base", "base": "points/base"}
@@ -135,8 +130,7 @@ def parse_problem_text(text, name="<input>"):
             try:
                 spec = parse_field_literal(rest)
             except ParseError as exc:
-                _syntax(name, lineno, raw.index(rest) + 1,
-                        _strip_position(str(exc)))
+                _syntax(name, lineno, raw.index(rest) + 1, exc.reason)
             slot = _FIELD_SLOTS[head]
             if slot in specs:
                 _syntax(name, lineno, col, f"duplicate {slot} line")
@@ -177,8 +171,7 @@ def parse_problem_text(text, name="<input>"):
         try:
             polys.append(parse_polynomial(src, vars, F))
         except ParseError as exc:
-            _syntax(name, lineno, col + (exc.position or 0),
-                    _strip_position(str(exc)))
+            _syntax(name, lineno, col + (exc.position or 0), exc.reason)
     return Problem(cfg, Ideal(F, vars, polys), name)
 
 
@@ -612,7 +605,7 @@ def main(argv=None):
             code, command = 0, None
         else:
             code, command = args.func(args, rep)
-    except (SuiteFailure, ClassificationFailure) as exc:
+    except ClassificationFailure as exc:
         print(f"assertion failure: {exc}", file=sys.stderr)
         return 1
     except NullkitError as exc:

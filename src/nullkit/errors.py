@@ -35,12 +35,12 @@ class RingMismatch(NullkitError):
 
 
 class ParseError(NullkitError):
-    """Malformed input text; carries the offending position."""
+    """Malformed input text: the bare reason, and its position if known."""
 
-    def __init__(self, message, position=None):
-        if position is not None:
-            message = f"{message} (at position {position})"
-        super().__init__(message)
+    def __init__(self, reason, position=None):
+        super().__init__(reason if position is None
+                         else f"{reason} (at position {position})")
+        self.reason = reason
         self.position = position
 
 

@@ -20,7 +20,10 @@ divisor g: I : X_j^infinity off the same permuted basis for
 homogeneous generators and a divisor c*X_j^k, once per distinct j, and
 otherwise T eliminated from I + <1 - T*g> (Rabinowitsch).  It reports
 r* + 1 rounds, r* the least r with J^r * I^sat inside I, found from
-normal forms modulo I's basis on field._Echelon.
+normal forms modulo I's basis on field._Echelon.  An ideal is
+homogeneous exactly when its reduced basis for a graded order is (Cox,
+Little & O'Shea, Ideals, Varieties, and Algorithms, ch. 8 sec. 3,
+Thm. 2), so is_homogeneous_ideal reads it off I.gb().
 
 Each ring change here is one re-keying of the term dict, with no
 polynomial product: T put first (g, T*g and (1 - T)*g take T's exponent
@@ -287,13 +290,8 @@ def ideal_saturate(I, J):
 
 
 def is_homogeneous_ideal(I):
-    """True when every graded piece of every basis element stays inside."""
-    basis = I.gb()
-    for g in basis:
-        for _, comp in g.homogeneous_components():
-            if not normal_form(comp, basis).is_zero:
-                return False
-    return True
+    """True when the reduced degrevlex basis is homogeneous (see above)."""
+    return all(g.is_homogeneous for g in I.gb())
 
 
 def radical_membership(f, I):

@@ -296,8 +296,9 @@ class Certificate:
 
 def _certificate_parts(I, d, cfg, indices):
     """{j: (g_j, l_j)} for each j in indices, where
-    g_j = X_j^d - X_j prod_i (X_j^{d_i(q-1)} - h_i^{q-1}) and l_j is its
-    mate X_j^d - g_j.  Each h_i^{q-1} is expanded once for all indices."""
+    l_j = X_j prod_i (X_j^{d_i(q-1)} - h_i^{q-1}), stored as it was
+    built, and g_j = X_j^d - l_j.  Each h_i^{q-1} is expanded once for
+    all indices."""
     spec, vars, q = cfg.k_spec, cfg.vars, cfg.q
     factors = [(h.total_degree() * (q - 1), h ** (q - 1)) for h in I.gens]
     parts = {}
@@ -305,9 +306,7 @@ def _certificate_parts(I, d, cfg, indices):
         xj = Polynomial.variable(spec, vars, vars[j])
         prod = reduce(Polynomial.__mul__,
                       [xj ** a - power for a, power in factors], xj)
-        head = xj ** d
-        g = head - prod
-        parts[j] = (g, head - g)
+        parts[j] = (xj ** d - prod, prod)
     return parts
 
 

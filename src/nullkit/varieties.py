@@ -461,7 +461,8 @@ def oracle_vanishing_ideal(V, spec=None, vars=None):
     defaults to V's field and must contain it.  More than
     ORACLE_POINT_LIMIT points raise SizeOverflow: the cost grows about
     as N^4 for N points on a curve, and at the limit P^1(GF(127)) takes
-    6.9 s and the line X0 + X1 + X2 over GF(127) 6.1 s (a conic 2.8 s).
+    3.5 s and the line X0 + X1 + X2 over GF(127) 3.8 s (a conic 1.5 s)
+    on a 2-core x86-64 host under Python 3.11.
     """
     if not V.points:
         raise EmptyVariety("the oracle needs at least one point")

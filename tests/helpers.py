@@ -67,6 +67,17 @@ def random_poly(rng, spec, vars, deg, n_terms, homogeneous=True):
     return Polynomial(spec, vars, terms)
 
 
+def ref_is_homogeneous_ideal(I):
+    """True when every graded piece of every reduced basis element lies in
+    I: the definition is_homogeneous_ideal is checked against."""
+    basis = I.gb()
+    for g in basis:
+        for _, comp in g.homogeneous_components():
+            if not normal_form(comp, basis).is_zero:
+                return False
+    return True
+
+
 def fold_vanishing_ideal(V, spec=None, vars=None):
     """I(V) as the intersection of the point ideals, folded left to
     right: the reference the Buchberger-Moller oracle is checked

@@ -18,7 +18,12 @@ from nullkit.cli import (
     parse_bounds,
     parse_problem_text,
 )
-from nullkit.errors import InconsistentTower, ParseError
+from nullkit import cli
+from nullkit.errors import (
+    ClassificationFailure,
+    InconsistentTower,
+    ParseError,
+)
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
@@ -165,6 +170,18 @@ class TestCommands:
                              capsys=capsys)
         assert code == 0
         assert out == "classification: empty_irrelevant\n"
+
+    def test_classification_failure_exits_1(self, monkeypatch, capsys):
+        def fail(I, cfg):
+            raise ClassificationFailure(f"{I} fits neither branch")
+
+        monkeypatch.setattr(cli, "classify_empty", fail)
+        code, out, err = run("vanishing", "--projective", "--input",
+                             str(EXAMPLES / "irrelevant2.null"),
+                             capsys=capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("assertion failure:")
 
     def test_gb_and_orders(self, capsys):
         path = str(EXAMPLES / "p1.null")

@@ -6,7 +6,11 @@ import random
 import pytest
 
 from nullkit.conjectures import search_witness
-from nullkit.errors import RingMismatch, ZeroDivisorIdeal
+from nullkit.errors import (
+    NonHomogeneousProjective,
+    RingMismatch,
+    ZeroDivisorIdeal,
+)
 from nullkit.field import enumerate_field, make_field
 from nullkit.groebner import divide_exact, normal_form
 from nullkit.ideals import (
@@ -23,11 +27,14 @@ from nullkit.ideals import (
 )
 from nullkit.nullstellensatz import NullConfig, certify_membership
 from nullkit.poly import Polynomial, parse_polynomial
+from nullkit.varieties import PROJECTIVE, zero_set
 
 from helpers import (
     basis_terms,
+    brute_zero_set,
     count_calls,
     random_poly,
+    ref_is_homogeneous_ideal,
     sympy_basis,
     sympy_intersect,
     sympy_quotient,
@@ -342,6 +349,54 @@ def test_is_homogeneous_ideal():
     assert is_homogeneous_ideal(ideal(["X + Y^2", "X"]))
     assert is_homogeneous_ideal(ideal([]))
     assert is_homogeneous_ideal(ideal(["1"]))
+
+
+@pytest.mark.time_budget(30)
+def test_is_homogeneous_ideal_matches_its_definition():
+    """is_homogeneous_ideal, read off the reduced basis, against the
+    graded pieces of every basis element over GF(2), GF(3) and GF(5) in
+    two and three variables.  The draws take generic generators, and
+    homogeneous ideals given by generators that are not, such as
+    <h1, h1 + h2> with deg h1 != deg h2; for those the projective zero
+    set must equal brute_zero_set."""
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.randoms(use_true_random=False), st.sampled_from([2, 3, 5]),
+           st.sampled_from([XY, P2]), st.booleans())
+    def check(rng, p, vars, mixed):
+        spec = make_field(p)
+
+        def draw(deg, homogeneous):  # nonzero: a variable stands in
+            return (random_poly(rng, spec, vars, deg, rng.randint(1, 3),
+                                homogeneous)
+                    or Polynomial.variable(spec, vars, rng.choice(vars)))
+
+        if mixed:
+            # h1, h1 + h2, ... span the homogeneous pieces h_i, so the
+            # ideal is homogeneous though its generators are not
+            degs = rng.sample(range(1, 4), rng.randint(2, 3))
+            pieces = [draw(d, True) for d in degs]
+            gens = [sum(pieces[1:k], pieces[0])
+                    for k in range(1, len(pieces) + 1)]
+            rng.shuffle(gens)
+        else:
+            gens = [draw(rng.randint(1, 3), True)
+                    + draw(rng.randint(0, 2), True)
+                    for _ in range(rng.randint(1, 2))]
+        I = Ideal(spec, vars, gens)
+        expected = ref_is_homogeneous_ideal(I)
+        assert is_homogeneous_ideal(I) == expected
+        if mixed:
+            assert expected
+            assert zero_set(I, spec, PROJECTIVE) == brute_zero_set(
+                I, spec, PROJECTIVE)
+        elif not expected:
+            with pytest.raises(NonHomogeneousProjective):
+                zero_set(I, spec, PROJECTIVE)
+
+    check()
 
 
 def test_gb_cache_seeding_consistency():

@@ -412,6 +412,12 @@ def test_parse_errors_carry_position():
         parse_polynomial("(t)*X", XY, F2)
 
 
+def test_parse_error_keeps_the_bare_reason():
+    err = ParseError("bad", 3)
+    assert err.reason == "bad"
+    assert str(err) == "bad (at position 3)"
+
+
 def test_t_powers_take_logarithmic_time():
     start = time.perf_counter()
     f = parse_polynomial("(t^10000000)*X", XY, F4)
