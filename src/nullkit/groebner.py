@@ -16,6 +16,11 @@ one bit test per member, which k = i, j fail.  The
 computation aborts once any intermediate polynomial passes total degree
 64 or the working basis passes 4096 elements.
 
+No pair is formed inside a known group, generators that already form
+a Groebner basis for the order: its S-polynomial has a standard
+representation, so it counts as treated.  The closing minimalize and
+interreduce step (_interreduce) also reduces a known basis alone.
+
 Inside buchberger, normal_form and divide_exact a polynomial is packed:
 a dict from packed monomials to coefficient encodings, combined through
 the spec's add, mul, neg and inv tables (see field).  A packed monomial
@@ -334,9 +339,13 @@ def s_polynomial(f, g):
     return _Packed(ring, out)
 
 
-def buchberger(gens, order=DEGREVLEX):
-    """Reduced monic Groebner basis of the ideal the generators span."""
+def buchberger(gens, order=DEGREVLEX, *, _known=()):
+    """Reduced monic Groebner basis of the ideal the generators span;
+    _known lists groups of them, the same objects, that are known to be
+    Groebner bases for order."""
+    group = {id(g): k for k, members in enumerate(_known) for g in members}
     gens = [g for g in gens if not g.is_zero]
+    tag = [group.get(id(g), -1 - i) for i, g in enumerate(gens)]
     if not gens:
         return GroebnerBasis(order, ())
     spec, vars = gens[0].spec, gens[0].vars
@@ -352,14 +361,16 @@ def buchberger(gens, order=DEGREVLEX):
         key = keys[j]
         nonzero = (key + exps) & guards  # a guard per nonzero exponent
         for i in range(j):
-            if (keys[i] + exps) & nonzero:
+            if (keys[i] + exps) & nonzero and (
+                    j >= len(tag) or tag[i] != tag[j]):
                 heapq.heappush(heap, (*ring.lcm(keys[i], key), i, j))
                 pend[i] |= 1 << j
                 pend[j] |= 1 << i
 
     def chain_redundant(i, j, l):
         # Buchberger's chain criterion (see the module docstring); coprime
-        # pairs are never pending, so they count as treated.
+        # pairs and pairs inside a group are never pending, so they count
+        # as treated.
         x, both = ((l ^ flip) & exps) | guards, 1 << i | 1 << j
         for k, key in enumerate(keys):
             if (x - key) & guards == guards and not pend[k] & both:
@@ -397,12 +408,19 @@ def buchberger(gens, order=DEGREVLEX):
         unit = not r.is_zero and add(r, r.degree())
     if unit:
         return GroebnerBasis(order, (Polynomial.constant(spec, vars, 1),))
+    return _interreduce(G, order, vars)
 
+
+def _interreduce(G, order, vars):
+    """The reduced basis from monic packed members G, all in one ring,
+    that form a Groebner basis for order."""
+    R = [g.reducer() for g in G]
+    guards = G[0].ring.guards
     # Minimalize: drop members whose leading monomial another one divides.
     minimal = []
     for i in sorted(range(len(G)), key=lambda i: R[i][1]):
-        x = keys[i] | guards
-        if not any((x - keys[k]) & guards == guards for k in minimal):
+        x = R[i][0] | guards
+        if not any((x - R[k][0]) & guards == guards for k in minimal):
             minimal.append(i)
 
     # Interreduce each member against the others.  No other lead divides
@@ -413,6 +431,17 @@ def buchberger(gens, order=DEGREVLEX):
     polys = [p.repack(ring) for p in polys]
     return GroebnerBasis(order, [p.unpack(vars) for p in polys],
                          (ring, [p.reducer() for p in polys]))
+
+
+def _reduce_basis(gens):
+    """The reduced basis from a degrevlex Groebner basis, no S-pair."""
+    if not gens:
+        return GroebnerBasis(DEGREVLEX, ())
+    f = gens[0]
+    ring = _ring(DEGREVLEX, f.spec, len(f.vars),
+                 max(g.total_degree() for g in gens))
+    return _interreduce([ring.pack(g).monic() for g in gens], DEGREVLEX,
+                        f.vars)
 
 
 def divide_exact(f, g, order=DEGREVLEX):

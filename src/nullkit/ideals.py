@@ -9,21 +9,24 @@ _scaling_ring is the one ring with a fresh scaling variable T at
 position 0: intersection eliminates T, in a block order, from
 T*I + (1 - T)*J, where a generator g of both enters once, as g, since
 <T*g, (1 - T)*g> = <g>.  The Rabinowitsch ideal I + <1 - T*g> serves
-saturation and radical membership.  Quotient intersects one part per
-divisor: for homogeneous generators and a divisor c*X_j^k the part is
-read off a degrevlex basis with X_j last (Bayer-Stillman 1987;
-Eisenbud, Commutative Algebra, Prop. 15.12), and any other part
-divides the intersection with the principal divisor exactly.
+saturation and radical membership.
 
-Saturation I : J^infinity intersects one part I : g^infinity per
-divisor g: I : X_j^infinity off the same permuted basis for
-homogeneous generators and a divisor c*X_j^k, once per distinct j, and
-otherwise T eliminated from I + <1 - T*g> (Rabinowitsch).  It reports
-r* + 1 rounds, r* the least r with J^r * I^sat inside I, found from
-normal forms modulo I's basis on field._Echelon.  An ideal is
+Quotient I : J and saturation I : J^infinity are one fold (_fold) of
+parts I : g or I : g^infinity over the divisors g of J.  For a
+homogeneous I and g = c*X_j^k the part is read off a degrevlex basis
+with X_j last (Bayer-Stillman 1987; Eisenbud, Commutative Algebra,
+Prop. 15.12), as its reduced basis, once per j for saturation; any
+other part is (I cap <g>) / g, or T eliminated from I + <1 - T*g>
+(Rabinowitsch).  The fold skips a divisor g when g times each
+generator of the running result lies in I, and an intersection when a
+reduced basis at hand shows one side inside the other.  Saturation
+reports r* + 1 rounds, r* the least r with J^r * I^sat inside I, found
+from normal forms modulo I's basis on field._Echelon.  An ideal is
 homogeneous exactly when its reduced basis for a graded order is (Cox,
 Little & O'Shea, Ideals, Varieties, and Algorithms, ch. 8 sec. 3,
-Thm. 2), so is_homogeneous_ideal reads it off I.gb().
+Thm. 2), so is_homogeneous_ideal reads it off I.gb() unless the stored
+generators already are.  Gamma_q^* is a known group (see groebner) in
+every degrevlex run on a sum holding it, X_j moved last or not.
 
 Each ring change here is one re-keying of the term dict, with no
 polynomial product: T put first (g, T*g and (1 - T)*g take T's exponent
@@ -31,7 +34,6 @@ polynomial product: T put first (g, T*g and (1 - T)*g take T's exponent
 last and back, the first k variables dropped.
 """
 
-from functools import reduce
 from operator import itemgetter
 
 from .errors import RingMismatch, ZeroDivisorIdeal
@@ -39,6 +41,7 @@ from .field import _Echelon
 from .groebner import (
     DEGREVLEX,
     GroebnerBasis,
+    _reduce_basis,
     buchberger,
     divide_exact,
     normal_form,
@@ -49,7 +52,7 @@ from .poly import Polynomial, block_order
 class Ideal:
     """Finitely generated ideal of spec[vars]."""
 
-    __slots__ = ("spec", "vars", "gens", "_gb", "_residues")
+    __slots__ = ("spec", "vars", "gens", "_gb", "_residues", "_known")
 
     def __init__(self, spec, vars, gens):
         self.spec = spec
@@ -57,9 +60,10 @@ class Ideal:
         self.gens = tuple(gens)
         for g in self.gens:
             self.check_polynomial(g)
-        self._gb = {}
+        self._gb = {}  # order, or j for degrevlex with X_j last -> basis
         # conjectures keeps the search's residues here, by name
         self._residues = {}
+        self._known = ()  # gens groups reduced in every variable order
 
     @classmethod
     def from_strings(cls, spec, vars, texts):
@@ -74,7 +78,8 @@ class Ideal:
     def gb(self, order=DEGREVLEX):
         basis = self._gb.get(order)
         if basis is None:
-            basis = buchberger(list(self.gens), order)
+            basis = buchberger(list(self.gens), order, _known=(
+                self._known if order == DEGREVLEX else ()))
             self._gb[order] = basis
         return basis
 
@@ -128,21 +133,28 @@ def fresh_var(vars, base="T"):
 
 def ideal_sum(I, J):
     I._check_ring(J)
-    return Ideal(I.spec, I.vars, I.gens + J.gens)
+    S = Ideal(I.spec, I.vars, I.gens + J.gens)
+    S._known = I._known + J._known
+    return S
 
 
 def ideal_intersect(I, J):
     """I cap J through the scaling-variable elimination.  A generator g
-    of both enters once, first and untagged: <T*g, (1 - T)*g> = <g>."""
+    of both enters once, first and untagged: <T*g, (1 - T)*g> = <g>.
+    A side given by its reduced basis lifts to a known block(1) group."""
     I._check_ring(J)
     if I.is_zero or J.is_zero:
         return Ideal(I.spec, I.vars, ())
     tvars, lift = _scaling_ring(I)
     shared = set(J.gens).intersection(I.gens)
     gens = [lift(g, (1,)) for g in I.gens if g in shared]
-    gens += [lift(g, (0, 1)) for g in I.gens if g and g not in shared]
-    gens += [lift(g, (1, -1)) for g in J.gens if g and g not in shared]
-    return eliminate(Ideal(I.spec, tvars, gens), 1)
+    sides = [[lift(g, u) for g in X.gens if g and g not in shared]
+             for X, u in ((I, (0, 1)), (J, (1, -1)))]
+    known = [side for X, side in zip((I, J), sides)
+             if getattr(X._gb.get(DEGREVLEX), "gens", None) == X.gens]
+    meet = Ideal(I.spec, tvars, gens + sides[0] + sides[1])
+    meet.seed_gb(buchberger(meet.gens, block_order(1), _known=known))
+    return eliminate(meet, 1)
 
 
 def _scaling_ring(I):
@@ -172,66 +184,105 @@ def eliminate(I, k):
 
 def _divisors(I, J, op):
     """(g, (j, k) or None) per nonzero generator g of J: (j, k) when g is
-    c*X_j^k, k >= 1, and I's generators are homogeneous; op names a zero J."""
+    c*X_j^k, k >= 1, and I is homogeneous; op names a zero J."""
     I._check_ring(J)
     divisors = [g for g in J.gens if not g.is_zero]
     if not divisors:
         raise ZeroDivisorIdeal(f"{op} by the zero ideal")
-    homogeneous = all(g.is_homogeneous for g in I.gens)
-    out = []
+    powers = []
     for g in divisors:
         support = [(i, x) for i, x in enumerate(next(iter(g.terms))) if x]
-        single = homogeneous and len(g.terms) == len(support) == 1
-        out.append((g, support[0] if single else None))
-    return out
+        powers.append(support[0] if len(g.terms) == len(support) == 1
+                      else None)
+    if any(powers) and not is_homogeneous_ideal(I):
+        powers = [None] * len(powers)
+    return list(zip(divisors, powers))
+
+
+def _moved(I, j):
+    """I re-keyed into its ring with X_j last, its known groups kept;
+    j < n - 1, so perm has two indices or more and gives tuples."""
+    n = len(I.vars)
+    perm = itemgetter(*(i for i in range(n) if i != j), j)
+    vars = perm(I.vars)
+    moved = {id(g): Polynomial(I.spec, vars, {perm(e): c
+                                              for e, c in g.terms.items()})
+             for g in I.gens}
+    M = Ideal(I.spec, vars, moved.values())
+    M._known = tuple([moved[id(g)] for g in group] for group in I._known)
+    return M
 
 
 def _quotient_by_variable_power(I, j, k=None):
-    """I : X_j^k for an ideal with homogeneous generators (Bayer-Stillman).
+    """I : X_j^k for a homogeneous ideal (Bayer-Stillman), given by its
+    reduced basis, cached under j in the ring with X_j last if j < n - 1.
 
     With X_j last in degrevlex, X_j^a divides a homogeneous f exactly
     when it divides LM(f), so dividing each element of the reduced basis
-    by X_j^min(k, v), v the exponent of X_j dividing it, gives a basis of
-    the quotient.  k=None divides by X_j^v and gives I : X_j^infinity.
+    by X_j^min(k, v), v the exponent of X_j dividing it, gives a
+    Groebner basis of the quotient, reduced with no S-pair.  k=None
+    divides by X_j^v and gives I : X_j^infinity.
     """
-    n = len(I.vars)
-    # Called only when j < n - 1, perm has two indices and gives tuples.
-    perm = itemgetter(*(i for i in range(n) if i != j), j)
-    basis = I.gb() if j == n - 1 else buchberger([
-        Polynomial(I.spec, perm(I.vars), {perm(e): c
-                                          for e, c in g.terms.items()})
-        for g in I.gens])
-    parts = []
-    for g in basis:
+    last = j == len(I.vars) - 1
+    divided = []
+    for g in (I if last else _moved(I, j)).gb():
         v = min(e[-1] for e in g.terms)
         if k is not None:
             v = min(k, v)
-        # Divide by X_j^v and move X_j back to position j in one re-keying.
-        parts.append(Polynomial(I.spec, I.vars, {
-            (*e[:j], e[-1] - v, *e[j:-1]): c for e, c in g.terms.items()}))
-    return Ideal(I.spec, I.vars, tuple(parts))
+        divided.append(Polynomial(I.spec, g.vars, {
+            (*e[:-1], e[-1] - v): c for e, c in g.terms.items()}))
+    part = _reduce_basis(divided)
+    if last:
+        return _from_basis(I.spec, I.vars, part)
+    Q = Ideal(I.spec, I.vars, [Polynomial(I.spec, I.vars, {
+        (*e[:j], e[-1], *e[j:-1]): c for e, c in g.terms.items()})
+        for g in part])
+    Q._gb[j] = part
+    return Q
 
 
-def ideal_quotient(I, J):
-    """The colon ideal I : J, intersected over J's generators.
+def _holds(I, gens):
+    """True when a reduced basis of I at hand shows that I holds gens."""
+    for key, basis in I._gb.items():  # the first cached one
+        if isinstance(key, int):
+            gens = _moved(Ideal(I.spec, I.vars, gens), key).gens
+        return all(normal_form(f, basis).is_zero for f in reversed(gens))
+    return False
 
-    Each part I : g has one of two routes.  When every stored generator
-    of I is homogeneous and g is a single term c*X_j^k, the part comes
-    from one reduced degrevlex basis of I with X_j moved last (the
-    cached I.gb() when X_j already is last), each element divided by
-    the power of X_j it shares with X_j^k.  Any other part intersects I
-    with <g> and divides the result exactly by g.
-    """
-    result = None
-    for g, power in _divisors(I, J, "quotient"):
-        if power is not None:
-            part = _quotient_by_variable_power(I, *power)
+
+def _fold(I, divisors, saturate):
+    """The intersection of the parts I : g, or I : g^infinity when
+    saturate, over the divisors g, the part off I.gb() first.  A skipped
+    g has I : g holding the result.  Only a saturation part can hold the
+    result without g skipped.  Generators are tried from the last, which
+    most often fails first."""
+    last, result = len(I.vars) - 1, None
+    if saturate:  # I : X_j^infinity once per j
+        divisors = {p[0] if p else g: (g, p) for g, p in divisors}.values()
+    for g, power in sorted(divisors,
+                           key=lambda d: d[1] is None or d[1][0] < last):
+        if result is not None and all(normal_form(g * r, I.gb()).is_zero
+                                      for r in reversed(result.gens)):
+            continue
+        if power:
+            part = _quotient_by_variable_power(
+                I, power[0], None if saturate else power[1])
+        elif saturate:
+            part = eliminate(_rabinowitsch(I, g), 1)
         else:
             meet = ideal_intersect(I, Ideal(I.spec, I.vars, (g,)))
             part = Ideal(I.spec, I.vars,
                          tuple(divide_exact(w, g) for w in meet.gens))
-        result = part if result is None else ideal_intersect(result, part)
+        if result is None or _holds(result, part.gens):
+            result = part
+        elif not (saturate and _holds(part, result.gens)):
+            result = ideal_intersect(result, part)
     return result
+
+
+def ideal_quotient(I, J):
+    """The colon ideal I : J, intersected over J's generators (_fold)."""
+    return _fold(I, _divisors(I, J, "quotient"), False)
 
 
 def _rabinowitsch(I, f):
@@ -257,10 +308,8 @@ def _span(I, polys):
 def ideal_saturate(I, J):
     """I : J^infinity as a reduced ideal, with the round count.
 
-    I^sat intersects the parts I : g^infinity over the divisors g.  When
-    every stored generator of I is homogeneous, c*X_j^k gives the part
-    I : X_j^infinity, once per distinct j; any other divisor gives the
-    elimination of T from I + <1 - T*g>.
+    I^sat intersects the parts I : g^infinity over the divisors g
+    (_fold).
 
     Rounds count the quotients by J that a loop would run until one
     returns its input, so an already saturated ideal reports 1 and an
@@ -272,13 +321,7 @@ def ideal_saturate(I, J):
     vanish.  NF(g*NF(f)) = NF(g*f) makes this exact for any I.
     """
     divisors = _divisors(I, J, "saturation")
-    parts = {}
-    for g, power in divisors:
-        if power is None:
-            parts[g] = eliminate(_rabinowitsch(I, g), 1)
-        elif power[0] not in parts:
-            parts[power[0]] = _quotient_by_variable_power(I, power[0])
-    sat = reduced(reduce(ideal_intersect, parts.values()))
+    sat = reduced(_fold(I, divisors, True))
     basis = I.gb()
     span = _span(I, (normal_form(f, basis) for f in sat.gens))
     rounds = 1
@@ -290,8 +333,10 @@ def ideal_saturate(I, J):
 
 
 def is_homogeneous_ideal(I):
-    """True when the reduced degrevlex basis is homogeneous (see above)."""
-    return all(g.is_homogeneous for g in I.gb())
+    """True when the stored generators are homogeneous, else when the
+    reduced degrevlex basis is (see above)."""
+    return (all(g.is_homogeneous for g in I.gens)
+            or all(g.is_homogeneous for g in I.gb()))
 
 
 def radical_membership(f, I):

@@ -151,12 +151,16 @@ def gamma_q(cfg):
 
 
 def gamma_q_star(cfg):
-    """Homogeneous field equations <X_i^q X_j - X_j^q X_i> for i < j."""
+    """Homogeneous field equations <X_i^q X_j - X_j^q X_i> for i < j: a
+    reduced degrevlex basis in every order of the variables, so noted as
+    a known group (see ideals)."""
     spec, n, q = cfg.k_spec, len(cfg.vars), cfg.q
-    return Ideal(spec, cfg.vars, tuple(
+    gamma = Ideal(spec, cfg.vars, tuple(
         Polynomial(spec, cfg.vars, {_exponents(n, {i: q, j: 1}): 1,
                                     _exponents(n, {j: q, i: 1}): spec.neg[1]})
         for i in range(n) for j in range(i + 1, n)))
+    gamma._known = (gamma.gens,)
+    return gamma
 
 
 def irrelevant_ideal(spec, vars):

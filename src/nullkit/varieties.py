@@ -309,8 +309,7 @@ def zero_set(I, point_spec, kind):
     """
     _check_kind(kind)
     if kind == PROJECTIVE:
-        if not (all(g.is_homogeneous for g in I.gens)
-                or is_homogeneous_ideal(I)):
+        if not is_homogeneous_ideal(I):
             raise NonHomogeneousProjective(
                 f"{I} is not homogeneous; it has no projective zero set")
         n = len(I.vars) - 1

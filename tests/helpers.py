@@ -428,6 +428,24 @@ def sympy_quotient(I, J, syms, p):
     return result
 
 
+def sympy_saturate(I, J, syms, p):
+    """Generators of <I> : <J>^infinity for lists of sympy expressions:
+    the parts <I> : g^infinity, each a lex basis of I + <1 - t*g>, t
+    first, keeping the members free of t, intersected over the
+    generators g of J, all nonzero."""
+    import sympy
+
+    t = sympy.Dummy("t")
+    result = None
+    for g in J:
+        part = [q for q in sympy.groebner(list(I) + [1 - t * g], t, *syms,
+                                          modulus=p, order="lex").exprs
+                if not q.has(t)]
+        result = part if result is None else sympy_intersect(
+            result, part, syms, p)
+    return result
+
+
 def ref_anisotropic_forms(K, m, d):
     """The monic forms in y0..ym of degree d with only the trivial zero,
     by brute force: every monic coefficient vector over the descending

@@ -270,9 +270,13 @@ def test_chain_criterion_bounds_the_s_pairs(monkeypatch):
 
     That is half of what the coprime rule alone forms (746).  Buchberger
     calls s_polynomial once per formed pair and _reduce_full once per
-    reduction, so the counts are exact: 37 pairs and 65 reductions.  Both
-    intersections of the run have a generator in both ideals, which
-    enters the elimination once, untagged.
+    reduction, a normal form's included, so the counts are exact: 20
+    pairs and 61 reductions.  They were 37 and 65 before Gamma_q^* went
+    to buchberger as a known group, whose members are never paired, the
+    Bayer-Stillman parts came reduced with no S-pair, and the fold
+    skipped one of its two intersections, the X0 part's generators
+    reducing to zero modulo the X2 part's basis; its membership tests
+    add normal forms.
     """
     from nullkit import groebner
     from nullkit.nullstellensatz import NullConfig, projective_vanishing
@@ -293,8 +297,8 @@ def test_chain_criterion_bounds_the_s_pairs(monkeypatch):
     assert [str(g) for g in result.gens] == [
         "X1*X2 + X2^2", "X0*X2 + X2^2", "X0*X1 + X2^2"]
     assert len(formed) <= 373
-    assert len(formed) == 37
-    assert len(reductions) == 65
+    assert len(formed) == 20
+    assert len(reductions) == 61
 
 
 def _count_pairs_and_reductions(monkeypatch):
@@ -324,9 +328,12 @@ def test_intersection_pairs_and_reductions(monkeypatch):
 
 def test_permuted_quotient_pairs_and_reductions(monkeypatch):
     """One _quotient_by_variable_power with j = 1 < n - 1: a degrevlex
-    run with X1 moved last.  The counts, 20 S-pairs and 29 reductions,
-    were read from the code before pairs were kept in bitmasks and the
-    quotient re-keyed in one step; they pin the pair decisions."""
+    run with X1 moved last.  The 20 S-pairs were read from the code
+    before pairs were kept in bitmasks and the quotient re-keyed in one
+    step; they pin the pair decisions.  The reductions went from 29 to
+    38 and the part's generators from 10 to 9 when the divided basis
+    came to be interreduced: one reduction per kept member, one dropped
+    as its lead is a multiple of another's."""
     from nullkit.ideals import _quotient_by_variable_power, reduced
 
     formed, reductions = _count_pairs_and_reductions(monkeypatch)
@@ -335,11 +342,111 @@ def test_permuted_quotient_pairs_and_reductions(monkeypatch):
         "X0^2*X1 - X2^3", "X0*X1^2 + X1*X2^2", "X1^3 + X3^3",
         "X0*X3^2 - X1^2*X2"])
     part = _quotient_by_variable_power(I, 1, 2)
-    assert (len(formed), len(reductions)) == (20, 29)
-    assert len(part.gens) == 10
+    assert (len(formed), len(reductions)) == (20, 38)
+    assert len(part.gens) == 9
     for g in part.gens:  # X1^2 * g lies in I
         assert I.contains(g * parse_polynomial("X1^2", vars, F3))
     assert not reduced(part).equals(I)
+
+
+# Known groups: Gamma_q^* is a reduced degrevlex basis in every order of
+# the variables, and buchberger never pairs two members of a group.
+
+def _monic(g):
+    return g.scale(g.leading()[1].inv())
+
+
+@pytest.mark.parametrize("p, e", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)])
+def test_gamma_q_star_is_reduced_in_every_variable_order(p, e):
+    """buchberger, given no group, returns exactly Gamma_q^*'s
+    generators, made monic, over GF(2), GF(3), GF(4), GF(5) and GF(9) in
+    2-4 variables, in whatever order the ring lists the variables: what
+    lets every permuted degrevlex run take them as a known group."""
+    from nullkit.nullstellensatz import NullConfig, gamma_q_star
+
+    spec = make_field(p, e)
+    for n in (2, 3, 4):
+        vars = tuple(f"X{i}" for i in range(n))
+        gamma = gamma_q_star(NullConfig(spec, spec, vars))
+        for perm in itertools.permutations(range(n)):
+            moved = [Polynomial(spec, tuple(vars[i] for i in perm), {
+                tuple(x[i] for i in perm): c for x, c in g.terms.items()})
+                for g in gamma.gens]
+            basis = buchberger(moved)
+            assert len(basis) == len(moved)
+            assert set(basis.gens) == set(map(_monic, moved))
+
+
+def test_gamma_q_star_members_are_never_paired(monkeypatch):
+    """With Gamma_q^* a known group, in J.gb() and in the permuted runs
+    of the colon and the saturation on J = I + Gamma_q^*, no
+    s_polynomial call has two of its members as operands; the same runs
+    on a copy of Gamma_q^* not noted as a group do pair them.
+    Gamma_q^* maps to itself, up to sign, under any order of the
+    variables, so its monic members are the same exponent dicts in
+    every permuted ring."""
+    from nullkit import groebner
+    from nullkit.ideals import ideal_quotient, ideal_saturate, ideal_sum
+    from nullkit.nullstellensatz import (
+        NullConfig,
+        gamma_q_star,
+        irrelevant_ideal,
+        power_ideal,
+    )
+
+    gamma = gamma_q_star(NullConfig(F3, F3, P2))
+    members = {frozenset(_monic(g).terms.items()) for g in gamma.gens}
+    pairs = []
+    real = groebner.s_polynomial
+
+    def recording(f, g):
+        pairs.append([frozenset((f.ring.unpack_mono(m), c)
+                                for m, c in h.terms.items()) in members
+                      for h in (f, g)])
+        return real(f, g)
+
+    monkeypatch.setattr(groebner, "s_polynomial", recording)
+
+    def runs(gamma):
+        def with_gamma():
+            I = Ideal.from_strings(F3, P2, ["X0*X1 - X2^2"])
+            return ideal_sum(I, gamma)
+
+        with_gamma().gb()
+        ideal_quotient(with_gamma(), power_ideal(F3, P2, 5))
+        ideal_saturate(with_gamma(), irrelevant_ideal(F3, P2))
+
+    runs(gamma)
+    assert pairs and [True, True] not in pairs
+    runs(Ideal(F3, P2, gamma.gens))
+    assert [True, True] in pairs
+
+
+def test_known_groups_reach_only_degrevlex_runs(monkeypatch):
+    """Ideal.gb passes Gamma_q^* as known to a degrevlex run only:
+    lex runs, eliminate's block order and radical membership's
+    Rabinowitsch ideal on I + Gamma_q^* pass no group."""
+    from nullkit import ideals
+    from nullkit.nullstellensatz import NullConfig, gamma_q_star
+
+    runs = []
+    real = ideals.buchberger
+
+    def recording(gens, order=DEGREVLEX, **kwargs):
+        runs.append((order, kwargs.get("_known", ())))
+        return real(gens, order, **kwargs)
+
+    monkeypatch.setattr(ideals, "buchberger", recording)
+    gamma = gamma_q_star(NullConfig(F3, F3, P2))
+    J = ideals.ideal_sum(Ideal.from_strings(F3, P2, ["X0*X1 - X2^2"]), gamma)
+    J.gb(LEX)
+    ideals.eliminate(J, 1)
+    ideals.radical_membership(parse_polynomial("X0", P2, F3), J)
+    assert [order for order, _ in runs] == [
+        LEX, block_order(1), block_order(1)]
+    assert all(known == () for _, known in runs)
+    J.gb()
+    assert runs[-1] == (DEGREVLEX, (gamma.gens,))
 
 
 # Exponents past the packed field width: each check takes well under 1 s.

@@ -38,6 +38,7 @@ from helpers import (
     sympy_basis,
     sympy_intersect,
     sympy_quotient,
+    sympy_saturate,
     to_sympy,
 )
 
@@ -224,6 +225,87 @@ def test_intersection_and_quotient_match_sympy():
             sympy_quotient(I_s, K_s, syms, p), syms, p)
 
     check()
+
+
+@pytest.mark.time_budget(30)
+def test_saturation_and_projective_vanishing_match_sympy():
+    """A second route outside nullkit for ideal_saturate and both closed
+    formulas, over GF(2), GF(3), GF(5) and GF(7).  sympy saturates by
+    eliminating t from I + <1 - t*g> per divisor g and intersecting the
+    parts (sympy_saturate), and forms the colon
+    (I + Gamma_q^*) : <X_0^d, ..., X_n^d> by sympy_quotient.  The draws
+    mix homogeneous and other generators, and single-term divisors
+    c*X_j^k, the Bayer-Stillman route for a homogeneous I, with others;
+    a homogeneous draw with a nonempty zero set also runs
+    projective_vanishing by colon and by saturation."""
+    sympy = pytest.importorskip("sympy")
+    pytest.importorskip("hypothesis")
+    from hypothesis import Phase, given, settings, strategies as st
+    from nullkit.nullstellensatz import (
+        degree_bound,
+        gamma_q_star,
+        power_ideal,
+        projective_vanishing,
+    )
+
+    # No shrinking: each draw runs sympy, and a shrink outlasts the budget.
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              phases=(Phase.generate,))
+    @given(st.randoms(use_true_random=False), st.sampled_from([2, 3, 5, 7]),
+           st.integers(2, 3), st.booleans())
+    def check(rng, p, n, homogeneous):
+        spec, vars = make_field(p), P2[:n]
+        syms = sympy.symbols(vars)
+
+        def draw():  # nonzero: a variable stands in for zero
+            return (random_poly(rng, spec, vars, rng.randint(1, 2),
+                                rng.randint(1, 3), homogeneous)
+                    or Polynomial.variable(spec, vars, rng.choice(vars)))
+
+        I = Ideal(spec, vars, [draw() for _ in range(rng.randint(1, 2))])
+        J = Ideal(spec, vars, [Polynomial(spec, vars, {
+            tuple(rng.randint(1, 2) if i == j else 0 for i in range(n)):
+            rng.randrange(1, p)}) for j in rng.sample(range(n), n)]
+            + [draw() for _ in range(rng.randint(0, 1))])
+        I_s, J_s = ([to_sympy(f, syms) for f in X.gens] for X in (I, J))
+        S, _ = ideal_saturate(I, J)
+        assert basis_terms(S.gb()) == sympy_basis(
+            sympy_saturate(I_s, J_s, syms, p), syms, p)
+        if not homogeneous or not zero_set(I, spec, PROJECTIVE).points:
+            return
+        cfg = NullConfig(spec, spec, vars)
+        with_gamma = I_s + [to_sympy(f, syms)
+                            for f in gamma_q_star(cfg).gens]
+        powers = power_ideal(spec, vars, degree_bound(I, p)).gens
+        colon = sympy_quotient(with_gamma, [to_sympy(f, syms)
+                                            for f in powers], syms, p)
+        sat = sympy_saturate(with_gamma, list(syms), syms, p)
+        for method, theirs in (("colon", colon), ("saturation", sat)):
+            ours, _ = projective_vanishing(I, cfg, method)
+            assert basis_terms(ours.gb()) == sympy_basis(theirs, syms, p)
+
+    check()
+
+
+@pytest.mark.parametrize("divisor", ["2*X0^2", "X1", "X2^3"])
+def test_homogeneous_ideal_with_other_generators_takes_bayer_stillman(
+        monkeypatch, divisor):
+    """<h1, h1 + h2> with h1, h2 forms of different degrees is
+    homogeneous though its second generator is not, so quotient by
+    c*X_j^k and saturation by the irrelevant ideal take the
+    Bayer-Stillman route, with no Rabinowitsch ideal and no exact
+    division, and agree with the intersect-and-divide references."""
+    rabinowitsch = count_calls(monkeypatch, "_rabinowitsch")
+    divisions = count_calls(monkeypatch, "divide_exact")
+    I = Ideal.from_strings(F3, P2, ["X0*X1 + X2^2",
+                                    "X0*X1 + X2^2 + X0^3 - X1*X2^2"])
+    J = Ideal.from_strings(F3, P2, [divisor])
+    m = Ideal.from_strings(F3, P2, list(P2))
+    Q = ideal_quotient(I, J)
+    S, rounds = ideal_saturate(I, m)
+    assert rabinowitsch == [] and divisions == []
+    assert Q.gb().gens == reference_quotient(I, J).gb().gens
+    assert (S.gb().gens, rounds) == reference_saturate(I, m)
 
 
 def test_quotient_monomials():
