@@ -29,6 +29,7 @@ integer comparison is the monomial order.  From the lowest field up:
 
     lex        deg, e[n-1], ..., e[0]
     degrevlex  ~e[0], ..., ~e[n-1], deg
+    X_j last   ~e[0], ..., ~e[j-1], ~e[j+1], ..., ~e[n-1], ~e[j], deg
     block(k)   ~e[k], ..., ~e[n-1], deg(tail), ~e[0], ..., ~e[k-1], deg(head)
 
 where ~e = 2^W - 1 - e and deg is the degree of the segment below it
@@ -85,9 +86,10 @@ class _Ring:
         # Fields from the lowest: a variable, or a segment for its degree.
         if order.kind == "lex":
             layout, sign = [range(n), *reversed(range(n))], 1
-        else:  # degrevlex is block(0)
-            k = min(order.block, n)
-            layout, sign = [*range(k, n), range(k, n), *range(k), range(k)], -1
+        else:  # degrevlex is block(0); order.last goes to the top
+            k, j = min(order.block, n), order.last
+            layout, sign = [*sorted(range(k, n), key=lambda i: i == j),
+                            range(k, n), *range(k), range(k)], -1
         self.top = (1 << w) - 1
         self.weights, self.fields, self.degrees = [0] * n, [0] * n, []
         self.exps = self.guards = self.trip = 0
@@ -433,15 +435,14 @@ def _interreduce(G, order, vars):
                          (ring, [p.reducer() for p in polys]))
 
 
-def _reduce_basis(gens):
-    """The reduced basis from a degrevlex Groebner basis, no S-pair."""
+def _reduce_basis(gens, order):
+    """The reduced basis from a Groebner basis for order, no S-pair."""
     if not gens:
-        return GroebnerBasis(DEGREVLEX, ())
+        return GroebnerBasis(order, ())
     f = gens[0]
-    ring = _ring(DEGREVLEX, f.spec, len(f.vars),
+    ring = _ring(order, f.spec, len(f.vars),
                  max(g.total_degree() for g in gens))
-    return _interreduce([ring.pack(g).monic() for g in gens], DEGREVLEX,
-                        f.vars)
+    return _interreduce([ring.pack(g).monic() for g in gens], order, f.vars)
 
 
 def divide_exact(f, g, order=DEGREVLEX):

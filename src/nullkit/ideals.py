@@ -26,15 +26,13 @@ homogeneous exactly when its reduced basis for a graded order is (Cox,
 Little & O'Shea, Ideals, Varieties, and Algorithms, ch. 8 sec. 3,
 Thm. 2), so is_homogeneous_ideal reads it off I.gb() unless the stored
 generators already are.  Gamma_q^* is a known group (see groebner) in
-every degrevlex run on a sum holding it, X_j moved last or not.
+every degrevlex run on a sum holding it, whichever variable comes last.
 
 Each ring change here is one re-keying of the term dict, with no
 polynomial product: T put first (g, T*g and (1 - T)*g take T's exponent
-0, 1, or 0 and 1 with the T-terms negated through spec.neg), X_j moved
-last and back, the first k variables dropped.
+0, 1, or 0 and 1 with the T-terms negated through spec.neg), the first
+k variables dropped.
 """
-
-from operator import itemgetter
 
 from .errors import RingMismatch, ZeroDivisorIdeal
 from .field import _Echelon
@@ -46,7 +44,7 @@ from .groebner import (
     divide_exact,
     normal_form,
 )
-from .poly import Polynomial, block_order
+from .poly import Polynomial, _degrevlex_last, block_order
 
 
 class Ideal:
@@ -60,7 +58,7 @@ class Ideal:
         self.gens = tuple(gens)
         for g in self.gens:
             self.check_polynomial(g)
-        self._gb = {}  # order, or j for degrevlex with X_j last -> basis
+        self._gb = {}  # order -> reduced basis
         # conjectures keeps the search's residues here, by name
         self._residues = {}
         self._known = ()  # gens groups reduced in every variable order
@@ -79,7 +77,7 @@ class Ideal:
         basis = self._gb.get(order)
         if basis is None:
             basis = buchberger(list(self.gens), order, _known=(
-                self._known if order == DEGREVLEX else ()))
+                self._known if order.kind == "degrevlex" else ()))
             self._gb[order] = basis
         return basis
 
@@ -199,53 +197,29 @@ def _divisors(I, J, op):
     return list(zip(divisors, powers))
 
 
-def _moved(I, j):
-    """I re-keyed into its ring with X_j last, its known groups kept;
-    j < n - 1, so perm has two indices or more and gives tuples."""
-    n = len(I.vars)
-    perm = itemgetter(*(i for i in range(n) if i != j), j)
-    vars = perm(I.vars)
-    moved = {id(g): Polynomial(I.spec, vars, {perm(e): c
-                                              for e, c in g.terms.items()})
-             for g in I.gens}
-    M = Ideal(I.spec, vars, moved.values())
-    M._known = tuple([moved[id(g)] for g in group] for group in I._known)
-    return M
-
-
 def _quotient_by_variable_power(I, j, k=None):
     """I : X_j^k for a homogeneous ideal (Bayer-Stillman), given by its
-    reduced basis, cached under j in the ring with X_j last if j < n - 1.
+    reduced basis for degrevlex with X_j last.
 
-    With X_j last in degrevlex, X_j^a divides a homogeneous f exactly
-    when it divides LM(f), so dividing each element of the reduced basis
-    by X_j^min(k, v), v the exponent of X_j dividing it, gives a
-    Groebner basis of the quotient, reduced with no S-pair.  k=None
-    divides by X_j^v and gives I : X_j^infinity.
+    In that order X_j^a divides a homogeneous f exactly when it divides
+    LM(f), so dividing each element of the reduced basis by
+    X_j^min(k, v), v the exponent of X_j dividing it, gives a Groebner
+    basis of the quotient, reduced with no S-pair.  k=None divides by
+    X_j^v and gives I : X_j^infinity.
     """
-    last = j == len(I.vars) - 1
-    divided = []
-    for g in (I if last else _moved(I, j)).gb():
-        v = min(e[-1] for e in g.terms)
+    order, divided = _degrevlex_last(j, len(I.vars)), []
+    for g in I.gb(order):
+        v = min(e[j] for e in g.terms)
         if k is not None:
             v = min(k, v)
-        divided.append(Polynomial(I.spec, g.vars, {
-            (*e[:-1], e[-1] - v): c for e, c in g.terms.items()}))
-    part = _reduce_basis(divided)
-    if last:
-        return _from_basis(I.spec, I.vars, part)
-    Q = Ideal(I.spec, I.vars, [Polynomial(I.spec, I.vars, {
-        (*e[:j], e[-1], *e[j:-1]): c for e, c in g.terms.items()})
-        for g in part])
-    Q._gb[j] = part
-    return Q
+        divided.append(Polynomial(I.spec, I.vars, {
+            (*e[:j], e[j] - v, *e[j + 1:]): c for e, c in g.terms.items()}))
+    return _from_basis(I.spec, I.vars, _reduce_basis(divided, order))
 
 
 def _holds(I, gens):
     """True when a reduced basis of I at hand shows that I holds gens."""
-    for key, basis in I._gb.items():  # the first cached one
-        if isinstance(key, int):
-            gens = _moved(Ideal(I.spec, I.vars, gens), key).gens
+    for basis in I._gb.values():  # the first cached one
         return all(normal_form(f, basis).is_zero for f in reversed(gens))
     return False
 

@@ -7,9 +7,10 @@ tables.  FieldElements enter through the constructor and the scalars
 of constant, scale and dehomogenize, and leave through leading,
 sorted_terms and evaluate.  Powers run field._power, and evaluate,
 compose and dehomogenize one substitution loop.  Monomials are plain
-tuples.  Printing is canonical: terms descend in the active monomial
-order and coefficients stay in their canonical form, so equal
-polynomials print identically.
+tuples, ordered by lex, degrevlex, block(k), or degrevlex with one
+variable compared last.  Printing is canonical: terms descend in the
+active monomial order and coefficients stay in their canonical form, so
+equal polynomials print identically.
 """
 
 import operator
@@ -42,16 +43,20 @@ class MonomialOrder:
 
     Kinds: lex, degrevlex, and block(k).  A block order compares the
     first k exponents degrevlex, then the rest degrevlex, which makes it
-    an elimination order for the leading k variables.
+    an elimination order for the leading k variables.  A degrevlex order
+    with last = j compares X_j last, as if the ring listed it last.
     """
 
     kind: str
     block: int = 0
+    last: int = None
 
     def key(self, exps):
         if self.kind == "lex":
             return exps
         if self.kind == "degrevlex":
+            if (j := self.last) is not None:
+                exps = (*exps[:j], *exps[j + 1:], exps[j])
             return (sum(exps), tuple(-e for e in reversed(exps)))
         k = self.block
         head, tail = exps[:k], exps[k:]
@@ -61,6 +66,8 @@ class MonomialOrder:
     def __str__(self):
         if self.kind == "block":
             return f"block({self.block})"
+        if self.last is not None:
+            return f"degrevlex(X_{self.last} last)"
         return self.kind
 
 
@@ -70,6 +77,12 @@ DEGREVLEX = MonomialOrder("degrevlex")
 
 def block_order(k):
     return MonomialOrder("block", k)
+
+
+def _degrevlex_last(j, n):
+    """degrevlex on n variables with X_j compared last; DEGREVLEX for
+    j = n - 1, so that such a basis is I.gb() itself."""
+    return DEGREVLEX if j == n - 1 else MonomialOrder("degrevlex", last=j)
 
 
 # ------------------------------------------------------------- polynomials

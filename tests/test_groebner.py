@@ -21,6 +21,7 @@ from nullkit.poly import (
     DEGREVLEX,
     LEX,
     Polynomial,
+    _degrevlex_last,
     block_order,
     parse_polynomial,
 )
@@ -328,7 +329,7 @@ def test_intersection_pairs_and_reductions(monkeypatch):
 
 def test_permuted_quotient_pairs_and_reductions(monkeypatch):
     """One _quotient_by_variable_power with j = 1 < n - 1: a degrevlex
-    run with X1 moved last.  The 20 S-pairs were read from the code
+    run with X1 compared last.  The 20 S-pairs were read from the code
     before pairs were kept in bitmasks and the quotient re-keyed in one
     step; they pin the pair decisions.  The reductions went from 29 to
     38 and the part's generators from 10 to 9 when the divided basis
@@ -378,13 +379,13 @@ def test_gamma_q_star_is_reduced_in_every_variable_order(p, e):
 
 
 def test_gamma_q_star_members_are_never_paired(monkeypatch):
-    """With Gamma_q^* a known group, in J.gb() and in the permuted runs
-    of the colon and the saturation on J = I + Gamma_q^*, no
+    """With Gamma_q^* a known group, in J.gb() and in the runs with X_j
+    last of the colon and the saturation on J = I + Gamma_q^*, no
     s_polynomial call has two of its members as operands; the same runs
     on a copy of Gamma_q^* not noted as a group do pair them.
     Gamma_q^* maps to itself, up to sign, under any order of the
-    variables, so its monic members are the same exponent dicts in
-    every permuted ring."""
+    variables, so its monic members are a reduced basis for every
+    degrevlex order, whichever variable it compares last."""
     from nullkit import groebner
     from nullkit.ideals import ideal_quotient, ideal_saturate, ideal_sum
     from nullkit.nullstellensatz import (
@@ -420,6 +421,40 @@ def test_gamma_q_star_members_are_never_paired(monkeypatch):
     assert pairs and [True, True] not in pairs
     runs(Ideal(F3, P2, gamma.gens))
     assert [True, True] in pairs
+
+
+def test_one_buchberger_run_per_degrevlex_order_per_ideal(monkeypatch):
+    """The colon by <X0^5, X1^5, X2^5> and then the saturation by the
+    irrelevant ideal, on one J = <X0*X1 - X2^2> + Gamma_3^*, read the
+    bases of J for degrevlex and degrevlex with X0 or X1 last from J's
+    cache: one run each, five with the two intersections.  Seven runs,
+    each order with X_j last twice, mean that a caller rebuilt the
+    ideal whose basis it read."""
+    from collections import Counter
+
+    from nullkit import ideals
+    from nullkit.nullstellensatz import (
+        NullConfig,
+        gamma_q_star,
+        irrelevant_ideal,
+        power_ideal,
+    )
+
+    runs = []
+    real = ideals.buchberger
+
+    def recording(gens, order=DEGREVLEX, **kwargs):
+        runs.append(order)
+        return real(gens, order, **kwargs)
+
+    monkeypatch.setattr(ideals, "buchberger", recording)
+    J = ideals.ideal_sum(Ideal.from_strings(F3, P2, ["X0*X1 - X2^2"]),
+                         gamma_q_star(NullConfig(F3, F3, P2)))
+    ideals.ideal_quotient(J, power_ideal(F3, P2, 5))
+    ideals.ideal_saturate(J, irrelevant_ideal(F3, P2))
+    assert Counter(o for o in runs if o.kind == "degrevlex") == Counter(
+        [DEGREVLEX, _degrevlex_last(0, 3), _degrevlex_last(1, 3)])
+    assert len(runs) == 5
 
 
 def test_known_groups_reach_only_degrevlex_runs(monkeypatch):
@@ -478,7 +513,8 @@ def test_buchberger_reports_the_degree_reached_in_a_wider_packing():
 
 # Differential checks against the tuple-monomial references in helpers.
 
-ORDERS = [LEX, DEGREVLEX, block_order(1), block_order(2)]
+ORDERS = [LEX, DEGREVLEX, block_order(1), block_order(2),
+          _degrevlex_last(0, 3), _degrevlex_last(1, 3)]
 FIELDS = [F2, F3, make_field(2, 2), make_field(3, 2), make_field(257)]
 
 
@@ -495,9 +531,10 @@ def _dense(rng, spec, vars, deg, n_terms):
 
 def test_kernel_matches_the_tuple_references():
     """buchberger, normal_form and divide_exact agree with the tuple
-    loops on lex, degrevlex, block(1) and block(2) over GF(2), GF(3),
-    GF(4), GF(9) and the untabled GF(257).  Substitution bases
-    <X - h(Y, Z)> make lex and block reductions outgrow the packing."""
+    loops on lex, degrevlex, block(1), block(2) and degrevlex with X or
+    Y last over GF(2), GF(3), GF(4), GF(9) and the untabled GF(257).
+    Substitution bases <X - h(Y, Z)> make lex and block reductions
+    outgrow the packing."""
     pytest.importorskip("hypothesis")
     from hypothesis import given, settings, strategies as st
 
@@ -557,9 +594,10 @@ def _binomial_chain():
 def test_pair_bookkeeping_matches_the_reference():
     """buchberger, with its packed pair lcms, pending-pair bitmasks and
     chain criterion, gives ref_buchberger's basis (every pair, no
-    criteria) on lex, degrevlex, block(1) and block(2) over GF(2), GF(3)
-    and GF(4).  Inputs repeat generators, add monomial multiples of
-    them and add generators with pairwise coprime leads.  The explicit
+    criteria) on lex, degrevlex, block(1), block(2) and degrevlex with X
+    or Y last over GF(2), GF(3) and GF(4).  Inputs repeat generators,
+    add monomial multiples of them and add generators with pairwise
+    coprime leads.  The explicit
     example holds 65 binomials over the degree-10 monomials, so the
     basis has more than 64 members and the bitmasks pass one machine
     word."""
@@ -604,7 +642,7 @@ def test_pending_bitmasks_pass_one_machine_word(monkeypatch):
 
 @pytest.mark.parametrize("order", ORDERS + [block_order(3)],
                          ids=["lex", "degrevlex", "block1", "block2",
-                              "block3"])
+                              "last0", "last1", "block3"])
 def test_packed_lcm_is_the_fieldwise_max(order):
     """_Ring.lcm equals the packing of the exponent-wise max, with the
     lcm's degree, for every layout and in a ring widened by _widen."""

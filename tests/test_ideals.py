@@ -183,13 +183,14 @@ def test_shared_generator_enters_the_intersection_once(monkeypatch):
 
 @pytest.mark.time_budget(30)
 def test_intersection_and_quotient_match_sympy():
-    """A second route outside nullkit: ideal_intersect and ideal_quotient
-    over GF(2), GF(3), GF(5) and GF(7) against sympy, which eliminates t
-    from t*I + (1 - t)*J by a lex basis and divides the parts of the
-    quotient itself.  The draws share generators between I and J, mix
-    homogeneous and other generators, and take single-variable powers
-    c*X_j^k among the divisors, the Bayer-Stillman route for a
-    homogeneous I."""
+    """A second route outside nullkit: ideal_intersect, ideal_quotient
+    and eliminate over GF(2), GF(3), GF(5) and GF(7) against sympy,
+    which eliminates t from t*I + (1 - t)*J by a lex basis, divides the
+    parts of the quotient itself, and keeps the members of I's lex basis
+    free of X0, or of X0 and X1.  The draws share generators between I
+    and J, mix homogeneous and other generators, and take
+    single-variable powers c*X_j^k among the divisors, the
+    Bayer-Stillman route for a homogeneous I."""
     sympy = pytest.importorskip("sympy")
     pytest.importorskip("hypothesis")
     from hypothesis import given, settings, strategies as st
@@ -223,6 +224,11 @@ def test_intersection_and_quotient_match_sympy():
             sympy_intersect(I_s, J_s, syms, p), syms, p)
         assert basis_terms(ideal_quotient(I, K).gb()) == sympy_basis(
             sympy_quotient(I_s, K_s, syms, p), syms, p)
+        lex = sympy.groebner(I_s, *syms, modulus=p, order="lex").exprs
+        for k in (1, 2):
+            kept = [q for q in lex if not q.has(*syms[:k])]
+            assert basis_terms(eliminate(I, k).gb()) == sympy_basis(
+                kept, syms[k:], p)
 
     check()
 

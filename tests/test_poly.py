@@ -18,6 +18,7 @@ from nullkit.poly import (
     DEGREVLEX,
     LEX,
     Polynomial,
+    _degrevlex_last,
     block_order,
     dehomogenize,
     homogenize,
@@ -236,7 +237,8 @@ def test_block_order_separates_head_variables():
 def test_order_compatible_with_divisibility():
     """a | b implies key(a) <= key(b), the well-ordering the reducer needs."""
     monos = list(itertools.product(range(3), repeat=3))
-    for order in (LEX, DEGREVLEX, block_order(1)):
+    for order in (LEX, DEGREVLEX, block_order(1), _degrevlex_last(0, 3),
+                  _degrevlex_last(1, 3)):
         for a in monos:
             for b in monos:
                 if all(x <= y for x, y in zip(a, b)):
