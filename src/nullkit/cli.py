@@ -211,9 +211,7 @@ def _parse_order(text, nvars):
 
 def parse_bounds(text):
     """Parse m=2,degp=4,degargs=2,chain=2,exp=3 with defaults filled in."""
-    keys = {"m": "max_m", "degp": "max_deg_p", "degargs": "max_deg_args",
-            "chain": "max_chain", "exp": "max_inner_exp"}
-    kwargs = {}
+    keys, kwargs = SearchBounds.NAMES, {}
     for item in filter(None, (s.strip() for s in text.split(","))):
         key, eq, value = item.partition("=")
         if key not in keys or not eq:
@@ -509,6 +507,8 @@ def build_parser():
     ap.add_argument("--version", action="version",
                     version=f"nullkit {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
+    bounds_help = ",".join(f"{k}={getattr(SearchBounds(), v)}" for k, v
+                           in SearchBounds.NAMES.items()) + " (any subset)"
 
     def common(p):
         p.add_argument("--input", required=True, help="problem file (.null)")
@@ -565,8 +565,7 @@ def build_parser():
     p.add_argument("--family", choices=FAMILIES)
     p.add_argument("--target", help="polynomial to search a witness for")
     p.add_argument("--ideal", help="problem file (.null)")
-    p.add_argument("--bounds",
-                   help="m=2,degp=4,degargs=2,chain=2,exp=3 (any subset)")
+    p.add_argument("--bounds", help=bounds_help)
     # --nonradical reads no problem for --emit-normalized to print
     one = p.add_mutually_exclusive_group()
     one.add_argument("--nonradical", action="store_true",
@@ -583,8 +582,7 @@ def build_parser():
 
     p = sub.add_parser("suite", help="scripted verification runs")
     p.add_argument("which", choices=["counterexample"])
-    p.add_argument("--bounds",
-                   help="m=2,degp=4,degargs=2,chain=2,exp=3 (any subset)")
+    p.add_argument("--bounds", help=bounds_help)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_suite)
 

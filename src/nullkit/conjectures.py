@@ -110,18 +110,19 @@ _SEARCH_BUDGET = 20_000
 class SearchBounds:
     """Caps for the candidate enumeration.  At the defaults the whole
     counterexample suite runs in about 0.04 s, up to 0.07 s at its first
-    call in a process."""
+    call in a process.  NAMES maps short names to fields."""
 
     max_m: int = 2
     max_deg_p: int = 4
     max_deg_args: int = 2
     max_chain: int = 2
     max_inner_exp: int = 3
+    NAMES = {"m": "max_m", "degp": "max_deg_p", "degargs": "max_deg_args",
+             "chain": "max_chain", "exp": "max_inner_exp"}
 
     def __str__(self):
-        return (f"m<={self.max_m} degp<={self.max_deg_p} "
-                f"degargs<={self.max_deg_args} chain<={self.max_chain} "
-                f"exp<={self.max_inner_exp}")
+        return " ".join(f"{short}<={getattr(self, name)}"
+                        for short, name in self.NAMES.items())
 
 
 def _inner_power(spec, n):

@@ -15,11 +15,11 @@ Quotient I : J and saturation I : J^infinity are one fold (_fold) of
 parts I : g or I : g^infinity over the divisors g of J.  For a
 homogeneous I and g = c*X_j^k the part is read off a degrevlex basis
 with X_j last (Bayer-Stillman 1987; Eisenbud, Commutative Algebra,
-Prop. 15.12), as its reduced basis, once per j for saturation; any
-other part is (I cap <g>) / g, or T eliminated from I + <1 - T*g>
-(Rabinowitsch).  The fold skips a divisor g when g times each
-generator of the running result lies in I, and an intersection when a
-reduced basis at hand shows one side inside the other.  Saturation
+Prop. 15.12), as its reduced basis; any other part is (I cap <g>) / g,
+or T eliminated from I + <1 - T*g> (Rabinowitsch).  The fold skips a
+divisor g when h*r lies in I for each generator r of the running
+result, h = g, or g^K for a single-term g in saturation, K the top
+degree of I.gb(): X_j^(k*K)*r in I puts r in I : X_j^infinity.  Saturation
 reports r* + 1 rounds, r* the least r with J^r * I^sat inside I, found
 from normal forms modulo I's basis on field._Echelon.  An ideal is
 homogeneous exactly when its reduced basis for a graded order is (Cox,
@@ -226,16 +226,15 @@ def _holds(I, gens):
 
 def _fold(I, divisors, saturate):
     """The intersection of the parts I : g, or I : g^infinity when
-    saturate, over the divisors g, the part off I.gb() first.  A skipped
-    g has I : g holding the result.  Only a saturation part can hold the
-    result without g skipped.  Generators are tried from the last, which
-    most often fails first."""
+    saturate, over the divisors g, the part off I.gb() first, skipping g
+    as above; a part that the result's basis holds replaces the result.
+    Generators are tried from the last, which most often fails first."""
     last, result = len(I.vars) - 1, None
-    if saturate:  # I : X_j^infinity once per j
-        divisors = {p[0] if p else g: (g, p) for g, p in divisors}.values()
+    K = max((f.total_degree() for f in I.gb()), default=1) if saturate else 1
     for g, power in sorted(divisors,
                            key=lambda d: d[1] is None or d[1][0] < last):
-        if result is not None and all(normal_form(g * r, I.gb()).is_zero
+        h = g ** K if len(g.terms) == 1 else g
+        if result is not None and all(normal_form(h * r, I.gb()).is_zero
                                       for r in reversed(result.gens)):
             continue
         if power:
@@ -249,7 +248,7 @@ def _fold(I, divisors, saturate):
                          tuple(divide_exact(w, g) for w in meet.gens))
         if result is None or _holds(result, part.gens):
             result = part
-        elif not (saturate and _holds(part, result.gens)):
+        else:
             result = ideal_intersect(result, part)
     return result
 

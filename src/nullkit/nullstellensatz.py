@@ -401,7 +401,8 @@ def certify_membership(f, I, cfg, indices=None):
     parts = _certificate_parts(I, d, cfg, indices)
     _verify_certificate(I, d, parts, V, cfg)
     certs = []
-    for j, (g, l) in parts.items():
+    for j in indices:
+        g, l = parts[j]
         gf = g * f
         lf = l * f
         xj = Polynomial.variable(cfg.k_spec, cfg.vars, cfg.vars[j])

@@ -714,3 +714,40 @@ def test_eliminate_refuses_k_outside_the_ring(k):
     with pytest.raises(ValueError,
                        match=f"^cannot eliminate {k} of 2 variables$"):
         eliminate(I, k)
+
+
+@pytest.mark.parametrize("q, form, rounds", [
+    (11, "X0^2 + 3*X1^2 - 5*X2^2", 12),
+    (7, "X0^2 + X1^2 + X2^2", 8),
+], ids=["conic-gf11", "conic-gf7"])
+def test_saturation_skips_parts_by_a_power_of_the_variable(
+        monkeypatch, q, form, rounds):
+    """Saturating J = <conic> + Gamma_q^* by the irrelevant ideal runs
+    one Buchberger run, J's degrevlex basis: X_j^K * r in J, K the top
+    degree of J.gb(), puts each generator r of the first part in
+    J : X_j^infinity, so no permuted-order part is built.  X_j * r
+    alone rarely lies in J."""
+    from nullkit import ideals
+    from nullkit.groebner import DEGREVLEX
+    from nullkit.nullstellensatz import (
+        gamma_q_star,
+        irrelevant_ideal,
+        projective_vanishing,
+    )
+
+    Fq, vars = make_field(q), ("X0", "X1", "X2")
+    cfg = NullConfig(Fq, Fq, vars)
+    I = Ideal.from_strings(Fq, vars, [form])
+    colon, _ = projective_vanishing(I, cfg, method="colon")
+    runs, real = [], ideals.buchberger
+
+    def recording(gens, order=DEGREVLEX, **kwargs):
+        runs.append(order)
+        return real(gens, order, **kwargs)
+
+    monkeypatch.setattr(ideals, "buchberger", recording)
+    J = ideal_sum(I, gamma_q_star(cfg))
+    S, n = ideal_saturate(J, irrelevant_ideal(Fq, vars))
+    assert runs == [DEGREVLEX]
+    assert n == rounds
+    assert S.gb().gens == colon.gb().gens

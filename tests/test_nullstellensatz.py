@@ -320,6 +320,17 @@ def test_make_certificates_refuses_an_index_outside_the_ring():
         make_certificates(I, [0, 2], cfg)
 
 
+def test_repeated_indices_give_one_certificate_each():
+    """Both certificate builders return one certificate per entry of
+    indices, in order, a repeated index included."""
+    cfg = NullConfig(F2, F2, P1)
+    I = Ideal.from_strings(F2, P1, ["X0"])
+    f = parse_polynomial("X0", P1, F2)
+    assert [c.j for c in make_certificates(I, [1, 1], cfg)] == [1, 1]
+    assert [c.j for c in certify_membership(f, I, cfg, [1, 1])] == [1, 1]
+    assert [c.j for c in certify_membership(f, I, cfg, [1, 0])] == [1, 0]
+
+
 def test_certificate_properties_across_sample():
     cases = [
         (F2, P1, ["X0"]),
